@@ -6,6 +6,8 @@ computations and returns one result record per check.
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import schur2
 from .abelian import (
     FiniteAbelianGroup,
@@ -23,7 +25,7 @@ from .idempotents import (
     residue_module_key,
     threshold_ideal,
 )
-from .measure import MeasureContext, _coker_valuations_int, measure, moment_truncated, sample, make_rng
+from .measure import MeasureContext, _coker_valuations, measure, moment_truncated, sample, make_rng
 from . import oracle
 
 
@@ -539,16 +541,10 @@ def suite_measure():
     r.check("truncated total mass is monotone and at most 1", ok)
 
     # exhaustive 1x2 cokernel enumeration at Q=2, prec=3
-    trivial = 0
-    total = 0
-    for a in range(8):
-        for b in range(8):
-            vals = _coker_valuations_int([[a, b]], 2, 3)
-            total += 1
-            if all(v == 0 for v in vals):
-                trivial += 1
+    pairs = np.array([[[[a], [b]]] for a in range(8) for b in range(8)])
+    vals = _coker_valuations(pairs, 2, 3, (0, 1))
     r.check("exhaustive 1x2 cokernels over Z/8: unimodular fraction 3/4",
-            Fraction(trivial, total) == Fraction(3, 4))
+            Fraction(int((vals == 0).all(axis=1).sum()), len(pairs)) == Fraction(3, 4))
 
     ctx = MeasureContext(2)
     seq1 = [sample(ctx, 3, 3, make_rng(7)).parts for _ in range(1)]

@@ -351,7 +351,9 @@ def poly_ext_gcd_modp(a, b, p):
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = poly_divmod(r0, r1, p)
+        inv = pow(r1[-1], -1, p)
+        q, r = poly_divmod(r0, [x * inv % p for x in r1], p)
+        q = [x * inv % p for x in q]  # r0 = q·r1 + r
         r0, r1 = r1, r
         s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
         t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, p), p)

@@ -3,10 +3,16 @@ truncated moment sums with bracketed tails, and a Monte-Carlo sampler
 that draws the cokernel of a uniform n x (n+1) matrix over the ring
 truncated at 𝔪^prec.
 
-The residue field size Q may be any prime power; sampling over Q = p^f
-with f > 1 runs in the unramified extension ring (Z/p^N)[z]/u(z).
+The residue field size Q may be any prime power, p odd or even;
+sampling over Q = p^f with f > 1 runs in the unramified extension ring
+(Z/p^N)[z]/u(z).  The sampler draws and eliminates trials in batches of
+CHUNK matrices with one numpy kernel for every Q; a batch consumes the
+Philox stream exactly as one draw per trial would, so `sample_many`
+returns the same table as repeated `sample` calls on one generator.
 """
 
+import functools
+import itertools as it
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,151 +138,96 @@ class SampleOutcome:
         return ",".join(marks)
 
 
-class _GaloisRing:
-    """(Z/p^N)[z]/u(z) with u a monic lift of an irreducible of degree f."""
-
-    def __init__(self, p, f, N):
-        self.p, self.f, self.N = p, f, N
-        self.mod = p**N
-        self.u = _irreducible_poly(p, f)
-
-    def mul(self, a, b):
-        prod = linalg.poly_mul(list(a), list(b), self.mod)
-        _, rem = linalg.poly_divmod(prod, self.u, self.mod)
-        return tuple(rem + [0] * (self.f - len(rem)))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.mod for x, y in zip(a, b))
-
-    def valuation(self, a):
-        v = self.N
-        for c in a:
-            if c:
-                w = 0
-                while c % self.p == 0:
-                    c //= self.p
-                    w += 1
-                v = min(v, w)
-        return v
-
-    def shift_down(self, a, v):
-        return tuple(c // self.p**v for c in a)
-
-    def unit_inverse(self, a):
-        # Newton iteration from the inverse in the residue field
-        g, s, _ = linalg.poly_ext_gcd_modp(list(a), self.u, self.p)
-        assert g == [1], "not a unit"
-        x = tuple((c % self.p) for c in s + [0] * (self.f - len(s)))
-        two = (2 % self.mod,) + (0,) * (self.f - 1)
-        k = 1
-        while k < self.N:
-            x = self.mul(x, self.sub(two, self.mul(a, x)))
-            k *= 2
-        assert self.valuation(self.sub(self.mul(a, x), (1,) + (0,) * (self.f - 1))) >= self.N
-        return x
-
-    def zero(self):
-        return (0,) * self.f
-
-    def is_zero(self, a):
-        return all(c == 0 for c in a)
-
-
+@functools.lru_cache(maxsize=None)
 def _irreducible_poly(p, f):
-    """Coefficients (ascending) of a monic irreducible of degree f mod p."""
-    import itertools as it
-    import sympy
-
-    z = sympy.symbols("z")
+    """Coefficients (ascending) of the first monic irreducible of degree f
+    mod p, in lexicographic order of (u_0, ..., u_{f-1})."""
+    divisors = [list(t) + [1] for d in range(1, f // 2 + 1) for t in it.product(range(p), repeat=d)]
     for tail in it.product(range(p), repeat=f):
-        coeffs = list(tail) + [1]
-        if sympy.Poly(coeffs[::-1], z, modulus=p).is_irreducible:
-            return coeffs
+        u = list(tail) + [1]
+        if all(linalg.poly_divmod(u, h, p)[1] for h in divisors):
+            return tuple(u)
     raise AssertionError("no irreducible polynomial found")
 
 
-def _coker_valuations_int(A, q, prec):
-    """Diagonal valuations of an n x m matrix over Z/q^prec (q prime)."""
-    mod = q**prec
-    n, m = len(A), len(A[0])
-    A = [row[:] for row in A]
-    vals = []
-    for t in range(min(n, m)):
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                x = A[i][j] % mod
-                if x == 0:
-                    continue
-                v = 0
-                while x % q == 0:
-                    x //= q
-                    v += 1
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-                if best[0] == 0:
-                    break
-            if best and best[0] == 0:
-                break
-        if best is None:
-            vals.extend([prec] * (min(n, m) - t))
-            break
-        v, bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        for row in A:
-            row[t], row[bj] = row[bj], row[t]
-        unit = A[t][t] // q**v
-        uinv = pow(unit, -1, mod)
-        for i in range(t + 1, n):
-            if A[i][t] % mod:
-                mult = (A[i][t] // q**v) * uinv % mod
-                A[i] = [(a - mult * b) % mod for a, b in zip(A[i], A[t])]
-        for j in range(t + 1, m):
-            if A[t][j] % mod:
-                mult = (A[t][j] // q**v) * uinv % mod
-                for i in range(t, n):
-                    A[i][j] = (A[i][j] - mult * A[i][t]) % mod
-        vals.append(v)
+def _ring_mul(a, b, u, mod):
+    """Elementwise products in (Z/mod)[z]/u(z) of broadcastable arrays
+    whose first axis holds the f = deg u coefficients (ascending), as
+    non-negative representatives below mod^2 (reduced only for f > 1)."""
+    f = len(u) - 1
+    if f == 1:
+        return a * b
+    c = [0] * (2 * f - 1)
+    for i, j in it.product(range(f), repeat=2):
+        c[i + j] = c[i + j] + a[i] * b[j]
+    for k in range(2 * f - 2, f - 1, -1):  # z^k ≡ -z^(k-f)·(u(z) - z^f)
+        top = c[k] % mod
+        for i in range(f):
+            c[k - f + i] = c[k - f + i] - top * u[i]
+    return np.stack([x % mod for x in c[:f]])
+
+
+def _divisor_count(A, p, prec):
+    """#{1 <= j <= prec : p^j divides a} per entry: prec for zero."""
+    V = np.zeros(A.shape, dtype=np.int64)
+    for j in range(1, prec + 1):
+        V += A % p**j == 0
+    return V
+
+
+@functools.lru_cache(maxsize=32)
+def _valuation_table(p, prec):
+    table = _divisor_count(np.arange(p**prec), p, prec).astype(np.int8)
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _valuations(A, p, prec):
+    """Valuation of each ring entry, the minimum of `_divisor_count` over
+    the coefficient axis (the first); moduli up to 2^16 are looked up in
+    a table."""
+    V = _valuation_table(p, prec)[A] if p**prec <= 2**16 else _divisor_count(A, p, prec)
+    return V.min(axis=0)
+
+
+def _coker_valuations(A, p, prec, u):
+    """Diagonal valuations, shape (trials, n), of a batch of n x m matrices
+    (n <= m) over (Z/p^prec)[z]/u(z); A has shape (trials, n, m, f) with
+    coefficients in [0, p^prec).
+
+    Each step takes an entry p^v·unit of least valuation as pivot in
+    column j, clears that column in every other row by
+    row_i <- unit·row_i - (a_ij / p^v)·pivot_row, which needs no inverse,
+    and drops the pivot row and column: a column pass would only clear
+    the rest of the pivot row.  int64 holds f·mod^2; larger moduli run
+    the same code on Python integers (dtype object).
+    """
+    mod = p**prec
+    trials, n, _, f = A.shape
+    # coefficient axis first, so that ring arithmetic runs on whole planes
+    A = np.moveaxis(A, -1, 0).astype(np.int64 if f * mod**2 < 2**63 else object, order="C")
+    powers = np.array([p**j for j in range(prec + 1)], dtype=A.dtype)
+    idx = np.arange(trials)
+    vals = np.empty((trials, n), dtype=np.int64)
+    for t in range(n):
+        V = _valuations(A, p, prec).reshape(trials, -1)
+        i, j = np.divmod(V.argmin(axis=1), A.shape[3])
+        vals[:, t] = v = V[idx, i * A.shape[3] + j]
+        pv = powers[v]
+        # take out the pivot row P and column; row and column 0 move into
+        # their slots, so rows and columns 1: hold everything else
+        P = A[:, idx, i]
+        A[:, idx, i] = A[:, idx, 0]
+        unit = P[:, idx, j] // pv
+        w = A[:, idx, 1:, j] // pv[:, None, None]  # split fancy index: shape (trials, f, r - 1)
+        A[:, idx, :, j] = A[:, idx, :, 0]
+        P[:, idx, j] = P[:, idx, 0]
+        A = (_ring_mul(unit[:, :, None, None], A[:, :, 1:, 1:], u, mod)
+             - _ring_mul(w.swapaxes(0, 1)[..., None], P[:, :, None, 1:], u, mod)) % mod
     return vals
 
 
-def _coker_valuations_ring(A, ring: _GaloisRing):
-    n, m = len(A), len(A[0])
-    A = [row[:] for row in A]
-    prec = ring.N
-    vals = []
-    for t in range(min(n, m)):
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if ring.is_zero(A[i][j]):
-                    continue
-                v = ring.valuation(A[i][j])
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-                if best[0] == 0:
-                    break
-            if best and best[0] == 0:
-                break
-        if best is None:
-            vals.extend([prec] * (min(n, m) - t))
-            break
-        v, bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        for row in A:
-            row[t], row[bj] = row[bj], row[t]
-        uinv = ring.unit_inverse(ring.shift_down(A[t][t], v))
-        for i in range(t + 1, n):
-            if not ring.is_zero(A[i][t]):
-                mult = ring.mul(ring.shift_down(A[i][t], v), uinv)
-                A[i] = [ring.sub(a, ring.mul(mult, b)) for a, b in zip(A[i], A[t])]
-        for j in range(t + 1, m):
-            if not ring.is_zero(A[t][j]):
-                mult = ring.mul(ring.shift_down(A[t][j], v), uinv)
-                for i in range(t, n):
-                    A[i][j] = ring.sub(A[i][j], ring.mul(mult, A[i][t]))
-        vals.append(v)
-    return vals
+CHUNK = 1024  # trials per batched draw; bounds the working arrays
 
 
 def make_rng(seed: int):
@@ -284,32 +235,50 @@ def make_rng(seed: int):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _sampler_ring(Q, n, prec):
+    """(p, f, u) of the ring sampled for Q = p^f at precision prec, after
+    checking the request."""
+    if n < 1:
+        raise ValueError(f"matrix size n must be >= 1, got {n}")
+    if prec < 1:
+        raise ValueError(f"precision must be >= 1, got {prec}")
+    p, f = _prime_power_split(Q)
+    if p**prec >= 2**62:
+        raise ValueError(f"p^prec = {p}^{prec} does not fit the sampler's 62-bit draws")
+    return p, f, _irreducible_poly(p, f)
+
+
+def _tally(rng, n, prec, trials, ring, freq):
+    """Draw `trials` uniform n x (n+1) matrices, one entry after another
+    in the order of per-trial draws, and count their cokernel types
+    into `freq` in order of first occurrence."""
+    p, f, u = ring
+    shape = (trials, n, n + 1) if f == 1 else (trials, n, n + 1, f)
+    A = rng.integers(0, p**prec, size=shape).reshape(trials, n, n + 1, f)
+    parts = -np.sort(-_coker_valuations(A, p, prec, u), axis=1)
+    rows, first, counts = np.unique(parts, axis=0, return_index=True, return_counts=True)
+    for k in np.argsort(first):
+        key = tuple(int(v) for v in rows[k] if v > 0)
+        out = SampleOutcome(parts=key, overflow=bool(key and key[0] >= prec))
+        freq[out] = freq.get(out, 0) + int(counts[k])
+    return freq
+
+
 def sample(ctx: MeasureContext, n: int, prec: int, rng) -> SampleOutcome:
     """Partition of the cokernel of a uniform n x (n+1) matrix over the
     ring truncated at 𝔪^prec."""
-    assert n >= 1 and prec >= 1
-    p, f = _prime_power_split(ctx.Q)
-    if f == 1:
-        mod = p**prec
-        assert mod < 2**62
-        A = rng.integers(0, mod, size=(n, n + 1))
-        vals = _coker_valuations_int([[int(x) for x in row] for row in A], p, prec)
-    else:
-        ring = _GaloisRing(p, f, prec)
-        mod = p**prec
-        assert mod < 2**62
-        raw = rng.integers(0, mod, size=(n, n + 1, f))
-        A = [[tuple(int(c) for c in raw[i][j]) for j in range(n + 1)] for i in range(n)]
-        vals = _coker_valuations_ring(A, ring)
-    parts = tuple(sorted((v for v in vals if v > 0), reverse=True))
-    return SampleOutcome(parts=parts, overflow=bool(parts and parts[0] >= prec))
+    (out,) = _tally(rng, n, prec, 1, _sampler_ring(ctx.Q, n, prec), {})
+    return out
 
 
 def sample_many(ctx: MeasureContext, n: int, prec: int, trials: int, seed: int):
-    """Frequency table {SampleOutcome: count} over `trials` draws."""
+    """Frequency table {SampleOutcome: count} over `trials` draws; the
+    same draws and outcomes as `trials` calls of `sample` on one rng."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    ring = _sampler_ring(ctx.Q, n, prec)
     rng = make_rng(seed)
     freq = {}
-    for _ in range(trials):
-        out = sample(ctx, n, prec, rng)
-        freq[out] = freq.get(out, 0) + 1
+    for start in range(0, trials, CHUNK):
+        _tally(rng, n, prec, min(CHUNK, trials - start), ring, freq)
     return freq

@@ -1,7 +1,19 @@
 import io
 import json
+import math
+from pathlib import Path
+
+import pytest
 
 from dvrstat import cli
+from dvrstat.dvrmod import ModuleType
+from dvrstat.measure import MeasureContext, measure
+
+# `dvrstat sample` stdout recorded before the batched sampler, keyed by
+# the arguments after `sample`: Q = 2, 3, 5 and the rings Q = 4, 8, a run
+# across a chunk boundary (2500 trials) and p^prec >= 2^31 (3^20, 2^40,
+# and 2^32 over F4), which the sampler runs in object dtype
+GOLDEN = json.loads((Path(__file__).parent / "sample_golden.json").read_text())
 
 
 def run(argv):
@@ -90,6 +102,35 @@ def test_sample_csv_format():
     assert lines[1] == "label,count,frequency"
     total = sum(int(l.split(",")[-2]) for l in lines[2:])
     assert total == 100
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN))
+def test_sample_stdout_matches_golden(args):
+    code, out = run(["sample"] + args.split())
+    assert code == 0
+    assert out == GOLDEN[args]
+
+
+@pytest.mark.parametrize("Q", [9, 25])
+def test_sample_odd_prime_power_Q(Q):
+    trials = 20000
+    code, out = run(["sample", "--Q", str(Q), "--n", "6", "--prec", "3",
+                     "--trials", str(trials), "--seed", "5"])
+    assert code == 0
+    counts = {l.rsplit(",", 2)[0].strip('"'): int(l.rsplit(",", 2)[1]) for l in out.splitlines()[2:]}
+    for label, lam in [("0", ()), ("1", (1,))]:
+        lo, hi = measure(MeasureContext(Q), ModuleType(Q, lam))
+        p = float((lo + hi) / 2)
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert abs(counts.get(label, 0) / trials - p) < 3 * sigma
+
+
+def test_sample_bad_arguments_exit_2():
+    for bad in (["--n", "0", "--prec", "3"], ["--n", "2", "--prec", "0"], ["--n", "2", "--prec", "62"]):
+        code, _ = run(["sample", "--Q", "2", "--trials", "10", "--seed", "1"] + bad)
+        assert code == 2
+    code, _ = run(["sample", "--Q", "2", "--n", "2", "--prec", "3", "--trials", "-1", "--seed", "1"])
+    assert code == 2
 
 
 def test_byte_identical_reproducibility():
