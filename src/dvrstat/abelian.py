@@ -15,19 +15,34 @@ from functools import lru_cache
 SUBGROUP_ENUM_CAP = 2**12
 
 
+@lru_cache(maxsize=4096)
+def factorize(n):
+    """Prime factorisation of n >= 1 as ((p, e), ...) with p ascending."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}: not a positive integer")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = val_p(n, d)
+            n //= d**e
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def prime_power_split(Q):
+    """(p, f) with Q = p^f and f >= 1; ValueError for any other Q."""
+    fs = factorize(Q) if Q >= 2 else ()
+    if len(fs) != 1:
+        raise ValueError(f"Q = {Q} is not a prime power")
+    return fs[0]
+
+
 def _is_prime(p):
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and factorize(p) == ((p, 1),)
 
 
 def require_prime(p):
@@ -48,11 +63,27 @@ def mult_order(a, m):
 
 
 def val_p(n, p):
+    """Largest v with p^v | n (n != 0)."""
+    if n == 0:
+        raise ValueError("the valuation of 0 is infinite")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
     return v
+
+
+def int_log(n, base):
+    """k with base^k = n exactly; ValueError if n is not a power of base."""
+    k = val_p(n, base) if n > 0 else 0
+    if base**k != n:
+        raise ValueError(f"{n} is not a power of {base}")
+    return k
+
+
+def tuple_order(x, mods):
+    """Order of the element x of ⊕ Z/mods[i]."""
+    return math.lcm(*(m // math.gcd(m, c) for c, m in zip(x, mods)))
 
 
 def euler_phi_prime_power(p, k):
@@ -61,21 +92,7 @@ def euler_phi_prime_power(p, k):
 
 def crt(a1, m1, a2, m2):
     """x with x ≡ a1 mod m1, x ≡ a2 mod m2 for coprime m1, m2."""
-    g, s, t = _xgcd(m1, m2)
-    assert g == 1
-    return (a1 * t * m2 + a2 * s * m1) % (m1 * m2)
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    return (a1 + m1 * ((a2 - a1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
 
 
 @dataclass(frozen=True)
@@ -98,20 +115,11 @@ class FiniteAbelianGroup:
     def from_orders(cls, orders):
         """Canonical invariant factors of ⊕ Z/orders[i] (orders arbitrary >= 1)."""
         per_prime = {}
-        for o in orders:
-            o = int(o)
-            assert o >= 1
-            d = 2
-            while d * d <= o:
-                if o % d == 0:
-                    v = 0
-                    while o % d == 0:
-                        o //= d
-                        v += 1
-                    per_prime.setdefault(d, []).append(v)
-                d += 1
-            if o > 1:
-                per_prime.setdefault(o, []).append(1)
+        for o in map(int, orders):
+            if o < 1:
+                raise ValueError(f"cyclic factor orders must be >= 1, got {o}")
+            for p, v in factorize(o):
+                per_prime.setdefault(p, []).append(v)
         if not per_prime:
             return cls(())
         width = max(len(v) for v in per_prime.values())
@@ -156,11 +164,7 @@ class FiniteAbelianGroup:
     def element_order(self, g):
         if len(g) != self.rank:
             raise ValueError("coordinate count mismatch")
-        out = 1
-        for a, d in zip(g, self.invariant_factors):
-            o = d // math.gcd(d, a % d)
-            out = out * o // math.gcd(out, o)
-        return out
+        return tuple_order(g, self.invariant_factors)
 
     def subgroup_generated(self, gens):
         """Frozenset of elements of the subgroup generated by gens."""
@@ -311,20 +315,10 @@ def wedge_square_p_part(G: FiniteAbelianGroup, p):
 
 def abelian_groups_of_order(n):
     """All abelian groups of order n, in invariant-factor form."""
-    assert n >= 1
-    factors = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    per_prime = []
-    for p, a in factors.items():
-        per_prime.append([[p**part for part in parts] for parts in _int_partitions(a)])
+    from .dvrmod import partitions_of  # dvrmod imports this module
+
+    per_prime = [[[p**part for part in parts] for parts in partitions_of(a)]
+                 for p, a in factorize(n)]
     out = []
     for combo in itertools.product(*per_prime):
         orders = [o for group in combo for o in group]
@@ -336,18 +330,6 @@ def small_abelian_groups(max_order):
     out = []
     for n in range(1, max_order + 1):
         out.extend(abelian_groups_of_order(n))
-    return out
-
-
-def _int_partitions(m, cap=None):
-    if cap is None:
-        cap = m
-    if m == 0:
-        return [[]]
-    out = []
-    for first in range(min(m, cap), 0, -1):
-        for rest in _int_partitions(m - first, first):
-            out.append([first] + rest)
     return out
 
 

@@ -11,7 +11,9 @@ import numpy as np
 from . import schur2
 from .abelian import (
     FiniteAbelianGroup,
+    int_log,
     small_abelian_groups,
+    val_p,
     wedge_square_p_part,
 )
 from .dvrmod import ModuleType, hom_count, ideal_ops, module_types, sur_count, weight
@@ -102,14 +104,8 @@ def suite_rings():
             if G.order % p:
                 continue
             for e in enumerate_idempotents(G, p):
-                if e.is_trivial:
-                    v = 0
-                    x = G.exponent
-                    while x % p == 0:
-                        x //= p
-                        v += 1
-                    if threshold_ideal(e).d != v:
-                        ok = False
+                if e.is_trivial and threshold_ideal(e).d != val_p(G.exponent, p):
+                    ok = False
     r.check("trivial idempotent threshold is the exponent of the p-part", ok)
 
     ok = True
@@ -249,15 +245,13 @@ def suite_modules():
 def _subgroup_partition(G, S, q):
     """Partition type of a subgroup S of the abelian q-group G, read off
     from the sizes of the q^j-torsion layers."""
-    import math
-
     sizes = [1]
     j = 1
     while sizes[-1] < len(S):
         tor = sum(1 for x in S if all(c * q**j % d == 0 for c, d in zip(x, G.invariant_factors)))
         sizes.append(tor)
         j += 1
-    conj = [round(math.log(b // a, q)) for a, b in zip(sizes, sizes[1:])]
+    conj = [int_log(b // a, q) for a, b in zip(sizes, sizes[1:])]
     if not conj:
         return ()
     return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1))

@@ -9,6 +9,7 @@ or an RFC-4180 CSV table for `sample`.  Exit codes: 2 on parse errors,
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -57,8 +58,9 @@ def _parse_gens(s):
 
 
 def _idempotent(args):
+    """Γ and the (index, idempotent) pairs selected by --index (all without it)."""
     G = parse_group(args.gamma)
-    es = enumerate_idempotents(G, args.p)
+    es = list(enumerate(enumerate_idempotents(G, args.p)))
     if args.index is not None:
         if not 0 <= args.index < len(es):
             raise ValueError(f"idempotent index out of range (have {len(es)})")
@@ -83,19 +85,15 @@ def _idem_record(i, e):
 
 
 def cmd_idem(args, out):
-    G, es = _idempotent(args)
-    for i, e in enumerate(enumerate_idempotents(G, args.p)):
-        if args.index is not None and i != args.index:
-            continue
+    _, es = _idempotent(args)
+    for i, e in es:
         _emit(_idem_record(i, e), out)
     return 0
 
 
 def cmd_ie(args, out):
-    G, _ = _idempotent(args)
-    for i, e in enumerate(enumerate_idempotents(G, args.p)):
-        if args.index is not None and i != args.index:
-            continue
+    _, es = _idempotent(args)
+    for i, e in es:
         I = threshold_ideal(e)
         _emit({"index": i, "threshold_d": I.d, "whole_ring": I.is_whole_ring}, out)
     return 0
@@ -105,7 +103,7 @@ def cmd_ramtype(args, out):
     G, es = _idempotent(args)
     if args.index is None:
         raise ValueError("ramtype requires --index")
-    e = es[0]
+    _, e = es[0]
     inertia = _parse_gens(args.inertia)
     decomposition = _parse_gens(args.decomposition)
     from .idempotents import IdealPower
@@ -155,7 +153,7 @@ def cmd_ext(args, out):
     G, es = _idempotent(args)
     if args.index is None:
         raise ValueError("ext requires --index to pick the module structure")
-    e = es[0]
+    _, e = es[0]
     parts = _parse_partition(args.parts)
     H = oracle.realize(e, ModuleType(e.Q, parts))
     for ci, ext in enumerate(oracle.enumerate_extensions(G, H)):
@@ -249,7 +247,9 @@ def cmd_verify(args, out):
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and reused by `main`."""
     ap = argparse.ArgumentParser(prog="dvrstat", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 

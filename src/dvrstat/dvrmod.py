@@ -9,6 +9,8 @@ identities here are validated elementwise by the oracle module.
 import itertools
 from dataclasses import dataclass
 
+from .abelian import prime_power_split
+
 
 @dataclass(frozen=True)
 class ModuleType:
@@ -20,8 +22,7 @@ class ModuleType:
     def __post_init__(self):
         parts = tuple(sorted((int(x) for x in self.parts), reverse=True))
         object.__setattr__(self, "parts", parts)
-        if self.Q < 2:
-            raise ValueError("residue field size must be >= 2")
+        prime_power_split(self.Q)
         if parts and parts[-1] < 1:
             raise ValueError("parts must be positive")
 

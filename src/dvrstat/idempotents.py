@@ -228,16 +228,3 @@ def ramtype_qualifies(e: PrimitiveIdempotent, I: IdealPower, inertia_gens, decom
     )
     cond_b = all(e.one_minus_value_valuation(g) >= d for g in decomp)
     return cond_a and cond_b
-
-
-def ramtype_qualifies_A(e: PrimitiveIdempotent, inertia_gens, decomposition_gens):
-    """Residue-field variant: p divides the inertia order and the whole
-    decomposition subgroup acts trivially mod 𝔪."""
-    G = e.group
-    inertia = _subgroup_of(G, inertia_gens)
-    decomp = _subgroup_of(G, decomposition_gens)
-    if not inertia <= decomp:
-        raise ValueError("inertia must lie inside the decomposition subgroup")
-    if len(inertia) % e.p != 0:
-        return False
-    return all(e.one_minus_value_valuation(g) >= 1 for g in decomp)

@@ -7,7 +7,6 @@ about modules or group actions.
 """
 
 import math
-from fractions import Fraction
 
 
 def identity_matrix(n):
@@ -157,7 +156,7 @@ def smith_normal_form(A, m=None, n=None):
             if a and b and b % a != 0:
                 g = math.gcd(a, b)
                 # x*a + y*b = g; replace diag(a,b) by diag(g, a*b/g)
-                x, y = _bezout(a, b)
+                _, x, y = _ext_gcd(a, b)
                 L = [[x, y], [-b // g, a // g]]
                 Linv = [[a // g, -y], [b // g, x]]
                 R = [[1, -(y * b) // g], [1, (x * a) // g]]
@@ -168,11 +167,6 @@ def smith_normal_form(A, m=None, n=None):
                 assert D[t][t + 1] == 0 and D[t + 1][t] == 0
                 changed = True
     return D, U, Uinv, V, Vinv
-
-
-def _bezout(a, b):
-    g, x, y = _ext_gcd(a, b)
-    return x, y
 
 
 def _ext_gcd(a, b):
@@ -393,7 +387,3 @@ def hensel_lift_factor(F, u, p, N):
     q, rem = poly_divmod([x % p**N for x in F], U, p**N)
     assert not rem, "hensel lift lost the factorization"
     return U, q
-
-
-def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)

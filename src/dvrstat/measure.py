@@ -18,25 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abelian import _is_prime
+from .abelian import prime_power_split
 from .dvrmod import ModuleType, aut_count, partitions_of, sur_count
 from . import linalg
 
 DEFAULT_TRUNC = 64
-
-
-def _prime_power_split(Q):
-    for p in range(2, Q + 1):
-        if Q % p == 0:
-            f = 0
-            n = Q
-            while n % p == 0:
-                n //= p
-                f += 1
-            if n != 1 or not _is_prime(p):
-                raise ValueError("Q must be a prime power")
-            return p, f
-    raise ValueError("Q must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -48,7 +34,7 @@ class MeasureContext:
     trunc: int = DEFAULT_TRUNC
 
     def __post_init__(self):
-        _prime_power_split(self.Q)
+        prime_power_split(self.Q)
         assert self.trunc >= 2
 
     def z_bracket(self):
@@ -242,7 +228,7 @@ def _sampler_ring(Q, n, prec):
         raise ValueError(f"matrix size n must be >= 1, got {n}")
     if prec < 1:
         raise ValueError(f"precision must be >= 1, got {prec}")
-    p, f = _prime_power_split(Q)
+    p, f = prime_power_split(Q)
     if p**prec >= 2**62:
         raise ValueError(f"p^prec = {p}^{prec} does not fit the sampler's 62-bit draws")
     return p, f, _irreducible_poly(p, f)

@@ -8,11 +8,10 @@ dvrmod are validated against these computations.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import FiniteAbelianGroup, val_p
+from .abelian import FiniteAbelianGroup, int_log, tuple_order, val_p
 from .dvrmod import ModuleType
 from .idempotents import PrimitiveIdempotent
 from . import linalg
@@ -29,16 +28,11 @@ def _mat_apply(mat, v, orders):
 
 
 def _mat_mat(A, B, orders):
-    k = len(orders)
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(k)) % orders[i] for j in range(k)]
-        for i in range(k)
-    ]
+    return [[x % o for x in row] for row, o in zip(linalg.mat_mul(A, B), orders)]
 
 
 def _mat_pow(A, n, orders):
-    k = len(orders)
-    R = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    R = linalg.identity_matrix(len(orders))
     B = [row[:] for row in A]
     while n:
         if n & 1:
@@ -52,10 +46,6 @@ def _mat_eq(A, B, orders):
     return all(
         (a - b) % o == 0 for ra, rb, o in zip(A, B, orders) for a, b in zip(ra, rb)
     )
-
-
-def _identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 class ExplicitModule:
@@ -89,7 +79,7 @@ class ExplicitModule:
                     need = self.p ** max(self.alphas[i] - self.alphas[j], 0)
                     assert A[i][j] % need == 0, "action matrix not well defined"
         for A, d in zip(self.actions, self.group.invariant_factors):
-            assert _mat_eq(_mat_pow(A, d, self.orders), _identity(k), self.orders), (
+            assert _mat_eq(_mat_pow(A, d, self.orders), linalg.identity_matrix(k), self.orders), (
                 "action order does not divide the generator order"
             )
         for A, B in itertools.combinations(self.actions, 2):
@@ -119,11 +109,7 @@ class ExplicitModule:
         return tuple((n * a) % o for a, o in zip(x, self.orders))
 
     def element_order(self, x):
-        out = 1
-        for a, o in zip(x, self.orders):
-            t = o // math.gcd(o, a % o)
-            out = out * t // math.gcd(out, t)
-        return out
+        return tuple_order(x, self.orders)
 
     def action_of(self, g):
         """Matrix of the action of the group element g (cached)."""
@@ -131,7 +117,7 @@ class ExplicitModule:
         if hit is not None:
             return hit
         k = len(self.orders)
-        M = _identity(k)
+        M = linalg.identity_matrix(k)
         for A, a in zip(self.actions, g):
             if a:
                 M = _mat_mat(M, _mat_pow(A, a, self.orders), self.orders)
@@ -152,7 +138,7 @@ class ExplicitModule:
         o = self.group.element_order(g)
         k = len(self.orders)
         S = [[0] * k for _ in range(k)]
-        P = _identity(k)
+        P = linalg.identity_matrix(k)
         for _ in range(o):
             P = _mat_mat(P, A, self.orders)
             S = [[(a + b) % m for a, b in zip(ra, rb)] for ra, rb, m in zip(S, P, self.orders)]
@@ -229,17 +215,13 @@ def _unramified_factor(p, m_prime, f, N):
     """A monic degree-f factor of Φ_{m'} mod p^N (Hensel-lifted)."""
     assert m_prime > 1
     phi = _cyclotomic(m_prime)
-    # find a monic irreducible factor of degree f mod p by searching the
-    # factorization of y^{m'} - 1 structure: minimal polynomial of a root
-    import sympy
-
-    y = sympy.symbols("y")
-    poly = sympy.Poly(phi[::-1], y, modulus=p)
-    for fac, _ in poly.factor_list()[1]:
-        if fac.degree() == f:
-            coeffs = [int(c) % p for c in fac.all_coeffs()[::-1]]
-            lifted, _ = linalg.hensel_lift_factor(phi, coeffs, p, N)
-            return lifted
+    # every irreducible factor of Φ_{m'} mod p has degree f, so the first
+    # monic degree-f divisor, in lexicographic order of (u_{f-1}, ..., u_0),
+    # is one of them
+    for high_first in itertools.product(range(p), repeat=f):
+        u = list(high_first[::-1]) + [1]
+        if not linalg.poly_divmod(phi, u, p)[1]:
+            return linalg.hensel_lift_factor(phi, u, p, N)[0]
     raise AssertionError("no factor of the expected degree")
 
 
@@ -272,12 +254,12 @@ def realize(e: PrimitiveIdempotent, M: ModuleType, precision=None) -> ExplicitMo
         ram_red = _cyclotomic_prime_power(p, k)
         Y1 = _mult_matrix(ram_red, mod, e_ram)
     else:
-        Y1 = _identity(1)
+        Y1 = linalg.identity_matrix(1)
     if m_prime > 1:
         un_red = _unramified_factor(p, m_prime, f, N)
         Z1 = _mult_matrix(un_red, mod, f)
     else:
-        Z1 = _identity(1)
+        Z1 = linalg.identity_matrix(1)
     # tensor: index (a, b) -> a * f + b
     W = [[0] * D for _ in range(D)]
     for a1 in range(e_ram):
@@ -358,7 +340,7 @@ def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
     k = len(M.orders)
     Q = e.Q
     sizes = [M.size]
-    P = _identity(k)
+    P = linalg.identity_matrix(k)
     while sizes[-1] > 1:
         P = _mat_mat(P, pi, M.orders)
         cols = [[P[i][j] for i in range(k)] for j in range(k)]
@@ -369,9 +351,7 @@ def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
     for prev, cur in zip(sizes, sizes[1:]):
         ratio = prev // cur
         assert cur * ratio == prev
-        lam_j = round(math.log(ratio, Q))
-        assert Q**lam_j == ratio, "filtration step is not a power of the residue size"
-        conj.append(lam_j)
+        conj.append(int_log(ratio, Q))
     assert all(a >= b for a, b in zip(conj, conj[1:])), "filtration not decreasing"
     parts = tuple(sum(1 for c in conj if c >= j) for j in range(1, conj[0] + 1)) if conj else ()
     return ModuleType(Q, parts)
@@ -901,11 +881,11 @@ def aut_extension_count(H: ExplicitModule, Gamma: FiniteAbelianGroup, basis=None
     d = Gamma.rank
     if basis is None:
         basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-        idm = _identity(len(H.orders))
+        idm = linalg.identity_matrix(len(H.orders))
         basis.sort(key=lambda g: _mat_eq(H.action_of(g), idm, H.orders))
     if d == 0:
         return 1
-    idm = _identity(len(H.orders))
+    idm = linalg.identity_matrix(len(H.orders))
     for g in basis[1:]:
         if not _mat_eq(H.action_of(g), idm, H.orders):
             raise ValueError("all basis elements after the first must act trivially")
@@ -958,7 +938,7 @@ def _equivariant_matrices(src: ExplicitModule, dst: ExplicitModule, columns):
     for i in range(src.group.rank):
         gvec = tuple(1 if j == i else 0 for j in range(src.group.rank))
         A, B = src.action_of(gvec), dst.action_of(gvec)
-        if A == _identity(ks) and B == _identity(kd):
+        if A == linalg.identity_matrix(ks) and B == linalg.identity_matrix(kd):
             continue  # T·1 = 1·T
         checks.append((list(zip(*A)), B))
     orders = dst.orders
@@ -986,11 +966,7 @@ def enumerate_module_homs(M: ExplicitModule, N: ExplicitModule):
 # fast action-free counts used by the exhaustive oracle sweep
 
 def _cyclic_set(y, mods):
-    o = 1
-    for c, m in zip(y, mods):
-        t = m // math.gcd(m, c)
-        o = o * t // math.gcd(o, t)
-    return {tuple((t * c) % m for c, m in zip(y, mods)) for t in range(o)}
+    return {tuple((t * c) % m for c, m in zip(y, mods)) for t in range(tuple_order(y, mods))}
 
 
 @lru_cache(maxsize=None)
@@ -1016,24 +992,12 @@ def brute_counts_plain(q, lam, mu):
     if r == 0:
         return 1, (1 if total == 1 else 0)
     if r == 1:
-        sur = 0
-        for y in cand[lam[0]]:
-            o = 1
-            for c, m in zip(y, mods):
-                t = m // math.gcd(m, c)
-                o = o * t // math.gcd(o, t)
-            if o == total:
-                sur += 1
-        return hom, sur
+        return hom, sum(tuple_order(y, mods) == total for y in cand[lam[0]])
     if r == 2:
         seconds = []
         for y2 in cand[lam[1]]:
-            o2 = 1
-            for c, m in zip(y2, mods):
-                t = m // math.gcd(m, c)
-                o2 = o2 * t // math.gcd(o2, t)
             multiples = [(t, tuple((t * c) % m for c, m in zip(y2, mods)))
-                         for t in _divisors(o2)]
+                         for t in _divisors(tuple_order(y2, mods))]
             seconds.append(multiples)
         sur = 0
         for y1 in cand[lam[0]]:

@@ -11,6 +11,8 @@ commutator coordinate per generator pair.
 import itertools
 from fractions import Fraction
 
+from .abelian import val_p
+
 
 class NilClass2Cover:
     """Class-2 cover of H = ∏ Z/2^{d_i} generated by lifts x̃_i.
@@ -152,7 +154,7 @@ def nr_pow(cover: NilClass2Cover, q, a):
     """Number of kernel elements x with x^{q-1} = a."""
     if q % 2 == 0:
         raise ValueError("q must be odd")
-    v = _val2(q - 1)
+    v = val_p(q - 1, 2)
     out = 1
     for coord, mod in zip(a, cover.pair_mods):
         g = min(2**v, mod)
@@ -162,37 +164,31 @@ def nr_pow(cover: NilClass2Cover, q, a):
     return out
 
 
-def _val2(n):
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
-
-
 def lattice_kernel_vectors(cover: NilClass2Cover, n):
     """All m̲ ≥ 0 over H/2H with Σ m_a = n, Σ m_a ≡ 0 (mod 2), and
     Σ m_a·a ≡ 0 in H/2H."""
-    reps = class_reps(cover)
     out = []
-    if n % 2:
-        return out
-
-    def rec(idx, rem, res):
-        if idx == len(reps) - 1:
-            m_a = rem
-            res2 = tuple((x + m_a * y) % 2 for x, y in zip(res, reps[idx]))
-            if all(x == 0 for x in res2):
-                out.append(tuple(prefix) + (m_a,))
-            return
-        for m_a in range(rem + 1):
-            prefix.append(m_a)
-            rec(idx + 1, rem - m_a, tuple((x + m_a * y) % 2 for x, y in zip(res, reps[idx])))
-            prefix.pop()
-
-    prefix = []
-    rec(0, n, (0,) * cover.r)
+    if n % 2 == 0:
+        _extend_kernel_vectors(class_reps(cover), 0, n, (0,) * cover.r, [], out)
     return out
+
+
+def _extend_kernel_vectors(reps, idx, rem, res, prefix, out):
+    """Append to out every lattice-kernel vector that starts with prefix
+    (m_a for the first idx reps, with image res in H/2H) and has rem
+    left to distribute.  A module-level function rather than a closure:
+    a self-referencing closure is a reference cycle, which would keep
+    out alive until the cyclic garbage collector runs."""
+    if idx == len(reps) - 1:
+        res2 = tuple((x + rem * y) % 2 for x, y in zip(res, reps[idx]))
+        if all(x == 0 for x in res2):
+            out.append(tuple(prefix) + (rem,))
+        return
+    for m_a in range(rem + 1):
+        prefix.append(m_a)
+        _extend_kernel_vectors(reps, idx + 1, rem - m_a,
+                               tuple((x + m_a * y) % 2 for x, y in zip(res, reps[idx])), prefix, out)
+        prefix.pop()
 
 
 def lattice_kernel_count(cover: NilClass2Cover, n):

@@ -8,10 +8,13 @@ from dvrstat.abelian import (
     FiniteAbelianGroup,
     abelian_groups_of_order,
     crt,
+    factorize,
     frobenius_orbits,
     galois_exponents,
+    int_log,
     mult_order,
     parse_group,
+    prime_power_split,
     serialize_group,
     small_abelian_groups,
     val_p,
@@ -32,6 +35,9 @@ def test_invalid_invariant_factors():
         FiniteAbelianGroup((4, 2))
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
+    for orders in ([0], [3, -2]):
+        with pytest.raises(ValueError, match="orders must be >= 1"):
+            FiniteAbelianGroup.from_orders(orders)
 
 
 @given(small_orders)
@@ -124,9 +130,37 @@ def test_frobenius_orbits_partition():
 
 def test_crt_and_mult_order():
     assert crt(2, 3, 3, 5) == 8
+    for m1, m2 in itertools.product(range(1, 10), repeat=2):
+        if math.gcd(m1, m2) == 1:
+            for a1, a2 in itertools.product(range(m1), range(m2)):
+                x = crt(a1, m1, a2, m2)
+                assert 0 <= x < m1 * m2 and x % m1 == a1 and x % m2 == a2
     assert mult_order(2, 7) == 3
     assert mult_order(3, 1) == 1
     assert val_p(48, 2) == 4
+    with pytest.raises(ValueError):
+        val_p(0, 2)
+
+
+def test_factorize_and_prime_power_split():
+    for n in range(1, 300):
+        fs = factorize(n)
+        assert math.prod(p**e for p, e in fs) == n
+        assert [p for p, _ in fs] == sorted(p for p, _ in fs)
+        assert all(e >= 1 and factorize(p) == ((p, 1),) for p, e in fs)
+    assert prime_power_split(2) == (2, 1) and prime_power_split(243) == (3, 5)
+    for Q in (-4, 0, 1, 6, 12, 100):
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power_split(Q)
+
+
+@pytest.mark.parametrize("Q", [2, 4, 9])
+def test_int_log_is_exact(Q):
+    assert int_log(1, Q) == 0
+    assert int_log(Q**60, Q) == 60
+    for n in [Q**k + 1 for k in (1, 7, 60)] + [0, -Q]:
+        with pytest.raises(ValueError, match="not a power"):
+            int_log(n, Q)
 
 
 def test_wedge_square():

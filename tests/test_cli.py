@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,13 @@ def run(argv):
     buf = io.StringIO()
     code = cli.main(argv, out=buf)
     return code, buf.getvalue()
+
+
+def run_python(*args):
+    """A fresh interpreter with the package's sources on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_provenance_header_first_line():
@@ -171,6 +181,54 @@ def test_parse_error_exit_2():
     assert code == 2  # brute-force counts need a prime Q
     code, _ = run(["counts", "--Q", "2", "--lam", "1,2", "--mu", "1"])
     assert code == 2  # not weakly decreasing
+
+
+def test_non_prime_power_Q_exit_2(capsys):
+    for argv in (["counts", "--Q", "6", "--lam", "1", "--mu", "1"],
+                 ["weight", "--Q", "12", "--lam", "1", "--mu", "2", "--d", "1"]):
+        code, _ = run(argv)
+        assert code == 2
+        assert "is not a prime power" in capsys.readouterr().err
+
+
+def test_b2_q_one_exit_2():
+    code, _ = run(["b2", "--H", "2", "--q", "1", "--n", "2"])
+    assert code == 2
+
+
+def test_invalid_group_exit_2_under_optimize():
+    # input checks must not be asserts, which -O strips
+    res = run_python("-O", "-m", "dvrstat.cli", "idem", "--gamma", "0", "--p", "2")
+    assert res.returncode == 2
+    msg = res.stderr.strip()
+    assert msg.startswith("error: ") and len(msg) > len("error: ")
+
+
+def test_ext_does_not_import_sympy():
+    # Γ = Z/3 at p = 5: residue degree 2, so realize builds an unramified factor
+    res = run_python("-c", "import io, sys; from dvrstat import cli; "
+                     "code = cli.main(['ext', '--gamma', '3', '--p', '5', '--index', '1', "
+                     "'--parts', '1'], out=io.StringIO()); print(code, 'sympy' in sys.modules)")
+    assert res.stdout.split() == ["0", "False"], res.stderr
+
+
+def test_requests_in_one_process_match_fresh_processes():
+    requests = [
+        ["idem", "--gamma", "3", "--p", "2"],
+        ["counts", "--Q", "4", "--lam", "2,1", "--mu", "1"],
+        ["idem", "--gamma", "3"],  # parse error: missing --p
+        ["ie", "--gamma", "4", "--p", "2", "--index", "1"],
+        ["sample", "--Q", "3", "--n", "3", "--prec", "3", "--trials", "50", "--seed", "5"],
+        ["counts", "--Q", "4", "--lam", "2,1", "--mu", "1"],
+    ]
+    series = run_python("-c", "import io, json, sys; from dvrstat import cli\n"
+                        "out = []\n"
+                        "for argv in json.loads(sys.argv[1]):\n"
+                        "    buf = io.StringIO(); out.append([cli.main(argv, out=buf), buf.getvalue()])\n"
+                        "print(json.dumps(out))", json.dumps(requests))
+    fresh = [run_python("-m", "dvrstat.cli", *argv) for argv in requests]
+    assert json.loads(series.stdout) == [[r.returncode, r.stdout] for r in fresh]
+    assert [r.returncode for r in fresh] == [0, 0, 2, 0, 0, 0]
 
 
 def test_big_integers_as_strings():

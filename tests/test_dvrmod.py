@@ -27,6 +27,9 @@ def test_module_type_validation():
         ModuleType(2, (0,))
     with pytest.raises(ValueError):
         ModuleType(1, (1,))
+    for Q in (6, 12, 0):
+        with pytest.raises(ValueError, match="not a prime power"):
+            ModuleType(Q, (1,))
 
 
 def test_conjugate_partition():

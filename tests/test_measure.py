@@ -7,13 +7,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from dvrstat.abelian import prime_power_split
 from dvrstat.dvrmod import ModuleType
 from dvrstat.measure import (
     CHUNK,
     MeasureContext,
     _coker_valuations,
     _irreducible_poly,
-    _prime_power_split,
     _ring_mul,
     _valuations,
     make_rng,
@@ -189,7 +189,7 @@ def ring_matrices(draw):
     """A few n x (n+1) matrices over the ring of a small Q, entries
     biased towards high valuation."""
     Q = draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
-    p, f = _prime_power_split(Q)
+    p, f = prime_power_split(Q)
     prec = draw(st.integers(1, 4 if f == 1 else 3))
     n = draw(st.integers(1, 3))
     coeff = st.builds(lambda e, x: p**e * x % p**prec, st.integers(0, prec), st.integers(0, p**prec - 1))

@@ -2,10 +2,11 @@ import itertools
 import math
 
 import pytest
+import sympy
 
-from dvrstat.abelian import FiniteAbelianGroup
+from dvrstat.abelian import FiniteAbelianGroup, mult_order
 from dvrstat.dvrmod import ModuleType, hom_count, sur_count
-from dvrstat import oracle
+from dvrstat import linalg, oracle
 
 
 def _idems(facs, p):
@@ -20,6 +21,21 @@ def test_realize_round_trip_unramified():
         M = oracle.realize(e, ModuleType(4, lam))
         assert oracle.iso_type(M, e).parts == lam
         assert M.size == 4 ** sum(lam)
+
+
+def test_unramified_factor_is_sympys_first_factor():
+    # the factor realize used to take: the first degree-f entry of sympy's
+    # factor_list of Φ_{m'} mod p, Hensel-lifted
+    y = sympy.symbols("y")
+    cases = [(p, m, mult_order(p, m)) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 40)
+             if m % p and p ** mult_order(p, m) <= 5000]
+    assert len(cases) == 92
+    for p, m, f in cases:
+        phi = oracle._cyclotomic(m)
+        fac = next(g for g, _ in sympy.Poly(phi[::-1], y, modulus=p).factor_list()[1]
+                   if g.degree() == f)
+        u = [int(c) % p for c in fac.all_coeffs()[::-1]]
+        assert oracle._unramified_factor(p, m, f, 3) == linalg.hensel_lift_factor(phi, u, p, 3)[0]
 
 
 def test_realize_round_trip_ramified():
