@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, checks, schur2
-from .abelian import parse_group, parse_tuple, val_p
+from .abelian import parse_group, parse_tuple, prime_power_split, val_p
 from .dvrmod import ModuleType, aut_count, hom_count, sur_count, weight
 from .idempotents import enumerate_idempotents, ramtype_qualifies, threshold_ideal
 from .measure import MeasureContext, measure as measure_fn, moment_truncated, sample_many
@@ -163,11 +163,12 @@ def cmd_ext(args, out):
                 continue
             c, d = oracle.conjugacy_stats(ext, g)
             table.append({"gamma": ",".join(map(str, g)), "c": c, "d": d})
+        sections = oracle.splitting_count(ext)
         _emit(
             {
                 "class_index": ci,
-                "splitting_count": oracle.splitting_count(ext),
-                "split": oracle.splitting_count(ext) > 0,
+                "splitting_count": sections,
+                "split": sections > 0,
                 "conjugacy": table,
             },
             out,
@@ -190,6 +191,7 @@ def cmd_b2(args, out):
     ds = _h_exponents(args.H)
     if args.q % 2 == 0:
         raise ValueError("q must be odd")
+    prime_power_split(args.q)
     v = val_p(args.q - 1, 2)
     be = schur2.b_exact(ds, args.q, args.n)
     bc = schur2.b_closed(ds, v, args.n)

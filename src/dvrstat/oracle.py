@@ -8,6 +8,7 @@ dvrmod are validated against these computations.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -96,7 +97,8 @@ class ExplicitModule:
         return (0,) * len(self.orders)
 
     def elements(self):
-        assert self.size <= MODULE_ENUM_CAP, "module too large to enumerate"
+        if self.size > MODULE_ENUM_CAP:
+            raise ValueError("module too large to enumerate")
         return itertools.product(*(range(o) for o in self.orders))
 
     def add(self, x, y):
@@ -397,8 +399,6 @@ def gamma_orbit_count_on_quotient(H: ExplicitModule, num, den):
     """Number of Γ-orbits on the quotient group num/den (den ⊆ num ⊆ H,
     both Γ-stable)."""
     den = frozenset(den)
-    gen_mats = [H.action_of(tuple(1 if j == i else 0 for j in range(H.group.rank)))
-                for i in range(H.group.rank)]
 
     def coset_key(x):
         return min(H.add(x, d) for d in den)
@@ -414,7 +414,7 @@ def gamma_orbit_count_on_quotient(H: ExplicitModule, num, den):
         seen.add(c)
         while frontier:
             x = frontier.pop()
-            for A in gen_mats:
+            for A in H.actions:
                 y = coset_key(_mat_apply(A, x, H.orders))
                 if y not in seen:
                     seen.add(y)
@@ -453,9 +453,7 @@ def module_from_subgroup(H: ExplicitModule, subset):
         return tuple(sum(proj_s[t][j] * w[j] for j in range(g)) % orders_s[t] for t in range(len(orders_s)))
 
     actions = []
-    for i in range(H.group.rank):
-        gvec = tuple(1 if j == i else 0 for j in range(H.group.rank))
-        A = H.action_of(gvec)
+    for A in H.actions:
         cols = [coords_of(_mat_apply(A, ga, H.orders)) for ga in gens_amb]
         actions.append([[cols[j][i2] for j in range(len(orders_s))] for i2 in range(len(orders_s))])
     sub = ExplicitModule(H.p, orders_s, H.group, actions)
@@ -475,9 +473,7 @@ def module_quotient(H: ExplicitModule, subgroup):
                      for t in range(len(orders_q)))
 
     actions = []
-    for i in range(H.group.rank):
-        gvec = tuple(1 if j == i else 0 for j in range(H.group.rank))
-        A = H.action_of(gvec)
+    for A in H.actions:
         big = linalg.mat_mul(proj, linalg.mat_mul(A, lift))
         actions.append([[x % o for x in row] for row, o in zip(big, orders_q)])
     quo = ExplicitModule(H.p, orders_q, H.group, actions)
@@ -487,8 +483,6 @@ def module_quotient(H: ExplicitModule, subgroup):
 def gamma_submodules(H: ExplicitModule, inside=None):
     """All Γ-stable subgroups of H (optionally contained in `inside`)."""
     universe = frozenset(H.elements()) if inside is None else frozenset(inside)
-    gen_mats = [H.action_of(tuple(1 if j == i else 0 for j in range(H.group.rank)))
-                for i in range(H.group.rank)]
 
     def close(gens):
         seen = {H.zero()}
@@ -496,7 +490,7 @@ def gamma_submodules(H: ExplicitModule, inside=None):
         while frontier:
             x = frontier.pop()
             nxt = [H.add(x, g) for g in gens]
-            nxt += [_mat_apply(A, x, H.orders) for A in gen_mats]
+            nxt += [_mat_apply(A, x, H.orders) for A in H.actions]
             for y in nxt:
                 if y not in seen:
                     seen.add(y)
@@ -560,7 +554,8 @@ class ExplicitGroup:
         return self.H.size * self.G.order
 
     def elements(self):
-        assert self.size <= GROUP_SCAN_CAP, "group too large to scan"
+        if self.size > GROUP_SCAN_CAP:
+            raise ValueError("group too large to scan")
         return ((h, g) for g in self.G.elements() for h in self.H.elements())
 
     def identity(self):
@@ -577,17 +572,17 @@ class ExplicitGroup:
         return self.power(x, self.element_order(x) - 1)
 
     def element_order(self, x):
-        o = 1
-        y = x
-        while y != self.identity():
-            y = self.mul(y, x)
-            o += 1
-        return o
+        # x^{|γ|} lies in H, where the group law is addition
+        n = self.G.element_order(x[1])
+        return n * self.H.element_order(self.power(x, n)[0])
 
     def power(self, x, n):
         y = self.identity()
-        for _ in range(n):
-            y = self.mul(y, x)
+        while n:
+            if n & 1:
+                y = self.mul(y, x)
+            x = self.mul(x, x)
+            n >>= 1
         return y
 
     def conjugate(self, g, x):
@@ -599,15 +594,19 @@ def conjugacy_stats(G: ExplicitGroup, gamma):
     """(|c_γ|, d_γ): elements over γ with the same order as γ, and the
     number of conjugacy classes among them.
 
-    Classes are orbit closures under conjugation by a generating set
-    (basis vectors of H plus lifts of the Γ-generators), which agree
-    with conjugacy under the full group.
+    (h, γ)^{|γ|} = (N_γ·h + c, 1) with N_γ the norm and c = (0, γ)^{|γ|},
+    so c_γ is the coset {h : N_γ·h = −c} of ker N_γ.  Classes are orbit
+    closures under conjugation by a generating set (basis vectors of H
+    plus lifts of the Γ-generators), which agree with conjugacy under the
+    full group.
     """
-    target = G.G.element_order(gamma)
-    c = {(h, gamma) for h in G.H.elements() if G.element_order((h, gamma)) == target}
-    k = len(G.H.orders)
+    H = G.H
+    norm = H.endo_norm(gamma)
+    target = H.neg(G.power((H.zero(), gamma), G.G.element_order(gamma))[0])
+    c = {(h, gamma) for h in H.elements() if _mat_apply(norm, h, H.orders) == target}
+    k = len(H.orders)
     gens = [(tuple(1 if t == i else 0 for t in range(k)), G.G.identity()) for i in range(k)]
-    gens += [(G.H.zero(), tuple(1 if t == i else 0 for t in range(G.G.rank)))
+    gens += [(H.zero(), tuple(1 if t == i else 0 for t in range(G.G.rank)))
              for i in range(G.G.rank)]
     pairs = [(g, G.inv(g)) for g in gens]
     seen = set()
@@ -636,8 +635,8 @@ def enumerate_extensions(Gamma: FiniteAbelianGroup, H: ExplicitModule, refine=Tr
 
     Returns a list of ExplicitGroup, the split one first.  refine=False
     gives one group per cohomology class, which is enough for invariants
-    like conjugacy statistics or splitting counts and avoids enumerating
-    a possibly huge automorphism group.
+    like conjugacy statistics or splitting counts; refine=True enumerates
+    Aut_Γ(H), so it raises ValueError where `module_automorphisms` does.
     """
     assert Gamma == H.group
     if Gamma.order > 8 or H.size > 256:
@@ -760,77 +759,37 @@ def enumerate_extensions(Gamma: FiniteAbelianGroup, H: ExplicitModule, refine=Tr
         return unscale(y)
 
     classes = list(itertools.product(*(range(o) for o in h2_orders)))
-    if not refine:
-        out = [ExplicitGroup(H, rep_of(z)) for z in classes]
-        z = H.zero()
-        out.sort(key=lambda G: any(v != z for v in G.cocycle.values()))
-        return out
-    auts = module_automorphisms(H)
-    seen = set()
-    out = []
-    for z in classes:
-        if z in seen:
-            continue
-        orbit = {z}
-        frontier = [z]
-        while frontier:
-            z0 = frontier.pop()
-            coc = rep_of(z0)
-            for T in auts:
-                coc2 = {ab: _mat_apply(T, h, H.orders) for ab, h in coc.items()}
-                z1 = class_of(coc2)
-                if z1 not in orbit:
-                    orbit.add(z1)
-                    frontier.append(z1)
-        seen |= orbit
-        rep = min(orbit)
-        out.append(ExplicitGroup(H, rep_of(rep)))
+    if refine:
+        # auts is all of Aut_Γ(H), so its images of one class are the orbit
+        auts = module_automorphisms(H)
+        seen = set()
+        reps = []
+        for z in classes:
+            if z in seen:
+                continue
+            coc = rep_of(z)
+            orbit = {class_of({ab: _mat_apply(T, h, H.orders) for ab, h in coc.items()})
+                     for T in auts}
+            seen |= orbit
+            reps.append(min(orbit))
+        classes = reps
+    out = [ExplicitGroup(H, rep_of(z)) for z in classes]
     z = H.zero()
     out.sort(key=lambda G: any(v != z for v in G.cocycle.values()))
     return out
 
 
 def module_automorphisms(H: ExplicitModule):
-    """All automorphisms of H commuting with the Γ-action, as matrices."""
-    k = len(H.orders)
-    if k == 0:
-        return [[]]
-    p = H.p
-    alphas = H.alphas
-    entry_choices = []
-    for i in range(k):
-        for j in range(k):
-            step = p ** max(alphas[i] - alphas[j], 0)
-            count = p ** min(alphas[i], alphas[j])
-            entry_choices.append([step * t % H.orders[i] for t in range(count)])
-    total = 1
-    for c in entry_choices:
-        total *= len(c)
-    if total > 2**22:
+    """All automorphisms of H commuting with the Γ-action, as matrices.
+
+    A surjective endomorphism of a finite module is bijective, so these
+    are the Γ-endomorphisms of full rank over F_p (Nakayama).
+    """
+    columns = _hom_candidate_columns(H, H)
+    if math.prod(len(c) for c in columns) > 2**22:
         raise ValueError("automorphism enumeration too large")
-    gen_mats = [H.action_of(tuple(1 if j == i else 0 for j in range(H.group.rank)))
-                for i in range(H.group.rank)]
-    groups_by_alpha = {}
-    for i, a in enumerate(alphas):
-        groups_by_alpha.setdefault(a, []).append(i)
-    out = []
-    for flat in itertools.product(*entry_choices):
-        T = [list(flat[i * k:(i + 1) * k]) for i in range(k)]
-        ok = True
-        for idxs in groups_by_alpha.values():
-            block = [[T[i][j] for j in idxs] for i in idxs]
-            if _rank_mod_p(block, p) < len(idxs):
-                ok = False
-                break
-        if not ok:
-            continue
-        for A in gen_mats:
-            if not _mat_eq(_mat_mat(T, A, H.orders), _mat_mat(A, T, H.orders), H.orders):
-                ok = False
-                break
-        if ok:
-            out.append(T)
-    return out
+    k = len(H.orders)
+    return [T for T in _equivariant_matrices(H, H, columns) if _rank_mod_p(T, H.p) == k]
 
 
 def _rank_mod_p(rows, p):
@@ -935,10 +894,9 @@ def _equivariant_matrices(src: ExplicitModule, dst: ExplicitModule, columns):
     row-wise modulo dst.orders for every generator of Γ."""
     kd, ks = len(dst.orders), len(src.orders)
     checks = []
-    for i in range(src.group.rank):
-        gvec = tuple(1 if j == i else 0 for j in range(src.group.rank))
-        A, B = src.action_of(gvec), dst.action_of(gvec)
-        if A == linalg.identity_matrix(ks) and B == linalg.identity_matrix(kd):
+    for A, B in zip(src.actions, dst.actions):
+        if (_mat_eq(A, linalg.identity_matrix(ks), src.orders)
+                and _mat_eq(B, linalg.identity_matrix(kd), dst.orders)):
             continue  # T·1 = 1·T
         checks.append((list(zip(*A)), B))
     orders = dst.orders

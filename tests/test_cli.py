@@ -1,3 +1,6 @@
+import importlib
+import importlib.util
+import inspect
 import io
 import json
 import math
@@ -185,7 +188,9 @@ def test_parse_error_exit_2():
 
 def test_non_prime_power_Q_exit_2(capsys):
     for argv in (["counts", "--Q", "6", "--lam", "1", "--mu", "1"],
-                 ["weight", "--Q", "12", "--lam", "1", "--mu", "2", "--d", "1"]):
+                 ["weight", "--Q", "12", "--lam", "1", "--mu", "2", "--d", "1"],
+                 ["b2", "--H", "4,4", "--q", "15", "--n", "4"],
+                 ["b2", "--H", "2", "--q", "-1", "--n", "2"]):
         code, _ = run(argv)
         assert code == 2
         assert "is not a prime power" in capsys.readouterr().err
@@ -236,3 +241,21 @@ def test_big_integers_as_strings():
     rec = json.loads(out.strip().splitlines()[1])
     assert isinstance(rec["hom"], str)
     assert int(rec["hom"]) == 3 ** (9 * 16)
+
+
+def test_benchmark_trace_targets_are_plain_functions():
+    # the benchmark's traced run wraps each target by name and raises on a
+    # missing name or a generator function
+    path = Path(__file__).resolve().parents[1] / "dvrbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("dvrbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for target in tracing.TARGETS:
+        modname, _, attr = target.partition(".")
+        owner = importlib.import_module(f"dvrstat.{modname}")
+        *classes, fname = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        fn = inspect.getattr_static(owner, fname)
+        assert inspect.isfunction(fn), target
+        assert not inspect.isgeneratorfunction(fn), target

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from dvrstat.abelian import FiniteAbelianGroup, mult_order
-from dvrstat.dvrmod import ModuleType, hom_count, sur_count
+from dvrstat.dvrmod import ModuleType, aut_count, hom_count, partitions_of, sur_count
 from dvrstat import linalg, oracle
 
 
@@ -218,6 +218,18 @@ def test_module_validation_rejects_bad_action():
         oracle.ExplicitModule(2, (4, 2), G, [[[1, 1], [0, 1]]])
 
 
+def test_enumeration_caps_raise_value_error():
+    # checks on request size must not be asserts, which -O strips
+    H = oracle.ExplicitModule(2, (2 * oracle.MODULE_ENUM_CAP,), FiniteAbelianGroup((2,)), [[[1]]])
+    with pytest.raises(ValueError, match="module too large to enumerate"):
+        H.elements()
+    H = oracle.ExplicitModule(2, (oracle.MODULE_ENUM_CAP,), FiniteAbelianGroup((4,)), [[[1]]])
+    G = oracle.ExplicitGroup.split(H)
+    assert G.size > oracle.GROUP_SCAN_CAP
+    with pytest.raises(ValueError, match="group too large to scan"):
+        G.elements()
+
+
 # small modules with mixed orders and nontrivial actions, per Γ (p = 2)
 def _small_modules():
     z3 = _idems((3,), 2)  # trivial (Q = 2), F4 (Q = 4)
@@ -271,3 +283,57 @@ def test_is_surjective_matches_subgroup_size():
                 assert h.is_surjective() == onto
                 seen.add(onto)
     assert seen == {True, False}
+
+
+def test_module_automorphisms_match_brute_force():
+    for mods in _small_modules():
+        for H in mods:
+            brute, _ = _brute_homs(H, H)
+            auts = {T for T in brute
+                    if len({oracle.ModuleHom(H, H, T).apply(x) for x in H.elements()}) == H.size}
+            assert set(oracle.module_automorphisms(H)) == auts
+
+
+def test_module_automorphisms_count_aut_count():
+    # the criterion-5 catalog, up to 2^16 candidate matrices per module
+    checked = 0
+    for facs in [(2,), (3,), (4,)]:
+        for p in (2, 3):
+            for e in _idems(facs, p):
+                for s in itertools.count(1):
+                    if e.Q ** s > 64:
+                        break
+                    for lam in partitions_of(s):
+                        H = oracle.realize(e, ModuleType(e.Q, lam))
+                        if math.prod(len(c) for c in oracle._hom_candidate_columns(H, H)) > 2**16:
+                            continue
+                        assert len(oracle.module_automorphisms(H)) == aut_count(ModuleType(e.Q, lam))
+                        checked += 1
+    assert checked == 166
+
+
+def _walk_power(G, x, n):
+    y = G.identity()
+    for _ in range(n):
+        y = G.mul(y, x)
+    return y
+
+
+def _walk_order(G, x):
+    return next(n for n in range(1, G.size + 1) if _walk_power(G, x, n) == G.identity())
+
+
+def test_explicit_group_closed_forms_match_walking():
+    z2, z4 = FiniteAbelianGroup((2,)), FiniteAbelianGroup((4,))
+    inversion = next(e for e in _idems((2,), 2) if not e.is_trivial)
+    trivial = next(e for e in _idems((4,), 2) if e.is_trivial)
+    # dihedral and quaternion (Z/2 by Z/4), then Z/4 × Z/2 and Z/8 (Z/4 by Z/2)
+    exts = (oracle.enumerate_extensions(z2, oracle.realize(inversion, ModuleType(2, (2,))))
+            + oracle.enumerate_extensions(z4, oracle.realize(trivial, ModuleType(2, (1,)))))
+    assert sorted(max(G.element_order(x) for x in G.elements()) for G in exts) == [4, 4, 4, 8]
+    for G in exts:
+        for x in G.elements():
+            o = _walk_order(G, x)
+            assert G.element_order(x) == o
+            assert G.inv(x) == _walk_power(G, x, o - 1)
+            assert all(G.power(x, n) == _walk_power(G, x, n) for n in range(2 * o + 1))
