@@ -56,6 +56,10 @@ class ExplicitModule:
     Matrix entry (i, j) is read mod p^{a_i} and must be divisible by
     p^{max(a_i - a_j, 0)} so the induced map on mixed-modulus tuples is
     well defined.
+
+    `blocks` lists the coordinate spans (start, stop) of rank-one
+    summands O/π^λ over the DVR O of an idempotent.  `realize` records
+    them; on any other module it is None.
     """
 
     def __init__(self, p, orders, group: FiniteAbelianGroup, actions, check=True):
@@ -65,6 +69,7 @@ class ExplicitModule:
         self.actions = tuple(tuple(tuple(x % o for x in row) for row, o in zip(A, self.orders)) for A in actions)
         self.alphas = tuple(val_p(o, p) for o in self.orders)
         self._action_cache = {}
+        self.blocks = None
         if check:
             self._validate()
 
@@ -241,7 +246,8 @@ def _mult_matrix(reducer, mod, dim):
 def realize(e: PrimitiveIdempotent, M: ModuleType, precision=None) -> ExplicitModule:
     """Build ⊕_i R/𝔪^{λ_i} for the DVR R attached to e, as an explicit
     module with transported Γ-action.  Round-trips with iso_type."""
-    assert M.Q == e.Q, "type and idempotent disagree on the residue field"
+    if M.Q != e.Q:
+        raise ValueError(f"type has Q = {M.Q} but the idempotent has Q = {e.Q}")
     G, p = e.group, e.p
     lam = M.parts
     if not lam:
@@ -301,6 +307,8 @@ def realize(e: PrimitiveIdempotent, M: ModuleType, precision=None) -> ExplicitMo
         out = direct_sum(out, s)
     got = iso_type(out, e)
     assert got == M, f"realization round-trip failed: {got} != {M}"
+    stops = list(itertools.accumulate(len(part.orders) for part in summands))
+    out.blocks = tuple(zip([0] + stops[:-1], stops))
     return out
 
 
@@ -635,10 +643,13 @@ def enumerate_extensions(Gamma: FiniteAbelianGroup, H: ExplicitModule, refine=Tr
 
     Returns a list of ExplicitGroup, the split one first.  refine=False
     gives one group per cohomology class, which is enough for invariants
-    like conjugacy statistics or splitting counts; refine=True enumerates
-    Aut_Γ(H), so it raises ValueError where `module_automorphisms` does.
+    like conjugacy statistics or splitting counts; refine=True closes each
+    class under `automorphism_generators(H)` acting on H², and keeps the
+    least class of each orbit.  ValueError comes only from the size cap
+    (|Γ| > 8 or |H| > 256) and from a Γ that is not H's group.
     """
-    assert Gamma == H.group
+    if Gamma != H.group:
+        raise ValueError("Γ is not the group acting on H")
     if Gamma.order > 8 or H.size > 256:
         raise ValueError("extension enumeration cap exceeded")
     k = len(H.orders)
@@ -759,17 +770,30 @@ def enumerate_extensions(Gamma: FiniteAbelianGroup, H: ExplicitModule, refine=Tr
         return unscale(y)
 
     classes = list(itertools.product(*(range(o) for o in h2_orders)))
-    if refine:
-        # auts is all of Aut_Γ(H), so its images of one class are the orbit
-        auts = module_automorphisms(H)
+    if refine and len(classes) > 1:
+        # Aut_Γ(H) acts linearly on H², so a generator acts through its
+        # images of the basis classes, and an orbit is the closure of one
+        # class under the generators
+        n2 = len(h2_orders)
+        basis = [rep_of(tuple(int(s == t) for s in range(n2))) for t in range(n2)]
+        acts = {tuple(class_of({ab: _mat_apply(T, h, H.orders) for ab, h in coc.items()})
+                      for coc in basis)
+                for T in automorphism_generators(H)}
         seen = set()
         reps = []
         for z in classes:
             if z in seen:
                 continue
-            coc = rep_of(z)
-            orbit = {class_of({ab: _mat_apply(T, h, H.orders) for ab, h in coc.items()})
-                     for T in auts}
+            orbit = {z}
+            frontier = [z]
+            while frontier:
+                x = frontier.pop()
+                for images in acts:
+                    y = tuple(sum(im[s] * xt for im, xt in zip(images, x)) % o
+                              for s, o in enumerate(h2_orders))
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
             seen |= orbit
             reps.append(min(orbit))
         classes = reps
@@ -790,6 +814,55 @@ def module_automorphisms(H: ExplicitModule):
         raise ValueError("automorphism enumeration too large")
     k = len(H.orders)
     return [T for T in _equivariant_matrices(H, H, columns) if _rank_mod_p(T, H.p) == k]
+
+
+def automorphism_generators(H: ExplicitModule):
+    """A generating set of Aut_Γ(H), as matrices.
+
+    On a module from `realize`, H = ⊕_i O/π^{λ_i} with O = eZ_p[Γ] a
+    quotient of Z_p[Γ], so Aut_Γ(H) = Aut_O(H).  That group is generated
+    by the units of each summand and the transvections 1 + φ, φ a Γ-hom
+    from summand j to summand i ≠ j (φ² = 0, so 1 − φ is the inverse).
+    A summand's Γ-endomorphisms are multiplications by O, the additive
+    span of Γ's action matrices.  On any other module the generating set
+    is all of `module_automorphisms(H)`.
+    """
+    if H.blocks is None:
+        return module_automorphisms(H)
+    k = len(H.orders)
+    parts = [ExplicitModule(H.p, H.orders[a:b], H.group,
+                            [[row[a:b] for row in A[a:b]] for A in H.actions], check=False)
+             for a, b in H.blocks]
+
+    def embed(i, j, X):
+        # the identity with block (i, j) replaced by X
+        T = [list(row) for row in linalg.identity_matrix(k)]
+        a, c = H.blocks[i][0], H.blocks[j][0]
+        for r, row in enumerate(X):
+            T[a + r][c:c + len(row)] = row
+        return tuple(map(tuple, T))
+
+    gens = []
+    for i, S in enumerate(parts):
+        ks = len(S.orders)
+        zero = ((0,) * ks,) * ks
+        mats = [S.action_of(g) for g in S.group.elements()]
+        span = {zero}
+        frontier = [zero]
+        while frontier:
+            T = frontier.pop()
+            for A in mats:
+                U = tuple(tuple((t + x) % o for t, x in zip(rt, ra))
+                          for rt, ra, o in zip(T, A, S.orders))
+                if U not in span:
+                    span.add(U)
+                    frontier.append(U)
+        gens += [embed(i, i, U) for U in span if _rank_mod_p(U, H.p) == ks]
+    for (i, Si), (j, Sj) in itertools.permutations(enumerate(parts), 2):
+        for phi in _equivariant_matrices(Sj, Si, _hom_candidate_columns(Sj, Si)):
+            if any(map(any, phi)):
+                gens.append(embed(i, j, phi))
+    return gens
 
 
 def _rank_mod_p(rows, p):
@@ -836,7 +909,8 @@ def splitting_count(G: ExplicitGroup) -> int:
 def aut_extension_count(H: ExplicitModule, Gamma: FiniteAbelianGroup, basis=None) -> int:
     """#𝔄⁻_{γ₁}(H) · ∏_{j>=2} #𝔄⁺_{γ₁}(H)[|γ_j|] for a basis γ₁..γ_d of Γ
     with γ₂..γ_d acting trivially on H."""
-    assert Gamma == H.group
+    if Gamma != H.group:
+        raise ValueError("Γ is not the group acting on H")
     d = Gamma.rank
     if basis is None:
         basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]

@@ -210,8 +210,14 @@ def lattice_kernel_count(cover: NilClass2Cover, n):
     return dp.get((n, zero), 0)
 
 
+def _check_n(n):
+    if n < 0:
+        raise ValueError(f"n = {n} must be >= 0")
+
+
 def b_exact(ds, q, n):
     """Σ over lattice-kernel vectors m̲ of nr_{q-1}(W_{q⁻¹}(m̲))."""
+    _check_n(n)
     cover = NilClass2Cover(ds)
     total = 0
     for m_vec in lattice_kernel_vectors(cover, n):
@@ -223,6 +229,7 @@ def b_closed(ds, v, n):
     """#(∧²2H)[2^{v-1}] times the lattice-kernel count."""
     if v < 1:
         raise ValueError("v must be >= 1")
+    _check_n(n)
     cover = NilClass2Cover(ds)
     tors = 1
     for mod in cover.pair_mods:
@@ -233,6 +240,7 @@ def b_closed(ds, v, n):
 def w_image_multiset(ds, q, n):
     """Fiber sizes of m̲ ↦ W_{q⁻¹}(m̲) over the lattice kernel: a dict
     kernel element -> count."""
+    _check_n(n)
     cover = NilClass2Cover(ds)
     fibers = {}
     for m_vec in lattice_kernel_vectors(cover, n):

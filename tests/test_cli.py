@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -20,6 +21,7 @@ from dvrstat.measure import MeasureContext, measure
 # across a chunk boundary (2500 trials) and p^prec >= 2^31 (3^20, 2^40,
 # and 2^32 over F4), which the sampler runs in object dtype
 GOLDEN = json.loads((Path(__file__).parent / "sample_golden.json").read_text())
+EXT_GOLDEN = json.loads((Path(__file__).parent / "ext_golden.json").read_text())
 
 
 def run(argv):
@@ -124,6 +126,37 @@ def test_sample_stdout_matches_golden(args):
     assert out == GOLDEN[args]
 
 
+@pytest.mark.parametrize("group", ["ext_0_5_to_3_5_s", "ext_over_3_5_s"])
+def test_ext_stdout_matches_golden(group):
+    # orbits from the automorphism generators give the same classes and
+    # representatives as the pass over all of Aut_Γ(H)
+    for request, want in EXT_GOLDEN[group].items():
+        code, out = run(request.split())
+        got = {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
+        assert got == want, request
+
+
+@pytest.mark.parametrize("request_args", [
+    "ext --gamma 2 --p 2 --index 0 --parts 1,1,1,1,1",
+    "ext --gamma 2 --p 2 --index 1 --parts 2,1,1,1,1",
+    "ext --gamma 4 --p 2 --index 0 --parts 2,1,1,1,1",
+    "ext --gamma 4 --p 2 --index 2 --parts 3,2,1",
+])
+def test_formerly_capped_ext_passes_split_dichotomy(request_args):
+    # each of these was refused by the 2^22 automorphism cap; now every
+    # class's conjugacy counts d are at most the split extension's, and a
+    # class splits exactly when all of them match
+    code, out = run(request_args.split())
+    assert code == 0
+    recs = [json.loads(line) for line in out.strip().splitlines()[1:]]
+    assert len(recs) > 1 and recs[0]["split"]
+    split_d = [row["d"] for row in recs[0]["conjugacy"]]
+    for rec in recs:
+        d = [row["d"] for row in rec["conjugacy"]]
+        assert all(a <= b for a, b in zip(d, split_d))
+        assert (rec["splitting_count"] > 0) == (d == split_d)
+
+
 @pytest.mark.parametrize("Q", [9, 25])
 def test_sample_odd_prime_power_Q(Q):
     trials = 20000
@@ -199,6 +232,13 @@ def test_non_prime_power_Q_exit_2(capsys):
 def test_b2_q_one_exit_2():
     code, _ = run(["b2", "--H", "2", "--q", "1", "--n", "2"])
     assert code == 2
+
+
+def test_b2_negative_n_exit_2(capsys):
+    for n in ("-1", "-2"):
+        code, _ = run(["b2", "--H", "2", "--q", "3", "--n", n])
+        assert code == 2
+        assert f"n = {n} must be >= 0" in capsys.readouterr().err
 
 
 def test_invalid_group_exit_2_under_optimize():

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 import sympy
 
@@ -230,6 +231,19 @@ def test_enumeration_caps_raise_value_error():
         G.elements()
 
 
+def test_mismatched_inputs_raise_value_error():
+    # checks on caller input must not be asserts, which -O strips
+    e = next(e for e in _idems((2,), 2) if e.is_trivial)
+    H = oracle.realize(e, ModuleType(2, (1,)))
+    with pytest.raises(ValueError, match="not the group acting on H"):
+        oracle.enumerate_extensions(FiniteAbelianGroup((4,)), H)
+    with pytest.raises(ValueError, match="not the group acting on H"):
+        oracle.aut_extension_count(H, FiniteAbelianGroup((3,)))
+    f4 = next(e for e in _idems((3,), 2) if not e.is_trivial)
+    with pytest.raises(ValueError, match="type has Q = 2 but the idempotent has Q = 4"):
+        oracle.realize(f4, ModuleType(2, (1,)))
+
+
 # small modules with mixed orders and nontrivial actions, per Γ (p = 2)
 def _small_modules():
     z3 = _idems((3,), 2)  # trivial (Q = 2), F4 (Q = 4)
@@ -292,10 +306,41 @@ def test_module_automorphisms_match_brute_force():
             auts = {T for T in brute
                     if len({oracle.ModuleHom(H, H, T).apply(x) for x in H.elements()}) == H.size}
             assert set(oracle.module_automorphisms(H)) == auts
+            assert _generated_group(oracle.automorphism_generators(H), H.orders) == _keys(auts, H.orders)
+
+
+def _radix(orders):
+    # mixed-radix weights that key a matrix with rows read mod orders
+    k = len(orders)
+    assert math.prod(orders) ** k < 2**63
+    return np.cumprod([1] + [o for o in orders for _ in range(k)][:-1])
+
+
+def _keys(mats, orders):
+    mats = list(mats)
+    return set((np.array(mats).reshape(len(mats), -1) @ _radix(orders)).tolist())
+
+
+def _generated_group(gens, orders):
+    """Keys of the group the matrices gens generate: breadth-first by
+    layers, each layer multiplied by every generator in one product."""
+    k = len(orders)
+    mods = np.array(orders).reshape(k, 1)
+    radix = _radix(orders)
+    gens = np.array(gens)
+    layer = np.eye(k, dtype=np.int64)[None]
+    seen = layer.reshape(1, -1) @ radix
+    while len(layer):
+        prods = (gens[:, None] @ layer[None] % mods).reshape(-1, k, k)
+        keys, first = np.unique(prods.reshape(len(prods), -1) @ radix, return_index=True)
+        new = ~np.isin(keys, seen)
+        layer, seen = prods[first[new]], np.concatenate([seen, keys[new]])
+    return set(seen.tolist())
 
 
 def test_module_automorphisms_count_aut_count():
-    # the criterion-5 catalog, up to 2^16 candidate matrices per module
+    # the criterion-5 catalog, up to 2^16 candidate matrices per module;
+    # the automorphism generators of `realize`'s modules generate them all
     checked = 0
     for facs in [(2,), (3,), (4,)]:
         for p in (2, 3):
@@ -307,7 +352,11 @@ def test_module_automorphisms_count_aut_count():
                         H = oracle.realize(e, ModuleType(e.Q, lam))
                         if math.prod(len(c) for c in oracle._hom_candidate_columns(H, H)) > 2**16:
                             continue
-                        assert len(oracle.module_automorphisms(H)) == aut_count(ModuleType(e.Q, lam))
+                        auts = oracle.module_automorphisms(H)
+                        assert len(auts) == aut_count(ModuleType(e.Q, lam))
+                        assert H.blocks is not None
+                        gens = oracle.automorphism_generators(H)
+                        assert _generated_group(gens, H.orders) == _keys(auts, H.orders)
                         checked += 1
     assert checked == 166
 

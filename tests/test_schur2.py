@@ -141,6 +141,14 @@ def test_odd_n_vanishing():
             assert schur2.b_closed(ds, 1, n) == 0
 
 
+def test_negative_n_raises():
+    for n in (-1, -2):
+        for fn, arg in ((schur2.b_exact, 3), (schur2.b_closed, 1), (schur2.w_image_multiset, 3)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                fn((2, 2), arg, n)
+    assert schur2.b_exact((1,), 3, 0) == schur2.b_closed((1,), 1, 0) == 1
+
+
 def test_moment_ratio():
     assert schur2.moment_ratio((2, 2), 1) == Fraction(1, 4)
     assert schur2.moment_ratio((2, 2), 2) == Fraction(1, 2)
