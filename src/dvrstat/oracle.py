@@ -645,8 +645,10 @@ def enumerate_extensions(Gamma: FiniteAbelianGroup, H: ExplicitModule, refine=Tr
     gives one group per cohomology class, which is enough for invariants
     like conjugacy statistics or splitting counts; refine=True closes each
     class under `automorphism_generators(H)` acting on H², and keeps the
-    least class of each orbit.  ValueError comes only from the size cap
-    (|Γ| > 8 or |H| > 256) and from a Γ that is not H's group.
+    least class of each orbit.  On a module built by `realize` ValueError
+    comes only from the size cap (|Γ| > 8 or |H| > 256) and from a Γ that
+    is not H's group; any other module (H.blocks is None) takes its
+    generators from `module_automorphisms(H)`, whose 2^22 cap still applies.
     """
     if Gamma != H.group:
         raise ValueError("Γ is not the group acting on H")

@@ -7,8 +7,9 @@ Measures the checkout (default: the one this script lives in) through
 nothing but its own `dvrbench/run.py`, its CLI in fresh processes and
 pytest, and stores under `--label` in the JSON file `--out`:
 
-- the last (JSON) line of `dvrbench/run.py --workload W --seed S
-  --seconds T --trace 0` for each of the three workloads;
+- the last (JSON) line of `dvrbench/run.py --workload W --seed SEED
+  --seconds T --trace 0` for each of the three workloads, with T the
+  `run_seconds` of the checkout's BENCHMARK.json;
 - the wall time and exit code of each request in CLI_REQUESTS, the
   median of 3 fresh processes;
 - the per-test durations of `tests/test_acceptance.py` and the
@@ -34,6 +35,8 @@ import numpy
 
 WORKLOADS = ("sampler", "oracle", "exact")
 REPEATS = 3
+# one seed for every snapshot, so BENCH_<n>.json files stay comparable
+SEED = 1
 # the fixed requests of ROADMAP aim 1 and the slow requests named under
 # its State
 CLI_REQUESTS = (
@@ -54,10 +57,10 @@ def _env(checkout):
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def workload_lines(checkout, seed, seconds):
+def workload_lines(checkout, seconds):
     out = {}
     for w in WORKLOADS:
-        res = subprocess.run([sys.executable, "dvrbench/run.py", "--workload", w, "--seed", str(seed),
+        res = subprocess.run([sys.executable, "dvrbench/run.py", "--workload", w, "--seed", str(SEED),
                               "--seconds", str(seconds), "--trace", "0"],
                              cwd=checkout, capture_output=True, text=True, check=True)
         out[w] = json.loads(res.stdout.strip().splitlines()[-1])
@@ -99,16 +102,15 @@ def main():
     ap.add_argument("--out", required=True, type=pathlib.Path)
     ap.add_argument("--label", required=True)
     ap.add_argument("--checkout", type=pathlib.Path, default=pathlib.Path(__file__).resolve().parents[1])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=25)
     args = ap.parse_args()
     checkout = args.checkout.resolve()
+    seconds = json.loads((checkout / "BENCHMARK.json").read_text())["run_seconds"]
     snap = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__, "platform": platform.platform()},
         "taken_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "workloads": {"seed": args.seed, "seconds": args.seconds,
-                      "results": workload_lines(checkout, args.seed, args.seconds)},
+        "workloads": {"seed": SEED, "seconds": seconds,
+                      "results": workload_lines(checkout, seconds)},
         "cli": cli_times(checkout),
         "acceptance": acceptance(checkout),
     }
