@@ -1,6 +1,7 @@
 """Finite abelian groups in invariant-factor form, their elements,
-characters, subgroup enumeration, and orbits of characters under the
-p-adic Galois action.
+characters, subgroup enumeration, orbits of characters under the
+p-adic Galois action, and the closure search that every orbit, span
+and subgroup enumeration in the package runs on.
 
 Elements and characters are exponent tuples; character values are held
 as exponents mod the group exponent, so everything stays in exact
@@ -168,16 +169,7 @@ class FiniteAbelianGroup:
 
     def subgroup_generated(self, gens):
         """Frozenset of elements of the subgroup generated by gens."""
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
+        return closure([self.identity()], lambda x: [self.add(x, g) for g in gens])
 
     def subgroups(self):
         return _subgroups_cached(self.invariant_factors)
@@ -236,20 +228,54 @@ def _subgroups_cached(invariant_factors):
     G = FiniteAbelianGroup(invariant_factors)
     if G.order > SUBGROUP_ENUM_CAP:
         raise ValueError(f"subgroup enumeration capped at order {SUBGROUP_ENUM_CAP}")
-    trivial = frozenset({G.identity()})
-    found = {trivial}
-    frontier = [trivial]
-    elems = list(G.elements())
+    return subgroup_lattice(G.elements(), G.identity(), G.subgroup_generated)
+
+
+# -- graph searches ------------------------------------------------------------
+
+def closure(seeds, step):
+    """Frozenset of everything reachable from `seeds`, where step(x)
+    lists the neighbours of x."""
+    seen = set(seeds)
+    frontier = list(seen)
     while frontier:
-        H = frontier.pop()
-        for g in elems:
-            if g in H:
-                continue
-            H2 = G.subgroup_generated(list(H) + [g])
-            if H2 not in found:
-                found.add(H2)
-                frontier.append(H2)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+        for y in step(frontier.pop()):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+def orbits(items, step):
+    """The closures of `items`, in the order of their first member.
+
+    When step(x) lists the images of x under generators of a finite
+    group action, these are the orbits that meet `items`.
+    """
+    seen = set()
+    out = []
+    for x in items:
+        if x not in seen:
+            orbit = closure([x], step)
+            seen |= orbit
+            out.append(orbit)
+    return out
+
+
+def subgroup_lattice(universe, zero, span):
+    """Every subgroup span(gens) inside `universe`, gens drawn from it,
+    sorted by (size, elements).  span(gens) is the subgroup that gens
+    generate; each subgroup is reached by adding one generator at a
+    time to a smaller one, starting from {zero}."""
+    universe = frozenset(universe)
+
+    def step(S):
+        for x in universe - S:
+            T = span([*S, x])
+            if T <= universe:
+                yield T
+
+    return sorted(closure([frozenset({zero})], step), key=lambda s: (len(s), sorted(s)))
 
 
 def galois_exponents(E, p):

@@ -16,7 +16,7 @@ from .abelian import (
     val_p,
     wedge_square_p_part,
 )
-from .dvrmod import ModuleType, hom_count, ideal_ops, module_types, sur_count, weight
+from .dvrmod import ModuleType, gaussian_binomial, hom_count, ideal_ops, module_types, sur_count, weight
 from .idempotents import (
     IdealPower,
     NORM_ANNIHILATES,
@@ -220,8 +220,6 @@ def suite_modules():
         # every hom factors through its image: summing Sur(M, T) over all
         # subgroups T of N must recover Hom(M, N)
         for mu in [(1,), (2,), (1, 1), (2, 1)]:
-            from .abelian import FiniteAbelianGroup
-
             G = FiniteAbelianGroup.from_orders([Q**b for b in mu])
             for lam in [(1,), (2,), (1, 1), (2, 1)]:
                 M = ModuleType(Q, lam)
@@ -232,9 +230,6 @@ def suite_modules():
                 if total != hom_count(M, ModuleType(Q, mu)):
                     ok = False
     r.check("sur-count recursion over submodule types recovers hom counts", ok)
-
-    ok = True
-    from .dvrmod import gaussian_binomial
 
     ok = gaussian_binomial(2, 1, 2) == 3 and gaussian_binomial(3, 1, 3) == 13 and gaussian_binomial(5, 0, 7) == 1
     r.check("gaussian binomial reference values", ok)
@@ -252,9 +247,7 @@ def _subgroup_partition(G, S, q):
         sizes.append(tor)
         j += 1
     conj = [int_log(b // a, q) for a, b in zip(sizes, sizes[1:])]
-    if not conj:
-        return ()
-    return tuple(sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1))
+    return ModuleType(q, conj).conjugate()
 
 
 def suite_groups():

@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__, checks, schur2
-from .abelian import parse_group, parse_tuple, prime_power_split, val_p
+from .abelian import _is_prime, parse_group, parse_tuple, prime_power_split, val_p
 from .dvrmod import ModuleType, aut_count, hom_count, sur_count, weight
-from .idempotents import enumerate_idempotents, ramtype_qualifies, threshold_ideal
+from .idempotents import IdealPower, enumerate_idempotents, ramtype_qualifies, threshold_ideal
 from .measure import MeasureContext, measure as measure_fn, moment_truncated, sample_many
 from . import oracle
 
@@ -106,8 +106,6 @@ def cmd_ramtype(args, out):
     _, e = es[0]
     inertia = _parse_gens(args.inertia)
     decomposition = _parse_gens(args.decomposition)
-    from .idempotents import IdealPower
-
     ok = ramtype_qualifies(e, IdealPower(args.d), inertia, decomposition)
     _emit({"index": args.index, "d": args.d, "qualifies": ok}, out)
     return 0
@@ -138,8 +136,6 @@ def cmd_weight(args, out):
 
 
 def cmd_oracle(args, out):
-    from .abelian import _is_prime
-
     if not _is_prime(args.Q):
         raise ValueError("oracle counts need a prime residue field size")
     lam = _parse_partition(args.lam)

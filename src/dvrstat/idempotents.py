@@ -202,10 +202,6 @@ def residue_module_key(e: PrimitiveIdempotent):
     return (e.Q, parts)
 
 
-def _subgroup_of(G, gens):
-    return G.subgroup_generated(list(gens))
-
-
 def ramtype_qualifies(e: PrimitiveIdempotent, I: IdealPower, inertia_gens, decomposition_gens):
     """Ramification-type test against the ideal I = 𝔪^d.
 
@@ -215,8 +211,8 @@ def ramtype_qualifies(e: PrimitiveIdempotent, I: IdealPower, inertia_gens, decom
     residue-characteristic exclusion is the caller's responsibility.
     """
     G = e.group
-    inertia = _subgroup_of(G, inertia_gens)
-    decomp = _subgroup_of(G, decomposition_gens)
+    inertia = G.subgroup_generated(inertia_gens)
+    decomp = G.subgroup_generated(decomposition_gens)
     if not inertia <= decomp:
         raise ValueError("inertia must lie inside the decomposition subgroup")
     gens_of_inertia = [g for g in inertia if G.element_order(g) == len(inertia)]

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abelian import FiniteAbelianGroup, int_log, tuple_order, val_p
+from .abelian import FiniteAbelianGroup, closure, int_log, orbits, subgroup_lattice, tuple_order, val_p
 from .dvrmod import ModuleType
 from .idempotents import PrimitiveIdempotent
 from . import linalg
@@ -164,7 +164,10 @@ def zero_module(p, group):
 
 
 def direct_sum(M1: ExplicitModule, M2: ExplicitModule):
-    assert M1.p == M2.p and M1.group == M2.group
+    if M1.p != M2.p:
+        raise ValueError(f"summands over p = {M1.p} and p = {M2.p}")
+    if M1.group != M2.group:
+        raise ValueError("summands carry actions of different groups")
     k1, k2 = len(M1.orders), len(M2.orders)
     actions = []
     for A, B in zip(M1.actions, M2.actions):
@@ -253,7 +256,8 @@ def realize(e: PrimitiveIdempotent, M: ModuleType, precision=None) -> ExplicitMo
     if not lam:
         return zero_module(p, G)
     N = precision if precision is not None else max(lam) + e.e_ram + 1
-    assert N >= max(lam) + e.e_ram, "precision headroom too small"
+    if N < max(lam) + e.e_ram:
+        raise ValueError(f"precision {N} is below max(λ) + e = {max(lam) + e.e_ram}")
     mod = p**N
     k, m_prime, f, e_ram = e.k, e.m_prime, e.f, e.e_ram
     D = e_ram * f
@@ -292,16 +296,11 @@ def realize(e: PrimitiveIdempotent, M: ModuleType, precision=None) -> ExplicitMo
         Wm = _mat_pow(W, m_prime, ring_orders)
         pi_mat = [[(int(i == j) - Wm[i][j]) % mod for j in range(D)] for i in range(D)]
 
+    ring = ExplicitModule(p, ring_orders, G, gen_mats, check=False)
     summands = []
     for L in lam:
         piL = _mat_pow(pi_mat, L, ring_orders)
-        cols = [[piL[i][j] for i in range(D)] for j in range(D)]
-        orders_q, proj, lift = linalg.quotient_structure([mod] * D, cols)
-        actions = []
-        for Am in gen_mats:
-            big = linalg.mat_mul(proj, linalg.mat_mul(Am, lift))
-            actions.append([[x % o for x in row] for row, o in zip(big, orders_q)])
-        summands.append(ExplicitModule(p, orders_q, G, actions))
+        summands.append(module_quotient(ring, zip(*piL))[0])
     out = summands[0]
     for s in summands[1:]:
         out = direct_sum(out, s)
@@ -323,9 +322,7 @@ def uniformizer_matrix(M: ExplicitModule, e: PrimitiveIdempotent):
             gen = g
             break
     assert gen is not None
-    gstar = e.group.scalar_mul(e.m_prime, gen)
-    A = M.action_of(gstar)
-    return [[(int(i == j) - A[i][j]) % M.orders[i] for j in range(k)] for i in range(k)]
+    return M.endo_one_minus(e.group.scalar_mul(e.m_prime, gen))
 
 
 def subgroup_size(orders, gens):
@@ -363,8 +360,7 @@ def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
         assert cur * ratio == prev
         conj.append(int_log(ratio, Q))
     assert all(a >= b for a, b in zip(conj, conj[1:])), "filtration not decreasing"
-    parts = tuple(sum(1 for c in conj if c >= j) for j in range(1, conj[0] + 1)) if conj else ()
-    return ModuleType(Q, parts)
+    return ModuleType(Q, ModuleType(Q, conj).conjugate())
 
 
 def residue_rank(M: ExplicitModule, e: PrimitiveIdempotent) -> int:
@@ -412,22 +408,7 @@ def gamma_orbit_count_on_quotient(H: ExplicitModule, num, den):
         return min(H.add(x, d) for d in den)
 
     cosets = {coset_key(x) for x in num}
-    seen = set()
-    orbits = 0
-    for c in cosets:
-        if c in seen:
-            continue
-        orbits += 1
-        frontier = [c]
-        seen.add(c)
-        while frontier:
-            x = frontier.pop()
-            for A in H.actions:
-                y = coset_key(_mat_apply(A, x, H.orders))
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return orbits
+    return len(orbits(cosets, lambda x: [coset_key(_mat_apply(A, x, H.orders)) for A in H.actions]))
 
 
 # ---------------------------------------------------------------------------
@@ -492,32 +473,11 @@ def gamma_submodules(H: ExplicitModule, inside=None):
     """All Γ-stable subgroups of H (optionally contained in `inside`)."""
     universe = frozenset(H.elements()) if inside is None else frozenset(inside)
 
-    def close(gens):
-        seen = {H.zero()}
-        frontier = [H.zero()]
-        while frontier:
-            x = frontier.pop()
-            nxt = [H.add(x, g) for g in gens]
-            nxt += [_mat_apply(A, x, H.orders) for A in H.actions]
-            for y in nxt:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
+    def span(gens):
+        return closure([H.zero()], lambda x: [H.add(x, g) for g in gens]
+                       + [_mat_apply(A, x, H.orders) for A in H.actions])
 
-    trivial = frozenset({H.zero()})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        S = frontier.pop()
-        for x in universe:
-            if x in S:
-                continue
-            S2 = close(list(S) + [x])
-            if S2 <= universe and S2 not in found:
-                found.add(S2)
-                frontier.append(S2)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    return subgroup_lattice(universe, H.zero(), span)
 
 
 # ---------------------------------------------------------------------------
@@ -598,42 +558,37 @@ class ExplicitGroup:
         return self.mul(self.mul(g, x), self.inv(g))
 
 
-def conjugacy_stats(G: ExplicitGroup, gamma):
-    """(|c_γ|, d_γ): elements over γ with the same order as γ, and the
-    number of conjugacy classes among them.
+def _order_coset(G: ExplicitGroup, gamma):
+    """c_γ: the elements (h, γ) of G with the same order as γ.
 
     (h, γ)^{|γ|} = (N_γ·h + c, 1) with N_γ the norm and c = (0, γ)^{|γ|},
-    so c_γ is the coset {h : N_γ·h = −c} of ker N_γ.  Classes are orbit
-    closures under conjugation by a generating set (basis vectors of H
-    plus lifts of the Γ-generators), which agree with conjugacy under the
-    full group.
+    so c_γ is the coset {h : N_γ·h = −c} of ker N_γ.
     """
     H = G.H
     norm = H.endo_norm(gamma)
     target = H.neg(G.power((H.zero(), gamma), G.G.element_order(gamma))[0])
-    c = {(h, gamma) for h in H.elements() if _mat_apply(norm, h, H.orders) == target}
+    return {(h, gamma) for h in H.elements() if _mat_apply(norm, h, H.orders) == target}
+
+
+def conjugacy_stats(G: ExplicitGroup, gamma):
+    """(|c_γ|, d_γ): elements over γ with the same order as γ, and the
+    number of conjugacy classes among them.
+
+    c_γ comes from `_order_coset`, which `splitting_count` shares.
+    Classes are orbit closures under conjugation by a generating set
+    (basis vectors of H plus lifts of the Γ-generators), which agree with
+    conjugacy under the full group.
+    """
+    H = G.H
+    c = _order_coset(G, gamma)
     k = len(H.orders)
     gens = [(tuple(1 if t == i else 0 for t in range(k)), G.G.identity()) for i in range(k)]
     gens += [(H.zero(), tuple(1 if t == i else 0 for t in range(G.G.rank)))
              for i in range(G.G.rank)]
     pairs = [(g, G.inv(g)) for g in gens]
-    seen = set()
-    classes = 0
-    for x in sorted(c):
-        if x in seen:
-            continue
-        classes += 1
-        frontier = [x]
-        seen.add(x)
-        while frontier:
-            y = frontier.pop()
-            for g, ginv in pairs:
-                z = G.mul(G.mul(g, y), ginv)
-                if z not in seen:
-                    assert z in c
-                    seen.add(z)
-                    frontier.append(z)
-    return len(c), classes
+    classes = orbits(sorted(c), lambda y: [G.mul(G.mul(g, y), ginv) for g, ginv in pairs])
+    assert all(cl <= c for cl in classes), "a conjugacy class leaves c_γ"
+    return len(c), len(classes)
 
 
 def enumerate_extensions(Gamma: FiniteAbelianGroup, H: ExplicitModule, refine=True):
@@ -781,24 +736,12 @@ def enumerate_extensions(Gamma: FiniteAbelianGroup, H: ExplicitModule, refine=Tr
         acts = {tuple(class_of({ab: _mat_apply(T, h, H.orders) for ab, h in coc.items()})
                       for coc in basis)
                 for T in automorphism_generators(H)}
-        seen = set()
-        reps = []
-        for z in classes:
-            if z in seen:
-                continue
-            orbit = {z}
-            frontier = [z]
-            while frontier:
-                x = frontier.pop()
-                for images in acts:
-                    y = tuple(sum(im[s] * xt for im, xt in zip(images, x)) % o
-                              for s, o in enumerate(h2_orders))
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            seen |= orbit
-            reps.append(min(orbit))
-        classes = reps
+        def step(x):
+            return [tuple(sum(im[s] * xt for im, xt in zip(images, x)) % o
+                          for s, o in enumerate(h2_orders))
+                    for images in acts]
+
+        classes = [min(orbit) for orbit in orbits(classes, step)]
     out = [ExplicitGroup(H, rep_of(z)) for z in classes]
     z = H.zero()
     out.sort(key=lambda G: any(v != z for v in G.cocycle.values()))
@@ -849,16 +792,9 @@ def automorphism_generators(H: ExplicitModule):
         ks = len(S.orders)
         zero = ((0,) * ks,) * ks
         mats = [S.action_of(g) for g in S.group.elements()]
-        span = {zero}
-        frontier = [zero]
-        while frontier:
-            T = frontier.pop()
-            for A in mats:
-                U = tuple(tuple((t + x) % o for t, x in zip(rt, ra))
-                          for rt, ra, o in zip(T, A, S.orders))
-                if U not in span:
-                    span.add(U)
-                    frontier.append(U)
+        span = closure([zero], lambda T: [tuple(tuple((t + x) % o for t, x in zip(rt, ra))
+                                                for rt, ra, o in zip(T, A, S.orders))
+                                          for A in mats])
         gens += [embed(i, i, U) for U in span if _rank_mod_p(U, H.p) == ks]
     for (i, Si), (j, Sj) in itertools.permutations(enumerate(parts), 2):
         for phi in _equivariant_matrices(Sj, Si, _hom_candidate_columns(Sj, Si)):
@@ -892,20 +828,18 @@ def _rank_mod_p(rows, p):
 
 
 def splitting_count(G: ExplicitGroup) -> int:
-    """Number of homomorphic sections Γ → G (0 iff the extension is nonsplit)."""
-    Gamma = G.G
-    d = Gamma.rank
-    if d == 0:
-        return 1
+    """Number of homomorphic sections Γ → G (0 iff the extension is nonsplit).
+
+    A section sends the basis element e_i of order d_i to a lift s_i with
+    s_i^{d_i} = 1, that is to an element of the coset c_{e_i} of
+    `_order_coset` (shared with `conjugacy_stats`), and the lifts must
+    commute pairwise.
+    """
+    d = G.G.rank
     basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    fibers = [[(h, b) for h in G.H.elements()] for b in basis]
-    count = 0
-    for lifts in itertools.product(*fibers):
-        ok = all(G.power(s, di) == G.identity()
-                 for s, di in zip(lifts, Gamma.invariant_factors))
-        if ok and all(G.mul(a, b) == G.mul(b, a) for a, b in itertools.combinations(lifts, 2)):
-            count += 1
-    return count
+    cosets = [_order_coset(G, b) for b in basis]
+    return sum(all(G.mul(a, b) == G.mul(b, a) for a, b in itertools.combinations(lifts, 2))
+               for lifts in itertools.product(*cosets))
 
 
 def aut_extension_count(H: ExplicitModule, Gamma: FiniteAbelianGroup, basis=None) -> int:
@@ -1081,8 +1015,10 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     """
     N1, N2 = pi1.src, pi2.src
     N3 = pi1.dst
-    assert pi2.dst is N3 or (pi2.dst.orders == N3.orders and pi2.dst.actions == N3.actions)
-    assert pi1.is_surjective() and pi2.is_surjective()
+    if not (pi2.dst is N3 or (pi2.dst.orders == N3.orders and pi2.dst.actions == N3.actions)):
+        raise ValueError("π₂ does not map to the target of π₁")
+    if not (pi1.is_surjective() and pi2.is_surjective()):
+        raise ValueError("π₁ and π₂ must be surjective")
     r3 = residue_rank(N3, e)
     if not (residue_rank(N1, e) == residue_rank(N2, e) == r3):
         raise ValueError("equal-rank hypothesis violated")

@@ -4,22 +4,28 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dvrstat import oracle
 from dvrstat.abelian import (
     FiniteAbelianGroup,
     abelian_groups_of_order,
+    closure,
     crt,
     factorize,
     frobenius_orbits,
     galois_exponents,
     int_log,
     mult_order,
+    orbits,
     parse_group,
     prime_power_split,
     serialize_group,
     small_abelian_groups,
+    subgroup_lattice,
     val_p,
     wedge_square_p_part,
 )
+from dvrstat.dvrmod import ModuleType
+from dvrstat.idempotents import enumerate_idempotents
 
 small_orders = st.lists(st.integers(min_value=1, max_value=12), min_size=0, max_size=3)
 
@@ -179,3 +185,51 @@ def test_group_counts_by_order():
 def test_serialization_round_trip():
     for G in small_abelian_groups(20):
         assert parse_group(serialize_group(G)) == G
+
+
+def test_closure_and_orbits_hand_counts():
+    assert closure([0], lambda x: [(x + 4) % 12]) == {0, 4, 8}
+    assert closure([1, 2], lambda x: [(x + 4) % 12]) == {1, 2, 5, 6, 9, 10}
+    # Z/12 under x -> x + 4: four orbits of size 3, listed by first member
+    assert [sorted(o) for o in orbits(range(12), lambda x: [(x + 4) % 12])] == [
+        [0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7, 11]]
+    # under x -> 5x the orbits have size 1 or 2
+    assert [sorted(o) for o in orbits(range(12), lambda x: [5 * x % 12])] == [
+        [0], [1, 5], [2, 10], [3], [4, 8], [6], [7, 11], [9]]
+    assert [min(o) for o in orbits(reversed(range(12)), lambda x: [(x + 4) % 12])] == [3, 2, 1, 0]
+
+
+def _closed_subsets(elems, add, zero, maps=()):
+    """Every subset containing zero and closed under add and each map,
+    by brute force over all 2^|elems| subsets."""
+    out = []
+    for mask in range(1 << len(elems)):
+        S = frozenset(x for i, x in enumerate(elems) if mask >> i & 1)
+        if (zero in S and all(add(x, y) in S for x in S for y in S)
+                and all(f(x) in S for f in maps for x in S)):
+            out.append(S)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def test_subgroup_lattice_matches_brute_force():
+    for G in small_abelian_groups(8):
+        lattice = subgroup_lattice(G.elements(), G.identity(), G.subgroup_generated)
+        assert lattice == _closed_subsets(list(G.elements()), G.add, G.identity())
+        assert G.subgroups() == lattice
+
+
+def test_gamma_submodules_match_brute_force():
+    z2 = enumerate_idempotents(FiniteAbelianGroup((2,)), 2)  # trivial, sign
+    z3 = enumerate_idempotents(FiniteAbelianGroup((3,)), 2)  # trivial (Q = 2), F4 (Q = 4)
+    sign = next(e for e in z2 if not e.is_trivial)
+    mods = [oracle.realize(sign, ModuleType(2, (2, 1))),
+            oracle.direct_sum(oracle.realize(z3[0], ModuleType(2, (1,))),
+                              oracle.realize(z3[1], ModuleType(4, (1,))))]
+    for H in mods:
+        assert H.size == 8
+        maps = [lambda x, g=g: H.act(g, x) for g in H.group.elements()]
+        brute = _closed_subsets(list(H.elements()), H.add, H.zero(), maps)
+        subs = oracle.gamma_submodules(H)
+        assert isinstance(subs, list) and subs == brute
+        inside = brute[-2]
+        assert oracle.gamma_submodules(H, inside) == [S for S in brute if S <= inside]

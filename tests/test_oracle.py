@@ -242,6 +242,19 @@ def test_mismatched_inputs_raise_value_error():
     f4 = next(e for e in _idems((3,), 2) if not e.is_trivial)
     with pytest.raises(ValueError, match="type has Q = 2 but the idempotent has Q = 4"):
         oracle.realize(f4, ModuleType(2, (1,)))
+    with pytest.raises(ValueError, match="precision 2 is below"):
+        oracle.realize(e, ModuleType(2, (3,)), precision=2)
+    G2 = FiniteAbelianGroup((2,))
+    with pytest.raises(ValueError, match="p = 2 and p = 3"):
+        oracle.direct_sum(H, oracle.ExplicitModule(3, (3,), G2, [[[1]]]))
+    with pytest.raises(ValueError, match="different groups"):
+        oracle.direct_sum(H, oracle.ExplicitModule(2, (2,), FiniteAbelianGroup((4,)), [[[1]]]))
+    N1 = oracle.realize(e, ModuleType(2, (2,)))
+    pi = oracle.ModuleHom(N1, H, ((1,),))
+    with pytest.raises(ValueError, match="does not map to the target"):
+        oracle.fiber_tools(e, pi, oracle.ModuleHom(H, N1, ((2,),)))
+    with pytest.raises(ValueError, match="must be surjective"):
+        oracle.fiber_tools(e, pi, oracle.ModuleHom(N1, H, ((0,),)))
 
 
 # small modules with mixed orders and nontrivial actions, per Γ (p = 2)
