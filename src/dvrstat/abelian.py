@@ -228,7 +228,7 @@ def _subgroups_cached(invariant_factors):
     G = FiniteAbelianGroup(invariant_factors)
     if G.order > SUBGROUP_ENUM_CAP:
         raise ValueError(f"subgroup enumeration capped at order {SUBGROUP_ENUM_CAP}")
-    return subgroup_lattice(G.elements(), G.identity(), G.subgroup_generated)
+    return subgroup_lattice(G.elements(), G.identity(), G.subgroup_generated, G.add)
 
 
 # -- graph searches ------------------------------------------------------------
@@ -262,20 +262,29 @@ def orbits(items, step):
     return out
 
 
-def subgroup_lattice(universe, zero, span):
+def subgroup_lattice(universe, zero, span, add):
     """Every subgroup span(gens) inside `universe`, gens drawn from it,
     sorted by (size, elements).  span(gens) is the subgroup that gens
-    generate; each subgroup is reached by adding one generator at a
-    time to a smaller one, starting from {zero}."""
+    generate and add is the group law.  Each subgroup T is reached from
+    a smaller one S, starting from {zero}, as span([*gens(S), x]) with
+    gens(S) the generators S was first reached with; that span depends
+    only on the coset x + S, so one x per coset is tried."""
     universe = frozenset(universe)
+    start = frozenset({zero})
+    gens = {start: []}
 
     def step(S):
-        for x in universe - S:
-            T = span([*S, x])
+        done = set(S)
+        for x in universe:
+            if x in done:
+                continue
+            done.update(add(x, s) for s in S)
+            T = span([*gens[S], x])
             if T <= universe:
+                gens.setdefault(T, [*gens[S], x])
                 yield T
 
-    return sorted(closure([frozenset({zero})], step), key=lambda s: (len(s), sorted(s)))
+    return sorted(closure([start], step), key=lambda s: (len(s), sorted(s)))
 
 
 def galois_exponents(E, p):

@@ -35,7 +35,8 @@ class MeasureContext:
 
     def __post_init__(self):
         prime_power_split(self.Q)
-        assert self.trunc >= 2
+        if self.trunc < 2:
+            raise ValueError(f"truncation index {self.trunc} must be >= 2")
 
     def z_bracket(self):
         """(lower, upper) rational bracket for Z(Q).

@@ -477,7 +477,7 @@ def gamma_submodules(H: ExplicitModule, inside=None):
         return closure([H.zero()], lambda x: [H.add(x, g) for g in gens]
                        + [_mat_apply(A, x, H.orders) for A in H.actions])
 
-    return subgroup_lattice(universe, H.zero(), span)
+    return subgroup_lattice(universe, H.zero(), span, H.add)
 
 
 # ---------------------------------------------------------------------------

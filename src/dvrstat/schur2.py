@@ -141,7 +141,8 @@ def w_map(cover: NilClass2Cover, q, m_vec):
     """W_{q⁻¹} of a lattice vector (coordinates aligned with class_reps):
     Σ_a m_a · t(q) · square_of_lift(a), in the cover kernel."""
     reps = class_reps(cover)
-    assert len(m_vec) == len(reps)
+    if len(m_vec) != len(reps):
+        raise ValueError(f"lattice vector has {len(m_vec)} coordinates, expected {len(reps)}")
     t = t_exponent(cover, q)
     acc = cover.kernel_zero()
     for m_a, a in zip(m_vec, reps):
@@ -166,7 +167,11 @@ def nr_pow(cover: NilClass2Cover, q, a):
 
 def lattice_kernel_vectors(cover: NilClass2Cover, n):
     """All m̲ ≥ 0 over H/2H with Σ m_a = n, Σ m_a ≡ 0 (mod 2), and
-    Σ m_a·a ≡ 0 in H/2H."""
+    Σ m_a·a ≡ 0 in H/2H.
+
+    The reference sweep: it lists every vector, so it is only for small
+    n and r.  w_image_multiset and b_exact count the same vectors by
+    dynamic programming, and tests compare the two."""
     out = []
     if n % 2 == 0:
         _extend_kernel_vectors(class_reps(cover), 0, n, (0,) * cover.r, [], out)
@@ -216,13 +221,11 @@ def _check_n(n):
 
 
 def b_exact(ds, q, n):
-    """Σ over lattice-kernel vectors m̲ of nr_{q-1}(W_{q⁻¹}(m̲))."""
-    _check_n(n)
+    """Σ over lattice-kernel vectors m̲ of nr_{q-1}(W_{q⁻¹}(m̲)), taken
+    over the fibers of W: Σ_w #W⁻¹(w)·nr_{q-1}(w)."""
+    fibers = w_image_multiset(ds, q, n)
     cover = NilClass2Cover(ds)
-    total = 0
-    for m_vec in lattice_kernel_vectors(cover, n):
-        total += nr_pow(cover, q, w_map(cover, q, m_vec))
-    return total
+    return sum(cnt * nr_pow(cover, q, w) for w, cnt in fibers.items())
 
 
 def b_closed(ds, v, n):
@@ -239,14 +242,35 @@ def b_closed(ds, v, n):
 
 def w_image_multiset(ds, q, n):
     """Fiber sizes of m̲ ↦ W_{q⁻¹}(m̲) over the lattice kernel: a dict
-    kernel element -> count."""
+    kernel element -> count, by dynamic programming over the class reps.
+
+    The state after the first k reps a is (Σ m_a, Σ m_a·a in H/2H,
+    Σ m_a·t(q)·square_of_lift(a) in the cover kernel) -> number of
+    prefixes (m_a) reaching it; the states with Σ m_a = n and residue 0
+    after the last rep are the fibers of W.  The last rep takes the
+    remainder n - Σ m_a, so only those states are built for it."""
     _check_n(n)
+    if n % 2:
+        return {}
     cover = NilClass2Cover(ds)
-    fibers = {}
-    for m_vec in lattice_kernel_vectors(cover, n):
-        w = w_map(cover, q, m_vec)
-        fibers[w] = fibers.get(w, 0) + 1
-    return fibers
+    reps = class_reps(cover)
+    t = t_exponent(cover, q)
+    zero = (0,) * cover.r
+    dp = {(0, zero, cover.kernel_zero()): 1}
+    for k, a in enumerate(reps):
+        step = cover.kernel_smul(t, cover.square_of_lift(a))
+        last = k == len(reps) - 1
+        nxt = {}
+        for (s, res, w), cnt in dp.items():
+            odd = tuple(x ^ y for x, y in zip(res, a))
+            m_lo = n - s if last else 0
+            w_m = cover.kernel_add(w, cover.kernel_smul(m_lo, step))
+            for m_a in range(m_lo, n - s + 1):
+                key = (s + m_a, odd if m_a % 2 else res, w_m)
+                nxt[key] = nxt.get(key, 0) + cnt
+                w_m = cover.kernel_add(w_m, step)
+        dp = nxt
+    return {w: cnt for (s, res, w), cnt in dp.items() if res == zero}
 
 
 def scaled_kernel(ds, v):

@@ -213,9 +213,27 @@ def _closed_subsets(elems, add, zero, maps=()):
 
 def test_subgroup_lattice_matches_brute_force():
     for G in small_abelian_groups(8):
-        lattice = subgroup_lattice(G.elements(), G.identity(), G.subgroup_generated)
+        lattice = subgroup_lattice(G.elements(), G.identity(), G.subgroup_generated, G.add)
         assert lattice == _closed_subsets(list(G.elements()), G.add, G.identity())
         assert G.subgroups() == lattice
+
+
+def _lattice_by_full_span(elems, add, zero, maps=(lambda x: x,)):
+    """Reference walk: every subgroup S steps to S + the additive span of
+    {f(x) : f in maps} for each x outside S.  maps must be the actions of
+    all elements of a group, so this is the submodule S and x generate."""
+    def step(S):
+        for x in set(elems) - S:
+            images = {f(x) for f in maps}
+            yield closure(S, lambda y: [add(y, z) for z in images])
+
+    return sorted(closure([frozenset({zero})], step), key=lambda s: (len(s), sorted(s)))
+
+
+def test_subgroups_match_full_span_walk():
+    for facs in [(2, 4, 8), (2, 2, 2, 2), (8, 8), (3, 9)]:
+        G = FiniteAbelianGroup(facs)
+        assert G.subgroups() == _lattice_by_full_span(list(G.elements()), G.add, G.identity())
 
 
 def test_gamma_submodules_match_brute_force():
@@ -233,3 +251,9 @@ def test_gamma_submodules_match_brute_force():
         assert isinstance(subs, list) and subs == brute
         inside = brute[-2]
         assert oracle.gamma_submodules(H, inside) == [S for S in brute if S <= inside]
+    # order 32, too large for the subset sweep: Z/3 acting on F4 ⊕ (Z/4 ⊕ Z/2)
+    H = oracle.direct_sum(oracle.realize(z3[0], ModuleType(2, (2, 1))),
+                          oracle.realize(z3[1], ModuleType(4, (1,))))
+    maps = [lambda x, g=g: H.act(g, x) for g in H.group.elements()]
+    assert H.size == 32
+    assert oracle.gamma_submodules(H) == _lattice_by_full_span(list(H.elements()), H.add, H.zero(), maps)

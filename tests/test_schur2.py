@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,32 @@ def test_closed_form_departs_at_v1_with_nontrivial_kernel():
     assert schur2.b_closed((2, 2), 1, 4) == 11
     # at v >= 2 the map is identically zero on the kernel, so exact
     assert schur2.b_exact((2, 2), 5, 4) == schur2.b_closed((2, 2), 2, 4) == 22
+
+
+SWEEP_COVERS = [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 4), (3, 1),
+                (2, 2, 2), (4, 2, 2), (4, 4, 2), (3, 2, 1)]
+
+
+def test_dynamic_program_matches_vector_sweep():
+    # every q from v = 1 to v = 4, so the v = 1 deviations (2,2) and (3,2)
+    # at q = 3 are among the cases
+    for ds in SWEEP_COVERS:
+        cover = NilClass2Cover(ds)
+        for n in range(11 if len(ds) < 3 else 9):
+            vecs = schur2.lattice_kernel_vectors(cover, n)
+            for q in (3, 5, 7, 9, 11, 13, 17):
+                ws = [schur2.w_map(cover, q, m_vec) for m_vec in vecs]
+                assert schur2.w_image_multiset(ds, q, n) == dict(Counter(ws))
+                assert schur2.b_exact(ds, q, n) == sum(schur2.nr_pow(cover, q, w) for w in ws)
+    for ds in ((2, 2), (3, 2)):
+        assert schur2.b_exact(ds, 3, 6) != schur2.b_closed(ds, 1, 6)
+
+
+def test_w_map_rejects_wrong_length():
+    cover = NilClass2Cover((2, 2))
+    assert schur2.w_map(cover, 3, (1, 1, 1, 1)) == (1,)
+    with pytest.raises(ValueError, match="expected 4"):
+        schur2.w_map(cover, 3, (1, 1, 1))
 
 
 def test_w_image_law():
