@@ -313,10 +313,8 @@ def suite_groups():
         H = oracle.realize(e_sgn, ModuleType(2, lam))
         g = (1,)
         ab = oracle.ab_sets(H, g)
-        q1, _ = oracle.module_quotient(
-            oracle.module_from_subgroup(H, ab.a_minus)[0],
-            {oracle.module_from_subgroup(H, ab.a_minus)[1](x) for x in ab.b_minus},
-        )
+        a_minus, coords_of, _ = oracle.module_from_subgroup(H, ab.a_minus)
+        q1, _ = oracle.module_quotient(a_minus, {coords_of(x) for x in ab.b_minus})
         a0, _, _ = oracle.module_from_subgroup(H, ab.a_zero)
         bsum = oracle.subgroup_sum(H, ab.b_minus, ab.b_plus)
         q2, _ = oracle.module_quotient(H, bsum)

@@ -196,7 +196,8 @@ def lattice_quotient(dim, cols):
     orders, keep = [], []
     for t in range(dim):
         d = D[t][t] if t < len(cols) else 0
-        assert d != 0, "lattice not of full rank"
+        if d == 0:
+            raise ValueError("lattice not of full rank")
         if d > 1:
             orders.append(d)
             keep.append(t)

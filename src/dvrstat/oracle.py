@@ -76,20 +76,25 @@ class ExplicitModule:
     def _validate(self):
         k = len(self.orders)
         for o, a in zip(self.orders, self.alphas):
-            assert o == self.p**a and o >= 2, "orders must be powers of p"
-        assert len(self.actions) == self.group.rank
+            if not (o == self.p**a and o >= 2):
+                raise ValueError(f"orders must be powers of p = {self.p}, got {o}")
+        if len(self.actions) != self.group.rank:
+            raise ValueError(f"{len(self.actions)} action matrices for {self.group.rank} generators of Γ")
         for A in self.actions:
-            assert len(A) == k and all(len(r) == k for r in A)
+            if not (len(A) == k and all(len(r) == k for r in A)):
+                raise ValueError(f"action matrices must be square of size {k}")
             for i in range(k):
                 for j in range(k):
                     need = self.p ** max(self.alphas[i] - self.alphas[j], 0)
-                    assert A[i][j] % need == 0, "action matrix not well defined"
+                    if A[i][j] % need:
+                        raise ValueError(f"action matrix not well defined: entry ({i}, {j}) "
+                                         f"is not divisible by {need}")
         for A, d in zip(self.actions, self.group.invariant_factors):
-            assert _mat_eq(_mat_pow(A, d, self.orders), linalg.identity_matrix(k), self.orders), (
-                "action order does not divide the generator order"
-            )
+            if not _mat_eq(_mat_pow(A, d, self.orders), linalg.identity_matrix(k), self.orders):
+                raise ValueError(f"action order does not divide the generator order {d}")
         for A, B in itertools.combinations(self.actions, 2):
-            assert _mat_eq(_mat_mat(A, B, self.orders), _mat_mat(B, A, self.orders), self.orders)
+            if not _mat_eq(_mat_mat(A, B, self.orders), _mat_mat(B, A, self.orders), self.orders):
+                raise ValueError("action matrices do not commute")
 
     @property
     def size(self):
@@ -415,7 +420,11 @@ def gamma_orbit_count_on_quotient(H: ExplicitModule, num, den):
 # submodules and quotients as modules in their own right
 
 def module_from_subgroup(H: ExplicitModule, subset):
-    """The Γ-stable subgroup `subset` of H as an ExplicitModule.
+    """The Γ-stable subgroup generated by `subset` as an ExplicitModule.
+
+    `subset` may be the whole subgroup or any generating set of it; the
+    SNFs here are sized by the number of generators, so a small
+    generating set is much cheaper than all the elements.
 
     Returns (module, coords_of, gens_ambient): coords_of maps an ambient
     element of the subgroup to its coordinates in the new module.
@@ -438,7 +447,8 @@ def module_from_subgroup(H: ExplicitModule, subset):
 
     def coords_of(x):
         w = linalg.solve_congruence(Gmat, list(x), list(H.orders))
-        assert w is not None, "element not in the subgroup"
+        if w is None:
+            raise ValueError(f"element {tuple(x)} not in the subgroup")
         return tuple(sum(proj_s[t][j] * w[j] for j in range(g)) % orders_s[t] for t in range(len(orders_s)))
 
     actions = []
@@ -991,23 +1001,36 @@ class FiberResult:
     boxtimes: ExplicitModule
 
 
+def _fiber_generators(f: ModuleHom, g: ModuleHom):
+    """(D, gens): D = src(f) ⊕ src(g) and a generating set of at most
+    rank(D) elements of the fiber {(x, y) : f(x) = g(y)} ⊆ D.
+
+    The fiber is the kernel of h = (f, −g): D → Z.  The integer kernel
+    of [f | −g | diag(Z.orders)] projects onto the lattice of lifts w
+    with h(w) ≡ 0; that lattice contains o_j·e_j for each order o_j of D
+    (h is well defined), so its basis, reduced mod D, generates the fiber.
+    """
+    Z = f.dst
+    D = direct_sum(f.src, g.src)
+    kd, kz = len(D.orders), len(Z.orders)
+    big = [list(rf) + [-c for c in rg] + [o if i == j else 0 for j in range(kz)]
+           for i, (rf, rg, o) in enumerate(zip(f.matrix, g.matrix, Z.orders))]
+    gens = {tuple(c % o for c, o in zip(col, D.orders))
+            for col in linalg.integer_kernel(big, kz, kd + kz)}
+    return D, gens
+
+
 def _fiber_submodule(f: ModuleHom, g: ModuleHom):
     """{(x, y) : f(x) = g(y)} inside src(f) ⊕ src(g) as a module."""
-    X, Y = f.src, g.src
-    D = direct_sum(X, Y)
-    subset = set()
-    for x in X.elements():
-        fx = f.apply(x)
-        for y in Y.elements():
-            if g.apply(y) == fx:
-                subset.add(tuple(x) + tuple(y))
-    sub, _, _ = module_from_subgroup(D, subset)
+    sub, _, _ = module_from_subgroup(*_fiber_generators(f, g))
     return sub
 
 
 def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> FiberResult:
     """Maximal common quotient of π₁, π₂, the fiber product over their
     common target, and the fiber product over the maximal common quotient.
+    Each fiber product of f: X → Z and g: Y → Z is the kernel of (f, −g)
+    on X ⊕ Y, found by one integer linear system, not by a sweep of X × Y.
 
     For each Γ-submodule U ⊆ ker π₂ the map N₁ → N₂/U is ψ, the first
     surjective lift of π₁ in `enumerate_module_homs` order; the search

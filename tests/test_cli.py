@@ -249,6 +249,18 @@ def test_invalid_group_exit_2_under_optimize():
     assert msg.startswith("error: ") and len(msg) > len("error: ")
 
 
+def test_module_validation_survives_optimize():
+    # an action matrix whose entry (0, 1) is not divisible by 2 must be
+    # rejected under -O too
+    res = run_python("-O", "-c", "from dvrstat import oracle; from dvrstat.abelian import FiniteAbelianGroup\n"
+                     "try:\n"
+                     "    oracle.ExplicitModule(2, (4, 2), FiniteAbelianGroup((2,)), [[[1, 1], [0, 1]]])\n"
+                     "except ValueError as exc:\n"
+                     "    print('ValueError:', exc)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("ValueError: action matrix not well defined")
+
+
 def test_ext_does_not_import_sympy():
     # Γ = Z/3 at p = 5: residue degree 2, so realize builds an unramified factor
     res = run_python("-c", "import io, sys; from dvrstat import cli; "

@@ -1,7 +1,10 @@
 import itertools as it
 
+import pytest
+
 from dvrstat.linalg import (
     hensel_lift_factor,
+    lattice_quotient,
     poly_add_scaled,
     poly_divmod,
     poly_ext_gcd_modp,
@@ -33,3 +36,10 @@ def test_hensel_lift_factor_odd_p():
     assert poly_mul(U, V, 125) == [1, 0, 1]
     assert [x % 5 for x in U] == [2, 1] and U[-1] == V[-1] == 1
     assert (U[0] ** 2 + 1) % 125 == 0
+
+
+def test_lattice_quotient_rejects_infinite_quotient():
+    assert lattice_quotient(2, [[2, 0], [0, 3]])[0] == [6]
+    # one column spans a rank-one lattice in Z^2: the quotient is infinite
+    with pytest.raises(ValueError, match="lattice not of full rank"):
+        lattice_quotient(2, [[1, 0]])

@@ -1,11 +1,13 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
-from dvrstat.abelian import FiniteAbelianGroup, mult_order
+from dvrstat.abelian import FiniteAbelianGroup, closure, mult_order
 from dvrstat.dvrmod import ModuleType, aut_count, hom_count, partitions_of, sur_count
 from dvrstat import linalg, oracle
 
@@ -212,11 +214,135 @@ def test_fiber_tools_rank_law_spot():
     assert res.to_common_1.matrix == _first_surjective_lift(res, pi1, pi2)
 
 
+def _fiber_sweep(f, g):
+    """Slow reference: {(x, y) : f(x) = g(y)} by a sweep of src(f) × src(g)."""
+    return frozenset(tuple(x) + tuple(y) for x in f.src.elements() for y in g.src.elements()
+                     if f.apply(x) == g.apply(y))
+
+
+def _span(D, gens):
+    return closure([D.zero()], lambda x: [D.add(x, v) for v in gens])
+
+
+def _assert_fiber_matches_sweep(f, g, e, got=None):
+    """The kernel generators span exactly the swept fiber, and the module
+    built from them has the size and type of the one built from the sweep."""
+    D, gens = oracle._fiber_generators(f, g)
+    ref = _fiber_sweep(f, g)
+    assert len(gens) <= len(D.orders)
+    assert _span(D, gens) == ref
+    swept, _, _ = oracle.module_from_subgroup(D, ref)
+    got = oracle._fiber_submodule(f, g) if got is None else got
+    assert got.size == swept.size == len(ref)
+    assert oracle.iso_type(got, e) == oracle.iso_type(swept, e)
+
+
+def test_fiber_products_match_sweep_on_catalog_shapes():
+    # every criterion-9 fiber shape of the benchmark pool, on the pairs
+    # its requests run: the first 2 x 2 surjections onto N3
+    pool = json.loads((Path(__file__).resolve().parents[1] / "dvrbench" / "catalog.json").read_text())["pool"]
+    shapes = [e for kind, e in pool if kind == "fiber"]
+    assert {ei for ei, *_ in shapes} == {0, 1}
+    idems = _idems((2,), 2)
+    for ei, l1, l2, l3 in shapes:
+        e = idems[ei]
+        N1, N2, N3 = (oracle.realize(e, ModuleType(2, tuple(lam))) for lam in (l1, l2, l3))
+        surs1 = [f for f in oracle.enumerate_module_homs(N1, N3) if f.is_surjective()]
+        surs2 = [f for f in oracle.enumerate_module_homs(N2, N3) if f.is_surjective()]
+        for pi1 in surs1[:2]:
+            for pi2 in surs2[:2]:
+                res = oracle.fiber_tools(e, pi1, pi2)
+                _assert_fiber_matches_sweep(pi1, pi2, e, res.fiber_product)
+                _assert_fiber_matches_sweep(res.to_common_1, res.to_common_2, e, res.boxtimes)
+
+
+def test_fiber_over_zero_target_is_the_direct_sum():
+    e = next(e for e in _idems((2,), 2) if not e.is_trivial)
+    X = oracle.realize(e, ModuleType(2, (2, 1)))
+    Y = oracle.realize(e, ModuleType(2, (1,)))
+    Z = oracle.zero_module(2, X.group)
+    f, g = oracle.ModuleHom(X, Z, ()), oracle.ModuleHom(Y, Z, ())
+    _assert_fiber_matches_sweep(f, g, e)
+    assert oracle._fiber_submodule(f, g).size == X.size * Y.size
+
+
+def test_fiber_submodule_enumerates_no_element(monkeypatch):
+    # X ⊕ Y has 2^18 elements, past MODULE_ENUM_CAP: no sweep could run
+    e = next(e for e in _idems((2,), 2) if e.is_trivial)
+    X = oracle.realize(e, ModuleType(2, (3, 3, 3)))
+    Z = oracle.realize(e, ModuleType(2, (1, 1, 1)))
+    f = oracle.ModuleHom(X, Z, tuple(map(tuple, linalg.identity_matrix(3))))
+
+    def refuse(self):
+        raise AssertionError("elements() called")
+
+    monkeypatch.setattr(oracle.ExplicitModule, "elements", refuse)
+    fiber = oracle._fiber_submodule(f, f)
+    assert fiber.size == 2**15
+    assert oracle.iso_type(fiber, e).parts == (3, 3, 3, 2, 2, 2)
+
+
+def test_fiber_under_sign_idempotent_with_nontrivial_action():
+    e = next(e for e in _idems((2,), 2) if not e.is_trivial)
+    N1 = oracle.realize(e, ModuleType(2, (3, 1)))
+    N2 = oracle.realize(e, ModuleType(2, (2, 2)))
+    N3 = oracle.realize(e, ModuleType(2, (2,)))
+    assert N3.actions[0] != tuple(tuple(row) for row in linalg.identity_matrix(len(N3.orders)))
+    surs1 = [f for f in oracle.enumerate_module_homs(N1, N3) if f.is_surjective()]
+    surs2 = [f for f in oracle.enumerate_module_homs(N2, N3) if f.is_surjective()]
+    for pi1, pi2 in [(surs1[0], surs2[0]), (surs1[-1], surs2[-1])]:
+        _assert_fiber_matches_sweep(pi1, pi2, e)
+
+
+def test_module_from_subgroup_accepts_a_generating_set():
+    # all elements and a small generating set of S give the same module
+    for facs, lam in [((2,), (2, 1)), ((2,), (2, 2)), ((4,), (2,)), ((2,), (3,))]:
+        for e in _idems(facs, 2):
+            H = oracle.realize(e, ModuleType(e.Q, lam))
+            for S in oracle.gamma_submodules(H):
+                gens, span = [], {H.zero()}
+                for x in sorted(S):
+                    if x not in span:
+                        gens.append(x)
+                        span = _span(H, gens)
+                assert span == S
+                full, _, _ = oracle.module_from_subgroup(H, S)
+                small, coords_of, _ = oracle.module_from_subgroup(H, gens)
+                assert small.size == full.size == len(S)
+                assert oracle.iso_type(small, e) == oracle.iso_type(full, e)
+                assert len({coords_of(x) for x in S}) == len(S)
+
+
 def test_module_validation_rejects_bad_action():
     G = FiniteAbelianGroup((2,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="action matrix not well defined"):
         # entry 1 in position (0, 1) violates the divisibility condition
         oracle.ExplicitModule(2, (4, 2), G, [[[1, 1], [0, 1]]])
+
+
+def test_module_validation_raises_value_error():
+    # checks on caller input must not be asserts, which -O strips
+    G2 = FiniteAbelianGroup((2,))
+    with pytest.raises(ValueError, match="orders must be powers of p"):
+        oracle.ExplicitModule(2, (6,), G2, [[[1]]])
+    with pytest.raises(ValueError, match="0 action matrices for 1 generators"):
+        oracle.ExplicitModule(2, (2,), G2, [])
+    with pytest.raises(ValueError, match="square of size 2"):
+        oracle.ExplicitModule(2, (2, 2), G2, [[[1, 0], [0]]])
+    with pytest.raises(ValueError, match="action order does not divide"):
+        # an element of order 3 in GL_2(F_2)
+        oracle.ExplicitModule(2, (2, 2), G2, [[[0, 1], [1, 1]]])
+    with pytest.raises(ValueError, match="do not commute"):
+        oracle.ExplicitModule(2, (2, 2), FiniteAbelianGroup((2, 2)),
+                              [[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+
+
+def test_coords_of_rejects_non_members():
+    H = oracle.ExplicitModule(2, (4,), FiniteAbelianGroup((2,)), [[[1]]])
+    sub, coords_of, _ = oracle.module_from_subgroup(H, {(0,), (2,)})
+    assert sub.orders == (2,) and coords_of((2,)) == (1,)
+    with pytest.raises(ValueError, match="not in the subgroup"):
+        coords_of((1,))
 
 
 def test_enumeration_caps_raise_value_error():
