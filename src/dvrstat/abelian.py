@@ -219,9 +219,6 @@ class FiniteAbelianGroup:
     def char_pow(self, coeffs, u):
         return tuple((u * c) % d for c, d in zip(coeffs, self.invariant_factors))
 
-    def char_kernel(self, coeffs):
-        return frozenset(g for g in self.elements() if self.char_value_exponent(coeffs, g) == 0)
-
 
 @lru_cache(maxsize=None)
 def _subgroups_cached(invariant_factors):

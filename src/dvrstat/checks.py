@@ -313,9 +313,9 @@ def suite_groups():
         H = oracle.realize(e_sgn, ModuleType(2, lam))
         g = (1,)
         ab = oracle.ab_sets(H, g)
-        a_minus, coords_of, _ = oracle.module_from_subgroup(H, ab.a_minus)
+        a_minus, coords_of = oracle.module_from_subgroup(H, ab.a_minus)
         q1, _ = oracle.module_quotient(a_minus, {coords_of(x) for x in ab.b_minus})
-        a0, _, _ = oracle.module_from_subgroup(H, ab.a_zero)
+        a0, _ = oracle.module_from_subgroup(H, ab.a_zero)
         bsum = oracle.subgroup_sum(H, ab.b_minus, ab.b_plus)
         q2, _ = oracle.module_quotient(H, bsum)
         t1 = oracle.iso_type(q1, e_sgn)

@@ -105,11 +105,6 @@ class PrimitiveIdempotent:
     def cyclic_quotient_order(self):
         return self.char_order
 
-    def quotient_kernel(self):
-        """ker χ (independent of the orbit member): the subgroup with
-        Γ/ker ≅ the acting cyclic quotient."""
-        return self.group.char_kernel(self.rep)
-
     def value_exponent(self, g):
         """χ(g) for the orbit representative, as an exponent mod exponent(Γ)."""
         return self.group.char_value_exponent(self.rep, g)

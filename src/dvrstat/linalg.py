@@ -216,46 +216,30 @@ def quotient_structure(mods, gens):
     return lattice_quotient(k, cols)
 
 
-def integer_kernel(A, m, n):
-    """Basis (list of length-n columns) of the integer kernel of the m x n matrix A."""
-    D, U, Uinv, V, Vinv = smith_normal_form(A, m=m, n=n)
-    out = []
-    for j in range(n):
-        d = D[j][j] if j < m else 0
-        if d == 0:
-            out.append([V[i][j] for i in range(n)])
-    return out
+def congruence_kernel(A, mods, n):
+    """The system A w ≡ b (row i mod mods[i]) for an m x n matrix A and
+    moduli >= 1, from one Smith normal form of [A | diag(mods)].
 
-
-def solve_congruence(A, b, mods):
-    """One solution x of A x ≡ b componentwise (row i mod mods[i]), or None.
-
-    A: m x n integer matrix, b: length m, mods: length m of moduli >= 1.
+    Returns (basis, solve): basis is a list of length-n columns spanning
+    the lattice of integer w with A w ≡ 0; solve(b) returns one w with
+    A w ≡ b, or None if there is none.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    L = 1
-    for md in mods:
-        L = L * md // math.gcd(L, md)
-    As = [[(L // mods[i]) * a for a in A[i]] for i in range(m)]
-    bs = [(L // mods[i]) * b[i] for i in range(m)]
-    D, U, Uinv, V, Vinv = smith_normal_form(As, m=m, n=n)
-    c = mat_vec(U, bs)
-    y = [0] * n
-    for t in range(m):
-        d = D[t][t] if t < n else 0
-        rhs = c[t] % L
-        if d == 0:
-            if rhs != 0:
+    m = len(mods)
+    big = [list(A[i]) + [mods[i] if i == j else 0 for j in range(m)] for i in range(m)]
+    D, U, Uinv, V, Vinv = smith_normal_form(big, m=m, n=n + m)
+    # diag(mods) gives [A | diag(mods)] full row rank: D[t][t] != 0 exactly for t < m
+    basis = [[V[i][j] for i in range(n)] for j in range(m, n + m)]
+
+    def solve(b):
+        y = []
+        for t, c in enumerate(mat_vec(U, b)):
+            q, r = divmod(c, D[t][t])
+            if r:
                 return None
-            continue
-        g = math.gcd(d, L)
-        if rhs % g != 0:
-            return None
-        y[t] = (rhs // g) * pow(d // g, -1, L // g) % (L // g)
-    return mat_vec(V, y)
+            y.append(q)
+        return [sum(v * x for v, x in zip(V[i], y)) for i in range(n)]
+
+    return basis, solve
 
 
 def kernel_mod(B, L, ncols):

@@ -191,15 +191,6 @@ def direct_sum(M1: ExplicitModule, M2: ExplicitModule):
 # ---------------------------------------------------------------------------
 # realization of DVR-module types
 
-def _cyclotomic_prime_power(p, k):
-    """Coefficient list of Φ_{p^k}(y) (k >= 1)."""
-    deg = (p - 1) * p ** (k - 1)
-    c = [0] * (deg + 1)
-    for j in range(p):
-        c[j * p ** (k - 1)] = 1
-    return c
-
-
 def _cyclotomic(m):
     """Coefficient list of Φ_m via the product formula."""
     # (x^m - 1) / ∏_{d | m, d < m} Φ_d
@@ -268,7 +259,7 @@ def realize(e: PrimitiveIdempotent, M: ModuleType, precision=None) -> ExplicitMo
     D = e_ram * f
     # multiplication matrices for the ring on the basis y^a z^b
     if k >= 1:
-        ram_red = _cyclotomic_prime_power(p, k)
+        ram_red = _cyclotomic(p**k)
         Y1 = _mult_matrix(ram_red, mod, e_ram)
     else:
         Y1 = linalg.identity_matrix(1)
@@ -426,19 +417,17 @@ def module_from_subgroup(H: ExplicitModule, subset):
     SNFs here are sized by the number of generators, so a small
     generating set is much cheaper than all the elements.
 
-    Returns (module, coords_of, gens_ambient): coords_of maps an ambient
-    element of the subgroup to its coordinates in the new module.
+    Returns (module, coords_of): coords_of maps an ambient element of
+    the subgroup to its coordinates in the new module.
     """
     elems = sorted(subset)
     k = len(H.orders)
     if not any(any(x) for x in elems):
-        return zero_module(H.p, H.group), (lambda x: ()), []
+        return zero_module(H.p, H.group), (lambda x: ())
     Gmat = [[el[i] for el in elems] for i in range(k)]
     g = len(elems)
-    # kernel lattice of w ↦ G w in ⊕ Z/orders
-    big = [Gmat[i] + [H.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    ker = linalg.integer_kernel(big, k, g + k)
-    K0 = [[col[t] for t in range(g)] for col in ker]
+    # kernel lattice of w ↦ G w in ⊕ Z/orders, and preimages from the same SNF
+    K0, solve = linalg.congruence_kernel(Gmat, H.orders, g)
     orders_s, proj_s, lift_s = linalg.lattice_quotient(g, K0)
     gens_amb = []
     for t in range(len(orders_s)):
@@ -446,7 +435,7 @@ def module_from_subgroup(H: ExplicitModule, subset):
         gens_amb.append(tuple(sum(Gmat[i][j] * w[j] for j in range(g)) % H.orders[i] for i in range(k)))
 
     def coords_of(x):
-        w = linalg.solve_congruence(Gmat, list(x), list(H.orders))
+        w = solve(x)
         if w is None:
             raise ValueError(f"element {tuple(x)} not in the subgroup")
         return tuple(sum(proj_s[t][j] * w[j] for j in range(g)) % orders_s[t] for t in range(len(orders_s)))
@@ -456,7 +445,7 @@ def module_from_subgroup(H: ExplicitModule, subset):
         cols = [coords_of(_mat_apply(A, ga, H.orders)) for ga in gens_amb]
         actions.append([[cols[j][i2] for j in range(len(orders_s))] for i2 in range(len(orders_s))])
     sub = ExplicitModule(H.p, orders_s, H.group, actions)
-    return sub, coords_of, gens_amb
+    return sub, coords_of
 
 
 def module_quotient(H: ExplicitModule, subgroup):
@@ -517,15 +506,16 @@ class ExplicitGroup:
         G, H = self.G, self.H
         idg = G.identity()
         for a in G.elements():
-            assert self.cocycle[(idg, a)] == H.zero()
-            assert self.cocycle[(a, idg)] == H.zero()
+            if self.cocycle[(idg, a)] != H.zero() or self.cocycle[(a, idg)] != H.zero():
+                raise ValueError("cocycle is not normalized")
         for a in G.elements():
             for b in G.elements():
                 for c in G.elements():
                     lhs = H.add(self.cocycle[(a, b)], self.cocycle[(G.add(a, b), c)])
                     rhs = H.add(_mat_apply(self._act[a], self.cocycle[(b, c)], H.orders),
                                 self.cocycle[(a, G.add(b, c))])
-                    assert lhs == rhs, "cocycle identity fails"
+                    if lhs != rhs:
+                        raise ValueError("cocycle identity fails")
 
     @property
     def size(self):
@@ -547,7 +537,11 @@ class ExplicitGroup:
         return (h, self.G.add(g1, g2))
 
     def inv(self, x):
-        return self.power(x, self.element_order(x) - 1)
+        # (h, γ)^{-1} = (−γ^{-1}·(h + f(γ, γ^{-1})), γ^{-1})
+        h, g = x
+        gi = self.G.neg(g)
+        H = self.H
+        return (H.neg(_mat_apply(self._act[gi], H.add(h, self.cocycle[(g, gi)]), H.orders)), gi)
 
     def element_order(self, x):
         # x^{|γ|} lies in H, where the group law is addition
@@ -1005,24 +999,19 @@ def _fiber_generators(f: ModuleHom, g: ModuleHom):
     """(D, gens): D = src(f) ⊕ src(g) and a generating set of at most
     rank(D) elements of the fiber {(x, y) : f(x) = g(y)} ⊆ D.
 
-    The fiber is the kernel of h = (f, −g): D → Z.  The integer kernel
-    of [f | −g | diag(Z.orders)] projects onto the lattice of lifts w
-    with h(w) ≡ 0; that lattice contains o_j·e_j for each order o_j of D
+    The fiber is the kernel of h = (f, −g): D → Z.  The lattice of lifts
+    w with h(w) ≡ 0 mod Z.orders contains o_j·e_j for each order o_j of D
     (h is well defined), so its basis, reduced mod D, generates the fiber.
     """
-    Z = f.dst
     D = direct_sum(f.src, g.src)
-    kd, kz = len(D.orders), len(Z.orders)
-    big = [list(rf) + [-c for c in rg] + [o if i == j else 0 for j in range(kz)]
-           for i, (rf, rg, o) in enumerate(zip(f.matrix, g.matrix, Z.orders))]
-    gens = {tuple(c % o for c, o in zip(col, D.orders))
-            for col in linalg.integer_kernel(big, kz, kd + kz)}
-    return D, gens
+    h = [list(rf) + [-c for c in rg] for rf, rg in zip(f.matrix, g.matrix)]
+    basis, _ = linalg.congruence_kernel(h, f.dst.orders, len(D.orders))
+    return D, {tuple(c % o for c, o in zip(col, D.orders)) for col in basis}
 
 
 def _fiber_submodule(f: ModuleHom, g: ModuleHom):
     """{(x, y) : f(x) = g(y)} inside src(f) ⊕ src(g) as a module."""
-    sub, _, _ = module_from_subgroup(*_fiber_generators(f, g))
+    sub, _ = module_from_subgroup(*_fiber_generators(f, g))
     return sub
 
 

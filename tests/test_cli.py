@@ -261,6 +261,18 @@ def test_module_validation_survives_optimize():
     assert res.stdout.startswith("ValueError: action matrix not well defined")
 
 
+def test_cocycle_validation_survives_optimize():
+    # f(1, 1) = 1 and 0 elsewhere is normalized but no cocycle of Z/3 in Z/2
+    res = run_python("-O", "-c", "from dvrstat import oracle; from dvrstat.abelian import FiniteAbelianGroup\n"
+                     "H = oracle.ExplicitModule(2, (2,), FiniteAbelianGroup((3,)), [[[1]]])\n"
+                     "try:\n"
+                     "    oracle.ExplicitGroup(H, {**oracle.ExplicitGroup.split(H).cocycle, ((1,), (1,)): (1,)})\n"
+                     "except ValueError as exc:\n"
+                     "    print('ValueError:', exc)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "ValueError: cocycle identity fails\n"
+
+
 def test_ext_does_not_import_sympy():
     # Γ = Z/3 at p = 5: residue degree 2, so realize builds an unramified factor
     res = run_python("-c", "import io, sys; from dvrstat import cli; "

@@ -41,6 +41,15 @@ def test_unramified_factor_is_sympys_first_factor():
         assert oracle._unramified_factor(p, m, f, 3) == linalg.hensel_lift_factor(phi, u, p, 3)[0]
 
 
+def test_cyclotomic_prime_powers_match_closed_form():
+    # Φ_{p^k}(y) = Σ_{j<p} y^{j·p^{k−1}}, the ramified ring realize builds
+    for p, k in [(p, k) for p in (2, 3, 5, 7) for k in range(1, 9) if p**k <= 256]:
+        ref = [0] * ((p - 1) * p ** (k - 1) + 1)
+        for j in range(p):
+            ref[j * p ** (k - 1)] = 1
+        assert oracle._cyclotomic(p**k) == ref
+
+
 def test_realize_round_trip_ramified():
     e = next(e for e in _idems((4,), 2) if e.e_ram == 2)
     for lam in [(1,), (2,), (2, 2), (3, 1)]:
@@ -95,7 +104,7 @@ def test_iso_type_of_kernels_and_quotients():
     e = next(e for e in _idems((2,), 2) if not e.is_trivial)
     H = oracle.realize(e, ModuleType(2, (2, 1)))
     ab = oracle.ab_sets(H, (1,))
-    sub, _, _ = oracle.module_from_subgroup(H, ab.a_plus)
+    sub, _ = oracle.module_from_subgroup(H, ab.a_plus)
     quo, _ = oracle.module_quotient(H, ab.b_minus)
     assert oracle.iso_type(sub, e).parts == oracle.iso_type(quo, e).parts
 
@@ -231,7 +240,7 @@ def _assert_fiber_matches_sweep(f, g, e, got=None):
     ref = _fiber_sweep(f, g)
     assert len(gens) <= len(D.orders)
     assert _span(D, gens) == ref
-    swept, _, _ = oracle.module_from_subgroup(D, ref)
+    swept, _ = oracle.module_from_subgroup(D, ref)
     got = oracle._fiber_submodule(f, g) if got is None else got
     assert got.size == swept.size == len(ref)
     assert oracle.iso_type(got, e) == oracle.iso_type(swept, e)
@@ -306,8 +315,8 @@ def test_module_from_subgroup_accepts_a_generating_set():
                         gens.append(x)
                         span = _span(H, gens)
                 assert span == S
-                full, _, _ = oracle.module_from_subgroup(H, S)
-                small, coords_of, _ = oracle.module_from_subgroup(H, gens)
+                full, _ = oracle.module_from_subgroup(H, S)
+                small, coords_of = oracle.module_from_subgroup(H, gens)
                 assert small.size == full.size == len(S)
                 assert oracle.iso_type(small, e) == oracle.iso_type(full, e)
                 assert len({coords_of(x) for x in S}) == len(S)
@@ -337,12 +346,36 @@ def test_module_validation_raises_value_error():
                               [[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
 
 
+def test_cocycle_validation_raises_value_error():
+    # checks on caller input must not be asserts, which -O strips
+    H = oracle.ExplicitModule(2, (2,), FiniteAbelianGroup((3,)), [[[1]]])
+    split = oracle.ExplicitGroup.split(H).cocycle
+    with pytest.raises(ValueError, match="cocycle is not normalized"):
+        oracle.ExplicitGroup(H, {**split, ((0,), (1,)): (1,)})
+    with pytest.raises(ValueError, match="cocycle identity fails"):
+        # normalized, but f(1, 1) + f(2, 2) = 1 while f(1, 2) + f(1, 0) = 0
+        oracle.ExplicitGroup(H, {**split, ((1,), (1,)): (1,)})
+
+
 def test_coords_of_rejects_non_members():
     H = oracle.ExplicitModule(2, (4,), FiniteAbelianGroup((2,)), [[[1]]])
-    sub, coords_of, _ = oracle.module_from_subgroup(H, {(0,), (2,)})
+    sub, coords_of = oracle.module_from_subgroup(H, {(0,), (2,)})
     assert sub.orders == (2,) and coords_of((2,)) == (1,)
     with pytest.raises(ValueError, match="not in the subgroup"):
         coords_of((1,))
+
+
+def test_coords_of_runs_no_smith_normal_form(monkeypatch):
+    # coordinates come from the SNF module_from_subgroup already ran
+    e = next(e for e in _idems((2,), 2) if not e.is_trivial)
+    H = oracle.realize(e, ModuleType(2, (2, 2)))
+    S = frozenset(H.elements())
+    sub, coords_of = oracle.module_from_subgroup(H, S)
+    calls = []
+    snf = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda *a, **k: calls.append(a) or snf(*a, **k))
+    assert len({coords_of(x) for x in S}) == sub.size == len(S)
+    assert calls == []
 
 
 def test_enumeration_caps_raise_value_error():
@@ -515,10 +548,15 @@ def test_explicit_group_closed_forms_match_walking():
     z2, z4 = FiniteAbelianGroup((2,)), FiniteAbelianGroup((4,))
     inversion = next(e for e in _idems((2,), 2) if not e.is_trivial)
     trivial = next(e for e in _idems((4,), 2) if e.is_trivial)
-    # dihedral and quaternion (Z/2 by Z/4), then Z/4 × Z/2 and Z/8 (Z/4 by Z/2)
+    z2z2 = FiniteAbelianGroup((2, 2))
+    acting = next(e for e in _idems((2, 2), 2) if not e.is_trivial)
+    # dihedral and quaternion (Z/2 by Z/4), then Z/4 × Z/2 and Z/8 (Z/4 by Z/2),
+    # then Z/2 × Z/2 by Z/4 with a nontrivial action and an element of order 8
     exts = (oracle.enumerate_extensions(z2, oracle.realize(inversion, ModuleType(2, (2,))))
-            + oracle.enumerate_extensions(z4, oracle.realize(trivial, ModuleType(2, (1,)))))
-    assert sorted(max(G.element_order(x) for x in G.elements()) for G in exts) == [4, 4, 4, 8]
+            + oracle.enumerate_extensions(z4, oracle.realize(trivial, ModuleType(2, (1,))))
+            + [next(G for G in oracle.enumerate_extensions(z2z2, oracle.realize(acting, ModuleType(2, (2,))))
+                    if any(G.element_order(x) == 8 for x in G.elements()))])
+    assert sorted(max(G.element_order(x) for x in G.elements()) for G in exts) == [4, 4, 4, 8, 8]
     for G in exts:
         for x in G.elements():
             o = _walk_order(G, x)
