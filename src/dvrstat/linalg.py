@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form with transforms,
+"""Exact integer linear algebra: Smith normal form with column transforms,
 linear congruence solving, and structure of subgroups/quotients of
 finite abelian groups given by generator matrices.
 
@@ -35,24 +35,19 @@ def mat_vec(A, v):
 
 
 def smith_normal_form(A, m=None, n=None):
-    """Diagonalize A over Z: returns (D, U, Uinv, V, Vinv) with
-    U @ A @ V = D, U and V unimodular, diagonal d_1 | d_2 | ... >= 0.
+    """Diagonalize A over Z: returns (D, V, Vinv) with U @ A @ V = D for
+    some unimodular U, V unimodular, diagonal d_1 | d_2 | ... >= 0.
+
+    Only the column transform is kept.  Callers that need rows of U or
+    columns of U⁻¹ read them off U @ A = D @ Vinv and A @ V = U⁻¹ @ D.
     """
     if m is None:
         m = len(A)
     if n is None:
         n = len(A[0]) if m else 0
     D = [list(row) for row in A]
-    U = identity_matrix(m)
-    Uinv = identity_matrix(m)
     V = identity_matrix(n)
     Vinv = identity_matrix(n)
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for r in D:
@@ -60,13 +55,6 @@ def smith_normal_form(A, m=None, n=None):
         for r in V:
             r[i], r[j] = r[j], r[i]
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_addmul(dst, src, t):
-        # row dst += t * row src
-        D[dst] = [a + t * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + t * b for a, b in zip(U[dst], U[src])]
-        for r in Uinv:
-            r[src] -= t * r[dst]
 
     def col_addmul(dst, src, t):
         # col dst += t * col src
@@ -76,30 +64,18 @@ def smith_normal_form(A, m=None, n=None):
             r[dst] += t * r[src]
         Vinv[src] = [a - t * b for a, b in zip(Vinv[src], Vinv[dst])]
 
-    def row_negate(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
-
-    def left_2x2(t, L, Linv):
-        # rows t, t+1 <- L @ (rows t, t+1); transforms updated to match
-        for M in (D, U):
-            rt, rs = M[t], M[t + 1]
-            M[t] = [L[0][0] * a + L[0][1] * b for a, b in zip(rt, rs)]
-            M[t + 1] = [L[1][0] * a + L[1][1] * b for a, b in zip(rt, rs)]
-        for r in Uinv:
-            a, b = r[t], r[t + 1]
-            r[t] = a * Linv[0][0] + b * Linv[1][0]
-            r[t + 1] = a * Linv[0][1] + b * Linv[1][1]
+    def left_2x2(t, L):
+        # rows t, t+1 <- L @ (rows t, t+1)
+        rt, rs = D[t], D[t + 1]
+        D[t] = [L[0][0] * a + L[0][1] * b for a, b in zip(rt, rs)]
+        D[t + 1] = [L[1][0] * a + L[1][1] * b for a, b in zip(rt, rs)]
 
     def right_2x2(t, R, Rinv):
         # cols t, t+1 <- (cols t, t+1) @ R
-        for M in (D,):
-            for r in M:
-                a, b = r[t], r[t + 1]
-                r[t] = a * R[0][0] + b * R[1][0]
-                r[t + 1] = a * R[0][1] + b * R[1][1]
+        for r in D:
+            a, b = r[t], r[t + 1]
+            r[t] = a * R[0][0] + b * R[1][0]
+            r[t + 1] = a * R[0][1] + b * R[1][1]
         for r in V:
             a, b = r[t], r[t + 1]
             r[t] = a * R[0][0] + b * R[1][0]
@@ -122,17 +98,17 @@ def smith_normal_form(A, m=None, n=None):
                 break
             pi, pj = piv
             if pi != t:
-                row_swap(t, pi)
+                D[t], D[pi] = D[pi], D[t]
             if pj != t:
                 col_swap(t, pj)
             if D[t][t] < 0:
-                row_negate(t)
+                D[t] = [-a for a in D[t]]
             p = D[t][t]
             dirty = False
             for i in range(t + 1, m):
                 q = D[i][t] // p
                 if q:
-                    row_addmul(i, t, -q)
+                    D[i] = [a - q * b for a, b in zip(D[i], D[t])]
                 if D[i][t]:
                     dirty = True
             for j in range(t + 1, n):
@@ -157,16 +133,12 @@ def smith_normal_form(A, m=None, n=None):
                 g = math.gcd(a, b)
                 # x*a + y*b = g; replace diag(a,b) by diag(g, a*b/g)
                 _, x, y = _ext_gcd(a, b)
-                L = [[x, y], [-b // g, a // g]]
-                Linv = [[a // g, -y], [b // g, x]]
-                R = [[1, -(y * b) // g], [1, (x * a) // g]]
-                Rinv = [[(x * a) // g, (y * b) // g], [-1, 1]]
-                left_2x2(t, L, Linv)
-                right_2x2(t, R, Rinv)
+                left_2x2(t, [[x, y], [-b // g, a // g]])
+                right_2x2(t, [[1, -(y * b) // g], [1, (x * a) // g]], [[(x * a) // g, (y * b) // g], [-1, 1]])
                 assert D[t][t] == g and D[t + 1][t + 1] == a * b // g
                 assert D[t][t + 1] == 0 and D[t + 1][t] == 0
                 changed = True
-    return D, U, Uinv, V, Vinv
+    return D, V, Vinv
 
 
 def _ext_gcd(a, b):
@@ -181,39 +153,26 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def lattice_quotient(dim, cols):
-    """Structure of Z^dim / L where L is spanned by the given columns
-    (each a length-dim vector).  L must have full rank (finite quotient).
+def quotient_structure(mods, gens):
+    """Structure of (⊕_i Z/mods[i]) / <gens> with coordinate transforms,
+    for moduli mods[i] >= 1 and gens a list of length-k vectors.
 
     Returns (orders, proj, lift): the quotient is ⊕ Z/orders[t]; an
     ambient vector x has quotient coordinates (proj @ x) mod orders, and
-    lift maps quotient coordinates to an ambient representative.
+    the columns of lift are ambient representatives of the quotient
+    generators.  One SNF of A = [gens | diag(mods)] gives both: proj
+    holds rows of U, read off U @ A = D @ Vinv at the diag(mods) columns,
+    and lift holds columns of U⁻¹, read off A @ V = U⁻¹ @ D.
     """
-    if dim == 0:
-        return [], [], []
-    A = [[cols[j][i] for j in range(len(cols))] for i in range(dim)]
-    D, U, Uinv, V, Vinv = smith_normal_form(A, m=dim, n=len(cols))
-    orders, keep = [], []
-    for t in range(dim):
-        d = D[t][t] if t < len(cols) else 0
-        if d == 0:
-            raise ValueError("lattice not of full rank")
-        if d > 1:
-            orders.append(d)
-            keep.append(t)
-    proj = [U[t] for t in keep]
-    lift = [[Uinv[i][t] for t in keep] for i in range(dim)]
+    k, g = len(mods), len(gens)
+    A = [[x[i] for x in gens] + [mods[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    D, V, Vinv = smith_normal_form(A, m=k, n=g + k)
+    # diag(mods) gives A full row rank: D[t][t] >= 1 for every t < k
+    keep = [t for t in range(k) if D[t][t] > 1]
+    orders = [D[t][t] for t in keep]
+    proj = [[D[t][t] * Vinv[t][g + j] // mods[j] for j in range(k)] for t in keep]
+    lift = [[sum(a * V[c][t] for c, a in enumerate(row)) // D[t][t] for t in keep] for row in A]
     return orders, proj, lift
-
-
-def quotient_structure(mods, gens):
-    """Structure of (⊕_i Z/mods[i]) / <gens> with coordinate transforms.
-
-    gens: list of length-k vectors.  Returns (orders, proj, lift).
-    """
-    k = len(mods)
-    cols = list(gens) + [[mods[i] if i == j else 0 for i in range(k)] for j in range(k)]
-    return lattice_quotient(k, cols)
 
 
 def congruence_kernel(A, mods, n):
@@ -226,9 +185,11 @@ def congruence_kernel(A, mods, n):
     """
     m = len(mods)
     big = [list(A[i]) + [mods[i] if i == j else 0 for j in range(m)] for i in range(m)]
-    D, U, Uinv, V, Vinv = smith_normal_form(big, m=m, n=n + m)
+    D, V, Vinv = smith_normal_form(big, m=m, n=n + m)
     # diag(mods) gives [A | diag(mods)] full row rank: D[t][t] != 0 exactly for t < m
     basis = [[V[i][j] for i in range(n)] for j in range(m, n + m)]
+    # rows of U, read off U @ big = D @ Vinv at the diag(mods) columns
+    U = [[D[t][t] * Vinv[t][n + j] // mods[j] for j in range(m)] for t in range(m)]
 
     def solve(b):
         y = []
@@ -247,13 +208,13 @@ def kernel_mod(B, L, ncols):
 
     Returns (gens, orders, coords): gens[t] generates a cyclic factor of
     order orders[t] > 1; coords(y) returns the coordinates of a solution
-    y in ⊕ Z/orders[t] (asserting membership).
+    y in ⊕ Z/orders[t] (ValueError if y is no solution).
     """
     m = len(B)
     if m == 0:
         B = [[0] * ncols]
         m = 1
-    D, U, Uinv, V, Vinv = smith_normal_form(B, m=m, n=ncols)
+    D, V, Vinv = smith_normal_form(B, m=m, n=ncols)
     svec, orders, keep = [], [], []
     for t in range(ncols):
         d = D[t][t] if t < m else 0
@@ -268,7 +229,8 @@ def kernel_mod(B, L, ncols):
         w = [x % L for x in mat_vec(Vinv, y)]
         out = []
         for t in range(ncols):
-            assert w[t] % svec[t] == 0, "vector not in solution group"
+            if w[t] % svec[t]:
+                raise ValueError("vector not in solution group")
             if t in keep:
                 out.append((w[t] // svec[t]) % (L // svec[t]))
         return tuple(out)
@@ -310,7 +272,8 @@ def poly_add_scaled(a, b, scale, mod):
 
 def poly_divmod(a, b, mod):
     """Division with remainder by a monic polynomial b, coefficients mod `mod`."""
-    assert b and b[-1] % mod == 1, "divisor must be monic"
+    if not b or b[-1] % mod != 1:
+        raise ValueError("divisor must be monic")
     a = [x % mod for x in a]
     poly_trim(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
@@ -352,9 +315,11 @@ def hensel_lift_factor(F, u, p, N):
     """
     u = poly_trim([x % p for x in u])
     v, rem = poly_divmod([x % p for x in F], u, p)
-    assert not rem, "u does not divide F mod p"
+    if rem:
+        raise ValueError("u does not divide F mod p")
     g, a, b = poly_ext_gcd_modp(u, v, p)
-    assert g == [1], "factor not coprime to cofactor mod p"
+    if g != [1]:
+        raise ValueError("factor not coprime to cofactor mod p")
     U, Vc = list(u), list(v)
     pj = p
     for _ in range(1, N):

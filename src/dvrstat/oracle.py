@@ -423,12 +423,18 @@ def module_from_subgroup(H: ExplicitModule, subset):
     elems = sorted(subset)
     k = len(H.orders)
     if not any(any(x) for x in elems):
-        return zero_module(H.p, H.group), (lambda x: ())
+        def zero_coords(x):
+            if any(x):
+                raise ValueError(f"element {tuple(x)} not in the subgroup")
+            return ()
+        return zero_module(H.p, H.group), zero_coords
     Gmat = [[el[i] for el in elems] for i in range(k)]
     g = len(elems)
     # kernel lattice of w ↦ G w in ⊕ Z/orders, and preimages from the same SNF
     K0, solve = linalg.congruence_kernel(Gmat, H.orders, g)
-    orders_s, proj_s, lift_s = linalg.lattice_quotient(g, K0)
+    # orders are powers of p, so max(orders)·e_j lies in K0 and
+    # Z^g / K0 = (Z/max(orders))^g / K0
+    orders_s, proj_s, lift_s = linalg.quotient_structure([max(H.orders)] * g, K0)
     gens_amb = []
     for t in range(len(orders_s)):
         w = [lift_s[i][t] for i in range(g)]

@@ -273,6 +273,17 @@ def test_cocycle_validation_survives_optimize():
     assert res.stdout == "ValueError: cocycle identity fails\n"
 
 
+def test_linalg_input_checks_survive_optimize():
+    # y = (1, 0) does not solve y_1 + y_2 ≡ 0 mod 4
+    res = run_python("-O", "-c", "from dvrstat import linalg\n"
+                     "try:\n"
+                     "    linalg.kernel_mod([[1, 1]], 4, 2)[2]([1, 0])\n"
+                     "except ValueError as exc:\n"
+                     "    print('ValueError:', exc)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "ValueError: vector not in solution group\n"
+
+
 def test_ext_does_not_import_sympy():
     # Γ = Z/3 at p = 5: residue degree 2, so realize builds an unramified factor
     res = run_python("-c", "import io, sys; from dvrstat import cli; "

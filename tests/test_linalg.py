@@ -3,17 +3,25 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from dvrstat.abelian import closure
 from dvrstat.linalg import (
     congruence_kernel,
     hensel_lift_factor,
-    lattice_quotient,
+    identity_matrix,
+    kernel_mod,
+    mat_mul,
+    mat_vec,
     poly_add_scaled,
     poly_divmod,
     poly_ext_gcd_modp,
     poly_mul,
     poly_trim,
+    quotient_structure,
+    smith_normal_form,
 )
 
 
@@ -42,11 +50,87 @@ def test_hensel_lift_factor_odd_p():
     assert (U[0] ** 2 + 1) % 125 == 0
 
 
-def test_lattice_quotient_rejects_infinite_quotient():
-    assert lattice_quotient(2, [[2, 0], [0, 3]])[0] == [6]
-    # one column spans a rank-one lattice in Z^2: the quotient is infinite
-    with pytest.raises(ValueError, match="lattice not of full rank"):
-        lattice_quotient(2, [[1, 0]])
+def test_caller_input_errors_are_value_errors():
+    # checks on caller input must not be asserts, which -O strips
+    with pytest.raises(ValueError, match="divisor must be monic"):
+        poly_divmod([1, 2], [1, 2], 5)
+    with pytest.raises(ValueError, match="u does not divide F mod p"):
+        hensel_lift_factor([1, 0, 1], [1, 1], 5, 3)
+    with pytest.raises(ValueError, match="factor not coprime to cofactor mod p"):
+        hensel_lift_factor([1, 2, 1], [1, 1], 5, 3)  # (z + 1)^2
+    _, _, coords = kernel_mod([[1, 1]], 4, 2)
+    with pytest.raises(ValueError, match="vector not in solution group"):
+        coords([1, 0])
+
+
+small_matrices = st.integers(1, 4).flatmap(
+    lambda m: st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
+@given(small_matrices)
+@settings(max_examples=150, deadline=None)
+def test_smith_normal_form_column_side(A):
+    m, n = len(A), len(A[0])
+    D, V, Vinv = smith_normal_form(A)
+    assert mat_mul(V, Vinv) == identity_matrix(n)
+    diag = [D[t][t] for t in range(min(m, n))]
+    assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    assert diag == [int(d) for d in invariant_factors(Matrix(A), domain=ZZ)]
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    # A V = U^-1 D: column t of A V is d_t times a column of U^-1
+    AV = mat_mul(A, V)
+    for t in range(n):
+        d = diag[t] if t < len(diag) else 0
+        assert all(row[t] % d == 0 if d else row[t] == 0 for row in AV)
+
+
+# (mods, number of generators): ambient groups of order <= 72
+QUOTIENT_SHAPES = [((2,), 0), ((2,), 1), ((8,), 2), ((9,), 1), ((2, 3), 0), ((4, 2), 1), ((4, 4), 2),
+                   ((3, 9), 2), ((8, 9), 1), ((2, 2, 2), 2), ((2, 4, 8), 1), ((1, 3, 3), 2), ((2, 3, 4), 3)]
+
+
+def test_quotient_structure_matches_brute_force():
+    # Z^2 / <(2, 0), (0, 3)> is cyclic of order 6
+    assert quotient_structure([2, 3], [])[0] == [6]
+    rng = random.Random(0)
+    for mods, ngens in QUOTIENT_SHAPES:
+        ambient = list(it.product(*(range(md) for md in mods)))
+        for _ in range(3):
+            gens = [[rng.randrange(-9, 10) for _ in mods] for _ in range(ngens)]
+            orders, proj, lift = quotient_structure(list(mods), gens)
+
+            def reduce(x):
+                return tuple(a % md for a, md in zip(x, mods))
+
+            def image(x):
+                return tuple(c % o for c, o in zip(mat_vec(proj, x), orders))
+
+            S = closure([reduce([0] * len(mods))],
+                        lambda x: [reduce([a + b for a, b in zip(x, gen)]) for gen in gens])
+            assert math.prod(orders) * len(S) == len(ambient)
+            assert all(o > 1 for o in orders)
+            assert all(not any(image(gen)) for gen in gens)
+            assert [image(col) for col in zip(*lift)] == [tuple(row) for row in identity_matrix(len(orders))]
+            for x, y in it.product(ambient, repeat=2):
+                assert (image(x) == image(y)) == (reduce([a - b for a, b in zip(x, y)]) in S)
+
+
+# (rows, unknowns, L)
+KERNEL_SHAPES = [(0, 2, 4), (1, 1, 8), (1, 2, 4), (1, 3, 2), (2, 2, 9), (2, 3, 4), (3, 2, 8), (2, 2, 6)]
+
+
+def test_kernel_mod_matches_brute_force():
+    rng = random.Random(0)
+    for m, ncols, L in KERNEL_SHAPES:
+        for _ in range(4):
+            B = [[rng.randrange(-9, 10) for _ in range(ncols)] for _ in range(m)]
+            gens, orders, coords = kernel_mod(B, L, ncols)
+            solutions = [y for y in it.product(range(L), repeat=ncols)
+                         if all(c % L == 0 for c in mat_vec(B, y))]
+            assert all(not any(c % L for c in mat_vec(B, gen)) for gen in gens)
+            assert all(o > 1 for o in orders) and math.prod(orders) == len(solutions)
+            assert sorted(coords(y) for y in solutions) == list(it.product(*(range(o) for o in orders)))
 
 
 # (mods, n): m = len(mods) <= 3 rows mod 1, 2, 4, 8, 3 or 9, mixed rows

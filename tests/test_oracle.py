@@ -363,6 +363,12 @@ def test_coords_of_rejects_non_members():
     assert sub.orders == (2,) and coords_of((2,)) == (1,)
     with pytest.raises(ValueError, match="not in the subgroup"):
         coords_of((1,))
+    # a subset with no nonzero element generates the zero submodule
+    sub, coords_of = oracle.module_from_subgroup(H, {(0,)})
+    assert sub.orders == () and coords_of((0,)) == ()
+    for x in [(1,), (2,), (3,)]:
+        with pytest.raises(ValueError, match="not in the subgroup"):
+            coords_of(x)
 
 
 def test_coords_of_runs_no_smith_normal_form(monkeypatch):
