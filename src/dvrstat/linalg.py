@@ -86,6 +86,8 @@ def smith_normal_form(A, m=None, n=None):
 
     for t in range(min(m, n)):
         while True:
+            # the least |a|, first in row-major order; no later entry
+            # beats |a| = 1, so the scan stops there
             piv = None
             best = None
             for i in range(t, m):
@@ -94,6 +96,10 @@ def smith_normal_form(A, m=None, n=None):
                     if a and (best is None or a < best):
                         best = a
                         piv = (i, j)
+                        if a == 1:
+                            break
+                if best == 1:
+                    break
             if piv is None:
                 break
             pi, pj = piv

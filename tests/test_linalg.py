@@ -9,6 +9,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from dvrstat.abelian import closure
 from dvrstat.linalg import (
+    _ext_gcd,
     congruence_kernel,
     hensel_lift_factor,
     identity_matrix,
@@ -83,6 +84,76 @@ def test_smith_normal_form_column_side(A):
     for t in range(n):
         d = diag[t] if t < len(diag) else 0
         assert all(row[t] % d == 0 if d else row[t] == 0 for row in AV)
+
+
+def _full_scan_snf(A):
+    """The Smith normal form as it was before its pivot search stopped at
+    the first |a| = 1: every search scans the whole remaining matrix."""
+    m, n = len(A), len(A[0])
+    D, V, Vinv = [list(row) for row in A], identity_matrix(n), identity_matrix(n)
+
+    def cols(i, j, R, Rinv):
+        # cols i, j of D and V <- (cols i, j) @ R; rows i, j of Vinv <- Rinv @ (rows i, j)
+        for M in (D, V):
+            for r in M:
+                r[i], r[j] = r[i] * R[0][0] + r[j] * R[1][0], r[i] * R[0][1] + r[j] * R[1][1]
+        a, b = Vinv[i], Vinv[j]
+        Vinv[i] = [Rinv[0][0] * x + Rinv[0][1] * y for x, y in zip(a, b)]
+        Vinv[j] = [Rinv[1][0] * x + Rinv[1][1] * y for x, y in zip(a, b)]
+
+    for t in range(min(m, n)):
+        while True:
+            entries = [(abs(D[i][j]), i, j) for i in range(t, m) for j in range(t, n) if D[i][j]]
+            if not entries:
+                break
+            _, pi, pj = min(entries)
+            D[t], D[pi] = D[pi], D[t]
+            if pj != t:
+                cols(t, pj, [[0, 1], [1, 0]], [[0, 1], [1, 0]])
+            if D[t][t] < 0:
+                D[t] = [-a for a in D[t]]
+            p = D[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                D[i] = [a - D[i][t] // p * b for a, b in zip(D[i], D[t])]
+                dirty = dirty or D[i][t] != 0
+            for j in range(t + 1, n):
+                q = D[t][j] // p
+                if q:
+                    cols(t, j, [[1, -q], [0, 1]], [[1, q], [0, 1]])
+                dirty = dirty or D[t][j] != 0
+            if not dirty:
+                break
+        if D[t][t] == 0:
+            break
+    changed = True
+    while changed:
+        changed = False
+        for t in range(min(m, n) - 1):
+            a, b = D[t][t], D[t + 1][t + 1]
+            if a and b and b % a:
+                g = math.gcd(a, b)
+                _, x, y = _ext_gcd(a, b)
+                rt, rs = D[t], D[t + 1]
+                D[t] = [x * u + y * v for u, v in zip(rt, rs)]
+                D[t + 1] = [-b // g * u + a // g * v for u, v in zip(rt, rs)]
+                cols(t, t + 1, [[1, -(y * b) // g], [1, (x * a) // g]],
+                     [[(x * a) // g, (y * b) // g], [-1, 1]])
+                changed = True
+    return D, V, Vinv
+
+
+def test_smith_normal_form_matches_full_scan():
+    # the pivot search stops at the first |a| = 1, which no later entry
+    # can beat, so D, V and V⁻¹ stay bit-for-bit those of the full scan
+    rng = random.Random(0)
+    for trial in range(400):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        lo = rng.choice([1, 2, 9])
+        A = [[rng.randint(-lo, lo) * rng.choice([0, 1, 1, 2, 4]) for _ in range(n)] for _ in range(m)]
+        if trial % 2:  # the [A | diag(mods)] shape of congruence_kernel
+            A = [row + [rng.choice([2, 4, 8, 9]) if i == j else 0 for j in range(m)] for i, row in enumerate(A)]
+        assert smith_normal_form(A) == _full_scan_snf(A)
 
 
 # (mods, number of generators): ambient groups of order <= 72

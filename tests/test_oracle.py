@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -422,18 +423,25 @@ def test_mismatched_inputs_raise_value_error():
         oracle.fiber_tools(e, pi, oracle.ModuleHom(N1, H, ((0,),)))
 
 
-# small modules with mixed orders and nontrivial actions, per Γ (p = 2)
+# small modules with mixed orders and nontrivial actions, per Γ (p = 2):
+# Z/3 (F4, f = 2), Z/4 (sign and Z_2[i]) and Z/2 × Z/2 (two generators)
 def _small_modules():
     z3 = _idems((3,), 2)  # trivial (Q = 2), F4 (Q = 4)
     z4 = _idems((4,), 2)  # trivial, sign, ramified (Q = 2)
+    z2z2 = _idems((2, 2), 2)  # trivial, then three sign characters
     f4 = [oracle.realize(z3[1], ModuleType(4, lam)) for lam in [(1,), (2,)]]
     ram3 = oracle.realize(z4[2], ModuleType(2, (3,)))
+    sign = oracle.realize(z2z2[1], ModuleType(2, (2,)))
     return [
         f4 + [oracle.direct_sum(oracle.realize(z3[0], ModuleType(2, (2,))), f4[0])],
         [ram3,
          oracle.realize(z4[1], ModuleType(2, (2, 1))),
          oracle.realize(z4[2], ModuleType(2, (2,))),
          oracle.direct_sum(oracle.realize(z4[0], ModuleType(2, (1,))), ram3)],
+        [sign,
+         oracle.realize(z2z2[1], ModuleType(2, (2, 1))),
+         oracle.realize(z2z2[3], ModuleType(2, (2,))),
+         oracle.direct_sum(oracle.realize(z2z2[0], ModuleType(2, (1,))), sign)],
     ]
 
 
@@ -453,8 +461,10 @@ def _brute_homs(M, N):
 
 
 def test_enumerate_module_homs_matches_brute_force():
-    rejected = 0
+    # same list in the same order; each Γ rejects some candidates, so the
+    # equivariance rows of the solver are not vacuous
     for mods in _small_modules():
+        rejected = 0
         for M, N in itertools.product(mods, repeat=2):
             homs = oracle.enumerate_module_homs(M, N)
             # the benchmark's span tracer wraps this function and refuses generators
@@ -462,7 +472,7 @@ def test_enumerate_module_homs_matches_brute_force():
             brute, candidates = _brute_homs(M, N)
             assert [h.matrix for h in homs] == brute
             rejected += candidates - len(brute)
-    assert rejected > 0
+        assert rejected > 0
 
 
 def test_is_surjective_matches_subgroup_size():
@@ -485,6 +495,108 @@ def test_module_automorphisms_match_brute_force():
                     if len({oracle.ModuleHom(H, H, T).apply(x) for x in H.elements()}) == H.size}
             assert set(oracle.module_automorphisms(H)) == auts
             assert _generated_group(oracle.automorphism_generators(H), H.orders) == _keys(auts, H.orders)
+
+
+def _catalog_modules(max_size=64):
+    # the criterion-5 catalog: Γ in {Z/2, Z/3, Z/4}, p in {2, 3}, every
+    # idempotent, |H| <= max_size
+    for facs in [(2,), (3,), (4,)]:
+        for p in (2, 3):
+            for e in _idems(facs, p):
+                for s in itertools.count(1):
+                    if e.Q ** s > max_size:
+                        break
+                    for lam in partitions_of(s):
+                        yield e, lam, oracle.realize(e, ModuleType(e.Q, lam))
+
+
+def test_automorphism_generators_list_transvections_in_sweep_order():
+    # the transvections 1 + φ come last, φ running over the nonzero
+    # Γ-homs between summands in the brute-force sweep's order
+    seen = 0
+    for _, _, H in _catalog_modules(max_size=16):
+        k = len(H.orders)
+        parts = [oracle.ExplicitModule(H.p, H.orders[a:b], H.group,
+                                       [[row[a:b] for row in A[a:b]] for A in H.actions])
+                 for a, b in H.blocks]
+        expected = []
+        for (i, Si), (j, Sj) in itertools.permutations(enumerate(parts), 2):
+            for phi in _brute_homs(Sj, Si)[0]:
+                if any(map(any, phi)):
+                    T = [list(row) for row in linalg.identity_matrix(k)]
+                    (a, _), (c, _) = H.blocks[i], H.blocks[j]
+                    for r, row in enumerate(phi):
+                        T[a + r][c:c + len(row)] = row
+                    expected.append(tuple(map(tuple, T)))
+        gens = oracle.automorphism_generators(H)
+        assert gens[len(gens) - len(expected):] == expected
+        seen += len(expected)
+    assert seen > 0
+
+
+def test_module_automorphisms_cap_refuses_before_listing(monkeypatch):
+    e = next(e for e in _idems((2,), 2) if e.is_trivial)
+    H = oracle.realize(e, ModuleType(2, (1,) * 5))  # |End_Γ(H)| = 2^25 > HOM_ENUM_CAP
+    coset_elements = oracle._coset_elements
+
+    def unlisted(*args):
+        # the first element listed fails the test, so a cap that lets
+        # the listing start fails fast instead of running it
+        size, elements = coset_elements(*args)
+        return size, (pytest.fail("listed past the cap") for _ in elements)
+
+    monkeypatch.setattr(oracle, "_coset_elements", unlisted)
+    with pytest.raises(ValueError, match="Γ-hom enumeration too large"):
+        oracle.module_automorphisms(H)
+    # a module without blocks takes its generators from module_automorphisms,
+    # so an `ext` of it with |End_Γ(H)| = 2^64 fails at the same check
+    flat = oracle.ExplicitModule(2, (2,) * 8, FiniteAbelianGroup((2,)), [linalg.identity_matrix(8)])
+    with pytest.raises(ValueError, match="Γ-hom enumeration too large"):
+        oracle.enumerate_extensions(FiniteAbelianGroup((2,)), flat)
+    # |End_Γ(H)| = 2^20 passed the old cap of 2^22 candidates and passes this one
+    big = oracle.realize(e, ModuleType(2, (2, 2, 1, 1)))
+    oracle._hom_matrices(big, big, cap=oracle.HOM_ENUM_CAP)
+
+
+def test_coset_elements_match_sorted_span():
+    # the echelon walk lists offset + <gens> in lexicographic order, for
+    # moduli that are powers of one prime, with |<gens>| known up front
+    rng = random.Random(0)
+    shapes = [(4,), (8, 2), (4, 4), (2, 4, 8), (9, 3), (8, 4, 2), (4, 2, 4), (2, 2, 2, 2), (8, 8, 4)]
+    for mods in shapes:
+        zero = (0,) * len(mods)
+        for _ in range(12):
+            gens = [[rng.randrange(-20, 20) for _ in mods] for _ in range(rng.randint(0, 3))]
+            offset = [rng.randrange(-20, 20) for _ in mods]
+
+            def shift(x, g):
+                return tuple((a + b) % m for a, b, m in zip(x, g, mods))
+
+            span = closure([zero], lambda x: [shift(x, g) for g in gens])
+            size, elements = oracle._coset_elements(offset, gens, mods)
+            assert size == len(span)
+            assert list(elements) == sorted(shift(offset, x) for x in span)
+
+
+def _order_coset_by_scan(G, gamma):
+    # the scan of H that `_order_coset` replaced
+    H = G.H
+    norm = H.endo_norm(gamma)
+    target = H.neg(G.power((H.zero(), gamma), G.G.element_order(gamma))[0])
+    return {(h, gamma) for h in H.elements() if oracle._mat_apply(norm, h, H.orders) == target}
+
+
+def test_order_coset_matches_scan_on_catalog():
+    sizes = set()
+    for _, _, H in _catalog_modules():
+        nontriv = [g for g in H.group.elements() if any(g)]
+        for E in oracle.enumerate_extensions(H.group, H, refine=False):
+            for g in nontriv:
+                c = oracle._order_coset(E, g)
+                assert c == _order_coset_by_scan(E, g)
+                sizes.add((len(c) == 0, len(c) == H.size))
+    # empty cosets (nonsplit), whole-H cosets and proper cosets all occur
+    assert sizes == {(True, False), (False, True), (False, False)}
 
 
 def _radix(orders):
@@ -517,25 +629,19 @@ def _generated_group(gens, orders):
 
 
 def test_module_automorphisms_count_aut_count():
-    # the criterion-5 catalog, up to 2^16 candidate matrices per module;
-    # the automorphism generators of `realize`'s modules generate them all
+    # the criterion-5 catalog, up to 2^16 candidate matrices per module
+    # (an entry (i, j) of a candidate has gcd(o_j, o_i) values); the
+    # automorphism generators of `realize`'s modules generate them all
     checked = 0
-    for facs in [(2,), (3,), (4,)]:
-        for p in (2, 3):
-            for e in _idems(facs, p):
-                for s in itertools.count(1):
-                    if e.Q ** s > 64:
-                        break
-                    for lam in partitions_of(s):
-                        H = oracle.realize(e, ModuleType(e.Q, lam))
-                        if math.prod(len(c) for c in oracle._hom_candidate_columns(H, H)) > 2**16:
-                            continue
-                        auts = oracle.module_automorphisms(H)
-                        assert len(auts) == aut_count(ModuleType(e.Q, lam))
-                        assert H.blocks is not None
-                        gens = oracle.automorphism_generators(H)
-                        assert _generated_group(gens, H.orders) == _keys(auts, H.orders)
-                        checked += 1
+    for e, lam, H in _catalog_modules():
+        if math.prod(math.gcd(a, b) for a in H.orders for b in H.orders) > 2**16:
+            continue
+        auts = oracle.module_automorphisms(H)
+        assert len(auts) == aut_count(ModuleType(e.Q, lam))
+        assert H.blocks is not None
+        gens = oracle.automorphism_generators(H)
+        assert _generated_group(gens, H.orders) == _keys(auts, H.orders)
+        checked += 1
     assert checked == 166
 
 
