@@ -52,10 +52,11 @@ def require_prime(p):
 
 
 def mult_order(a, m):
-    """Multiplicative order of a modulo m (gcd(a, m) must be 1)."""
+    """Multiplicative order of a modulo m; ValueError unless gcd(a, m) = 1."""
     if m == 1:
         return 1
-    assert math.gcd(a, m) == 1
+    if math.gcd(a, m) != 1:
+        raise ValueError(f"{a} is not a unit mod {m}, so it has no multiplicative order")
     t, x = 1, a % m
     while x != 1:
         x = x * a % m
@@ -169,6 +170,9 @@ class FiniteAbelianGroup:
 
     def subgroup_generated(self, gens):
         """Frozenset of elements of the subgroup generated by gens."""
+        for g in gens:
+            if len(g) != self.rank:
+                raise ValueError(f"generator {g} has {len(g)} coordinates, Γ has rank {self.rank}")
         return closure([self.identity()], lambda x: [self.add(x, g) for g in gens])
 
     def subgroups(self):

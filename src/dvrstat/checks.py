@@ -6,8 +6,6 @@ computations and returns one result record per check.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import schur2
 from .abelian import (
     FiniteAbelianGroup,
@@ -526,6 +524,8 @@ def suite_measure():
     r.check("truncated total mass is monotone and at most 1", ok)
 
     # exhaustive 1x2 cokernel enumeration at Q=2, prec=3
+    import numpy as np
+
     pairs = np.array([[[[a], [b]]] for a in range(8) for b in range(8)])
     vals = _coker_valuations(pairs, 2, 3, (0, 1))
     r.check("exhaustive 1x2 cokernels over Z/8: unimodular fraction 3/4",

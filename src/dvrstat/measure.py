@@ -9,14 +9,16 @@ sampling over Q = p^f with f > 1 runs in the unramified extension ring
 CHUNK matrices with one numpy kernel for every Q; a batch consumes the
 Philox stream exactly as one draw per trial would, so `sample_many`
 returns the same table as repeated `sample` calls on one generator.
+
+numpy is imported inside the sampling functions, not at module level:
+the measure, the moments and every other dvrstat module are exact, so
+only a process that samples pays for loading numpy.
 """
 
 import functools
 import itertools as it
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .abelian import prime_power_split
 from .dvrmod import ModuleType, aut_count, partitions_of, sur_count
@@ -141,6 +143,8 @@ def _ring_mul(a, b, u, mod):
     """Elementwise products in (Z/mod)[z]/u(z) of broadcastable arrays
     whose first axis holds the f = deg u coefficients (ascending), as
     non-negative representatives below mod^2 (reduced only for f > 1)."""
+    import numpy as np
+
     f = len(u) - 1
     if f == 1:
         return a * b
@@ -156,6 +160,8 @@ def _ring_mul(a, b, u, mod):
 
 def _divisor_count(A, p, prec):
     """#{1 <= j <= prec : p^j divides a} per entry: prec for zero."""
+    import numpy as np
+
     V = np.zeros(A.shape, dtype=np.int64)
     for j in range(1, prec + 1):
         V += A % p**j == 0
@@ -164,6 +170,8 @@ def _divisor_count(A, p, prec):
 
 @functools.lru_cache(maxsize=32)
 def _valuation_table(p, prec):
+    import numpy as np
+
     table = _divisor_count(np.arange(p**prec), p, prec).astype(np.int8)
     table.flags.writeable = False  # shared by every caller
     return table
@@ -189,6 +197,8 @@ def _coker_valuations(A, p, prec, u):
     the rest of the pivot row.  int64 holds f·mod^2; larger moduli run
     the same code on Python integers (dtype object).
     """
+    import numpy as np
+
     mod = p**prec
     trials, n, _, f = A.shape
     # coefficient axis first, so that ring arithmetic runs on whole planes
@@ -219,6 +229,8 @@ CHUNK = 1024  # trials per batched draw; bounds the working arrays
 
 def make_rng(seed: int):
     """Counter-based generator with an explicit 64-bit seed."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -239,6 +251,8 @@ def _tally(rng, n, prec, trials, ring, freq):
     """Draw `trials` uniform n x (n+1) matrices, one entry after another
     in the order of per-trial draws, and count their cokernel types
     into `freq` in order of first occurrence."""
+    import numpy as np
+
     p, f, u = ring
     shape = (trials, n, n + 1) if f == 1 else (trials, n, n + 1, f)
     A = rng.integers(0, p**prec, size=shape).reshape(trials, n, n + 1, f)

@@ -564,6 +564,7 @@ class ExplicitGroup:
         self.G = H.group
         self.cocycle = dict(cocycle)
         self._act = {g: H.action_of(g) for g in self.G.elements()}
+        self._coset_cache = {}
         if check:
             self._validate()
 
@@ -634,18 +635,23 @@ class ExplicitGroup:
 
 
 def _order_coset(G: ExplicitGroup, gamma):
-    """c_γ: the elements (h, γ) of G with the same order as γ.
+    """c_γ: the elements (h, γ) of G with the same order as γ, as a
+    frozenset built once per (G, γ).
 
     (h, γ)^{|γ|} = (N_γ·h + c, 1) with N_γ the norm and c = (0, γ)^{|γ|},
     so c_γ is the coset {h : N_γ·h = −c} of ker N_γ.
     """
+    hit = G._coset_cache.get(gamma)
+    if hit is not None:
+        return hit
     H = G.H
     c = G.power((H.zero(), gamma), G.G.element_order(gamma))[0]
     kernel, solve = linalg.congruence_kernel(H.endo_norm(gamma), H.orders, len(H.orders))
     h0 = solve(H.neg(c))
-    if h0 is None:
-        return set()
-    return {(h, gamma) for h in _coset_elements(h0, kernel, H.orders)[1]}
+    coset = frozenset() if h0 is None else frozenset(
+        (h, gamma) for h in _coset_elements(h0, kernel, H.orders)[1])
+    G._coset_cache[gamma] = coset
+    return coset
 
 
 def conjugacy_stats(G: ExplicitGroup, gamma):

@@ -143,6 +143,9 @@ def test_crt_and_mult_order():
                 assert 0 <= x < m1 * m2 and x % m1 == a1 and x % m2 == a2
     assert mult_order(2, 7) == 3
     assert mult_order(3, 1) == 1
+    for a, m in [(2, 4), (0, 5), (6, 9)]:
+        with pytest.raises(ValueError, match="not a unit"):
+            mult_order(a, m)
     assert val_p(48, 2) == 4
     with pytest.raises(ValueError):
         val_p(0, 2)

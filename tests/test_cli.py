@@ -30,11 +30,20 @@ def run(argv):
     return code, buf.getvalue()
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
     """A fresh interpreter with the package's sources on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def trace_targets():
+    """`TARGETS` of the benchmark's tracer, "<module>.<qualified name>"."""
+    path = Path(__file__).resolve().parents[1] / "dvrbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("dvrbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.TARGETS
 
 
 def test_provenance_header_first_line():
@@ -105,6 +114,16 @@ def test_ramtype_subcommand():
     assert code == 0
     rec = json.loads(out.strip().splitlines()[1])
     assert rec["qualifies"] in (True, False)
+
+
+@pytest.mark.parametrize("inertia", ["1,0,7", "1,0"])
+def test_ramtype_rejects_generators_of_the_wrong_length(inertia, capsys):
+    code, _ = run([
+        "ramtype", "--gamma", "4", "--p", "2", "--index", "0",
+        "--d", "0", "--inertia", inertia, "--decomposition", "1",
+    ])
+    assert code == 2
+    assert "coordinates, Γ has rank 1" in capsys.readouterr().err
 
 
 def test_sample_csv_format():
@@ -284,6 +303,17 @@ def test_linalg_input_checks_survive_optimize():
     assert res.stdout == "ValueError: vector not in solution group\n"
 
 
+def test_mult_order_of_a_non_unit_raises_under_optimize():
+    # 2 is not a unit mod 4: the powers run 2, 0, 0, ... and never reach 1
+    res = run_python("-O", "-c", "from dvrstat.abelian import mult_order\n"
+                     "try:\n"
+                     "    mult_order(2, 4)\n"
+                     "except ValueError as exc:\n"
+                     "    print('ValueError:', exc)\n", timeout=30)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("ValueError: 2 is not a unit mod 4")
+
+
 def test_ext_does_not_import_sympy():
     # Γ = Z/3 at p = 5: residue degree 2, so realize builds an unramified factor
     res = run_python("-c", "import io, sys; from dvrstat import cli; "
@@ -321,11 +351,7 @@ def test_big_integers_as_strings():
 def test_benchmark_trace_targets_are_plain_functions():
     # the benchmark's traced run wraps each target by name and raises on a
     # missing name or a generator function
-    path = Path(__file__).resolve().parents[1] / "dvrbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("dvrbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    for target in tracing.TARGETS:
+    for target in trace_targets():
         modname, _, attr = target.partition(".")
         owner = importlib.import_module(f"dvrstat.{modname}")
         *classes, fname = attr.split(".")
@@ -334,3 +360,30 @@ def test_benchmark_trace_targets_are_plain_functions():
         fn = inspect.getattr_static(owner, fname)
         assert inspect.isfunction(fn), target
         assert not inspect.isgeneratorfunction(fn), target
+
+
+def test_numpy_is_loaded_only_by_sampling():
+    # every module the benchmark's tracer wraps is loaded by `import
+    # dvrstat.cli`, and no request outside the sampler loads numpy
+    modules = sorted({"dvrstat." + t.partition(".")[0] for t in trace_targets()})
+    requests = [
+        ["idem", "--gamma", "3", "--p", "2"],
+        ["ie", "--gamma", "4", "--p", "2"],
+        ["ramtype", "--gamma", "4", "--p", "2", "--index", "0", "--d", "1",
+         "--inertia", "1", "--decomposition", "1"],
+        ["counts", "--Q", "2", "--lam", "1", "--mu", "1"],
+        ["weight", "--Q", "2", "--lam", "3,1", "--mu", "2", "--d", "1"],
+        ["oracle", "--Q", "2", "--lam", "2,1", "--mu", "1,1"],
+        ["ext", "--gamma", "2", "--p", "2", "--index", "0", "--parts", "1"],
+        ["b2", "--H", "2,2", "--q", "3", "--n", "4"],
+        ["ratio", "--H", "4,4", "--v", "1"],
+        ["measure", "--Q", "2", "--parts", "1"],
+        ["moment", "--Q", "2", "--V", "1", "--B", "4"],
+        *(["verify", "--suite", s] for s in ("rings", "modules", "groups", "schur")),
+    ]
+    res = run_python("-c", "import io, json, sys; import dvrstat.cli as cli\n"
+                     "missing = [m for m in json.loads(sys.argv[1]) if m not in sys.modules]\n"
+                     "codes = [cli.main(argv, out=io.StringIO()) for argv in json.loads(sys.argv[2])]\n"
+                     "print(json.dumps([missing, codes, 'numpy' in sys.modules]))",
+                     json.dumps(modules), json.dumps(requests))
+    assert json.loads(res.stdout) == [[], [0] * len(requests), False], res.stderr

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -675,3 +676,34 @@ def test_explicit_group_closed_forms_match_walking():
             assert G.element_order(x) == o
             assert G.inv(x) == _walk_power(G, x, o - 1)
             assert all(G.power(x, n) == _walk_power(G, x, n) for n in range(2 * o + 1))
+
+
+def test_ext_solves_each_order_coset_once(monkeypatch):
+    # Γ = (Z/2)^2 on Z/2 has 8 extension classes; `ext` asks each class for
+    # c_γ at the 3 nonzero γ (conjugacy_stats) and at the 2 basis elements
+    # (splitting_count), but only the first ask per (class, γ) solves
+    from dvrstat import cli
+
+    asks, solves, inside = [], [], []
+    order_coset, congruence_kernel = oracle._order_coset, linalg.congruence_kernel
+
+    def counting_coset(G, gamma):
+        asks.append((id(G), gamma))
+        inside.append(asks[-1])
+        try:
+            return order_coset(G, gamma)
+        finally:
+            inside.pop()
+
+    def counting_kernel(*args):
+        if inside:
+            solves.append(inside[-1])
+        return congruence_kernel(*args)
+
+    monkeypatch.setattr(oracle, "_order_coset", counting_coset)
+    monkeypatch.setattr(linalg, "congruence_kernel", counting_kernel)
+    assert cli.main(["ext", "--gamma", "2,2", "--p", "2", "--index", "0", "--parts", "1"],
+                    out=io.StringIO()) == 0
+    assert len(asks) == 8 * 5
+    assert len(solves) == len(set(solves)) == 8 * 3
+    assert set(solves) == set(asks)

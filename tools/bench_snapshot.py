@@ -40,8 +40,10 @@ SEED = 1
 # the fixed requests of ROADMAP aim 1 and the slow requests named under
 # its State. `ext --gamma 8 --p 2 --index 3 --parts 4,4` is left out:
 # three runs of it on a commit before the one-sided Smith normal form
-# take about 7 minutes on 2 cores
+# take about 7 minutes on 2 cores. `counts` does almost no work, so its
+# time is the start-up of a fresh process
 CLI_REQUESTS = (
+    "counts --Q 2 --lam 1 --mu 1",
     "sample --Q 2 --n 12 --prec 5 --trials 100000 --seed 42",
     "ext --gamma 2 --p 2 --index 0 --parts 2,1,1,1",
     "ext --gamma 2 --p 2 --index 1 --parts 2,2,2",
