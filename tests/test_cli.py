@@ -198,6 +198,12 @@ def test_sample_bad_arguments_exit_2():
     assert code == 2
 
 
+def test_sample_negative_seed_exit_2(capsys):
+    code, _ = run(["sample", "--Q", "2", "--n", "2", "--prec", "3", "--trials", "10", "--seed", "-1"])
+    assert code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_byte_identical_reproducibility():
     argv = ["sample", "--Q", "3", "--n", "3", "--prec", "4",
             "--trials", "500", "--seed", "7"]

@@ -7,14 +7,19 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from dvrstat import measure as measure_mod
 from dvrstat.abelian import prime_power_split
 from dvrstat.dvrmod import ModuleType
 from dvrstat.measure import (
     CHUNK,
     MeasureContext,
+    SampleOutcome,
     _coker_valuations,
     _irreducible_poly,
+    _kernel_dtype,
     _ring_mul,
+    _sampler_ring,
+    _tally,
     _valuations,
     make_rng,
     measure,
@@ -214,12 +219,71 @@ def test_kernel_matches_slow_reference(case):
 
 def test_kernel_object_dtype_matches_int64():
     # p^prec = 3^20 takes the object path; the same matrices scaled down
-    # to 3^5 run in int64 and must give the valuations capped at 5
+    # to 3^5 run in int32 and must give the valuations capped at 5
     rng = make_rng(3)
     A = rng.integers(0, 3**5, size=(50, 3, 4, 1)) * 3 ** rng.integers(0, 3, size=(50, 3, 4, 1))
     small = _coker_valuations(A % 3**5, 3, 5, (0, 1))
     big = _coker_valuations(A, 3, 20, (0, 1))
     assert (np.minimum(big, 5) == small).all()
+
+
+@pytest.mark.parametrize("p, f, prec, below, above", [
+    (5, 1, 6, np.int32, np.int64),
+    (5, 1, 13, np.int64, object),
+    (3, 2, 9, np.int32, np.int64),
+    (3, 2, 19, np.int64, object),
+    (3, 3, 9, np.int32, np.int64),
+    (3, 3, 19, np.int64, object),
+])
+def test_kernel_dtype_switch_keeps_valuations(p, f, prec, below, above):
+    # p^prec is the largest modulus on its rung of the dtype ladder and
+    # p^(prec+1) the smallest on the next; both run the same matrices,
+    # whose entries sit at or just under mod - 1 (the largest products)
+    # or carry a valuation near prec.  The last row is the sum of the
+    # first two, so an overflow that breaks its cancellation shows as a
+    # wrong valuation.  p is odd: for p = 2 a wrapped fixed-width product
+    # keeps its residue mod 2^prec, so an overflow would not show
+    assert _kernel_dtype(p**prec, f) is below and _kernel_dtype(p ** (prec + 1), f) is above
+    mod, u, rng = p ** (prec + 1), _irreducible_poly(p, f), make_rng(prec + f)
+    shape = (60, 3, 4, f)
+    high = (p ** rng.integers(prec - 2, prec + 2, size=shape).astype(object)
+            * rng.integers(1, p**3, size=shape).astype(object)) % mod
+    near_top = mod - 1 - rng.integers(0, 3, size=shape).astype(object)
+    A = np.where(rng.integers(0, 3, size=shape) == 0, high, near_top)
+    A[:, 2] = (A[:, 0] + A[:, 1]) % mod
+    small = _coker_valuations(A % p**prec, p, prec, u)
+    big = _coker_valuations(A, p, prec + 1, u)
+    assert (np.minimum(np.sort(big, axis=1), prec) == np.sort(small, axis=1)).all()
+
+
+@pytest.mark.parametrize("source", ["kernel", "pool"])
+def test_tally_counts_sorted_rows_by_first_occurrence(monkeypatch, source):
+    # n = 30 at prec 5: (prec + 1)^n > 2^62, so a row does not fit one
+    # integer code.  "pool" replaces the kernel by rows drawn from a small
+    # pool, several of them equal up to order or differing in one entry
+    n, prec, trials = 30, 5, 300
+    gen, seen = np.random.default_rng(4), []
+    pool = gen.integers(0, prec + 1, size=(12, n))
+    pool[1], pool[2] = pool[0][::-1], pool[0]
+    pool[2, 7] = (pool[0, 7] + 1) % (prec + 1)
+    kernel = measure_mod._coker_valuations
+
+    def recorded(A, p, prec, u):
+        vals = kernel(A, p, prec, u) if source == "kernel" else pool[gen.integers(0, len(pool), size=len(A))]
+        seen.append(vals)
+        return vals
+
+    monkeypatch.setattr(measure_mod, "_coker_valuations", recorded)
+    ring, freq = _sampler_ring(2, n, prec), {}
+    for seed in (1, 2):
+        _tally(make_rng(seed), n, prec, trials, ring, freq)
+    want = {}
+    for row in np.concatenate(seen).tolist():
+        key = tuple(v for v in sorted(row, reverse=True) if v > 0)
+        out = SampleOutcome(parts=key, overflow=bool(key and key[0] >= prec))
+        want[out] = want.get(out, 0) + 1
+    assert list(freq.items()) == list(want.items())
+    assert len(want) > (1 if source == "kernel" else 8)
 
 
 def test_sampler_reproducibility():
@@ -287,4 +351,8 @@ def test_sampler_rejects_bad_arguments():
             sample_many(ctx, n, prec, trials, seed=1)
     with pytest.raises(ValueError):
         sample(ctx, 0, 3, make_rng(1))
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        sample_many(ctx, 2, 3, 10, seed=-1)
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        make_rng(-1)
     assert sample_many(ctx, 2, 3, 0, seed=1) == {}

@@ -41,10 +41,12 @@ SEED = 1
 # its State. `ext --gamma 8 --p 2 --index 3 --parts 4,4` is left out:
 # three runs of it on a commit before the one-sided Smith normal form
 # take about 7 minutes on 2 cores. `counts` does almost no work, so its
-# time is the start-up of a fresh process
+# time is the start-up of a fresh process; `sample --Q 8` runs the
+# sampler's Galois-ring path (f = 3)
 CLI_REQUESTS = (
     "counts --Q 2 --lam 1 --mu 1",
     "sample --Q 2 --n 12 --prec 5 --trials 100000 --seed 42",
+    "sample --Q 8 --n 4 --prec 5 --trials 20000 --seed 42",
     "ext --gamma 2 --p 2 --index 0 --parts 2,1,1,1",
     "ext --gamma 2 --p 2 --index 1 --parts 2,2,2",
     "ext --gamma 2 --p 2 --index 0 --parts 1,1,1,1,1",
