@@ -328,16 +328,8 @@ def frobenius_orbits(G: FiniteAbelianGroup, p):
     """
     require_prime(p)
     units = galois_exponents(G.exponent, p)
-    seen = set()
-    orbits = []
-    for chi in G.characters():
-        if chi in seen:
-            continue
-        orbit = {G.char_pow(chi, u) for u in units}
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda o: o[0])
-    return orbits
+    found = orbits(G.characters(), lambda chi: [G.char_pow(chi, u) for u in units])
+    return sorted((tuple(sorted(o)) for o in found), key=lambda o: o[0])
 
 
 def wedge_square_p_part(G: FiniteAbelianGroup, p):

@@ -312,10 +312,10 @@ def suite_groups():
         g = (1,)
         ab = oracle.ab_sets(H, g)
         a_minus, coords_of = oracle.module_from_subgroup(H, ab.a_minus)
-        q1, _ = oracle.module_quotient(a_minus, {coords_of(x) for x in ab.b_minus})
+        q1, _, _ = oracle.module_quotient(a_minus, {coords_of(x) for x in ab.b_minus})
         a0, _ = oracle.module_from_subgroup(H, ab.a_zero)
         bsum = oracle.subgroup_sum(H, ab.b_minus, ab.b_plus)
-        q2, _ = oracle.module_quotient(H, bsum)
+        q2, _, _ = oracle.module_quotient(H, bsum)
         t1 = oracle.iso_type(q1, e_sgn)
         t2 = oracle.iso_type(a0, e_sgn)
         t3 = oracle.iso_type(q2, e_sgn)

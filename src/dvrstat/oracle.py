@@ -5,8 +5,8 @@ submodules of 1−γ and the norm, conjugacy statistics in extensions,
 
 Everything here favours transparency over speed; the closed formulas in
 dvrmod are validated against these computations.  The oracle still
-lists every object it counts, but finds them by exact linear algebra
-where a sweep would test mostly candidates that pass anyway: Γ-homs
+lists every object it counts, but finds them by exact linear algebra,
+not by testing candidates: Γ-homs, the fiber-product lifts among them
 (`_hom_matrices`) and the order cosets c_γ (`_order_coset`) are the
 solutions of one congruence system each, listed from an echelon form.
 """
@@ -520,12 +520,15 @@ def module_from_subgroup(H: ExplicitModule, subset):
 
 
 def module_quotient(H: ExplicitModule, subgroup):
-    """H / subgroup as an ExplicitModule; returns (module, project_fn)."""
+    """H / subgroup as an ExplicitModule; returns (module, project, lift):
+    project maps an element of H to its quotient coordinates, and the
+    columns of the matrix lift are elements of H over the quotient's
+    generators."""
     gens = [list(x) for x in subgroup]
     orders_q, proj, lift = linalg.quotient_structure(list(H.orders), gens)
     if not orders_q:
         Z = zero_module(H.p, H.group)
-        return Z, (lambda x: ())
+        return Z, (lambda x: ()), lift
 
     def project(x):
         return tuple(sum(proj[t][i] * x[i] for i in range(len(H.orders))) % orders_q[t]
@@ -536,7 +539,7 @@ def module_quotient(H: ExplicitModule, subgroup):
         big = linalg.mat_mul(proj, linalg.mat_mul(A, lift))
         actions.append([[x % o for x in row] for row, o in zip(big, orders_q)])
     quo = ExplicitModule(H.p, orders_q, H.group, actions)
-    return quo, project
+    return quo, project, lift
 
 
 def gamma_submodules(H: ExplicitModule, inside=None):
@@ -851,9 +854,9 @@ def automorphism_generators(H: ExplicitModule):
     quotient of Z_p[Γ], so Aut_Γ(H) = Aut_O(H).  That group is generated
     by the units of each summand and the transvections 1 + φ, φ a Γ-hom
     from summand j to summand i ≠ j (φ² = 0, so 1 − φ is the inverse).
-    A summand's Γ-endomorphisms are multiplications by O, the additive
-    span of Γ's action matrices.  On any other module the generating set
-    is all of `module_automorphisms(H)`.
+    A summand's units are its Γ-endomorphisms of full rank over F_p.  On
+    any other module the generating set is all of
+    `module_automorphisms(H)`.
     """
     if H.blocks is None:
         return module_automorphisms(H)
@@ -873,12 +876,7 @@ def automorphism_generators(H: ExplicitModule):
     gens = []
     for i, S in enumerate(parts):
         ks = len(S.orders)
-        zero = ((0,) * ks,) * ks
-        mats = [S.action_of(g) for g in S.group.elements()]
-        span = closure([zero], lambda T: [tuple(tuple((t + x) % o for t, x in zip(rt, ra))
-                                                for rt, ra, o in zip(T, A, S.orders))
-                                          for A in mats])
-        gens += [embed(i, i, U) for U in span if _rank_mod_p(U, H.p) == ks]
+        gens += [embed(i, i, U) for U in _hom_matrices(S, S) if _rank_mod_p(U, H.p) == ks]
     for (i, Si), (j, Sj) in itertools.permutations(enumerate(parts), 2):
         for phi in _hom_matrices(Sj, Si):
             if any(map(any, phi)):
@@ -972,47 +970,13 @@ class ModuleHom:
         return frozenset(x for x in self.src.elements() if self.apply(x) == z)
 
 
-def _hom_candidate_columns(src: ExplicitModule, dst: ExplicitModule):
-    """Per source generator of order o, the images y with o·y = 0, in
-    `dst.elements()` order: y_i runs over the multiples of
-    dst.orders[i] / gcd(o, dst.orders[i])."""
-    return [list(itertools.product(*(range(0, m, m // math.gcd(o, m)) for m in dst.orders)))
-            for o in src.orders]
-
-
-def _equivariant_matrices(src: ExplicitModule, dst: ExplicitModule, columns):
-    """Matrices T (rows indexed by dst coords) whose j-th column is drawn
-    from columns[j], in itertools.product order, with T·A_src ≡ A_dst·T
-    row-wise modulo dst.orders for every generator of Γ.
-
-    A sweep that tests every candidate: only `fiber_tools`' lift search
-    uses it, where the columns are already cut to a few candidates.
-    Full Hom listings come from `_hom_matrices`."""
-    kd, ks = len(dst.orders), len(src.orders)
-    checks = []
-    for A, B in zip(src.actions, dst.actions):
-        if (_mat_eq(A, linalg.identity_matrix(ks), src.orders)
-                and _mat_eq(B, linalg.identity_matrix(kd), dst.orders)):
-            continue  # T·1 = 1·T
-        checks.append((list(zip(*A)), B))
-    orders = dst.orders
-    for cols in itertools.product(*columns):
-        T = tuple(zip(*cols)) if ks else ((),) * kd
-        if all((sum(t * a for t, a in zip(row, acol))
-                - sum(b * c for b, c in zip(brow, col))) % o == 0
-               for acols, B in checks
-               for row, brow, o in zip(T, B, orders)
-               for acol, col in zip(acols, cols)):
-            yield T
-
-
 def brute_module_counts(M: ExplicitModule, N: ExplicitModule):
     """(#Hom_Γ, #Sur_Γ) by enumeration of generator images."""
     homs = enumerate_module_homs(M, N)
     return len(homs), sum(f.is_surjective() for f in homs)
 
 
-def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None):
+def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None, over=None):
     """Matrices T (rows indexed by dst coords) of all Γ-homs src → dst,
     from one `linalg.congruence_kernel` solve.
 
@@ -1023,8 +987,14 @@ def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None):
     form a subgroup of ⊕ Z/dst.orders[i], listed from its echelon form in
     lexicographic order of the column-major tuple, entries in
     range(dst.orders[i]): the order in which itertools.product over the
-    admissible columns met them.  ValueError when |Hom_Γ(src, dst)|
-    exceeds cap, known from the echelon form before anything is listed.
+    admissible columns met them.
+
+    With over = (g, f), Γ-homs g: dst → Z and f: src → Z, only the T
+    with g·T = f are listed: the rows (g·T)[r][j] ≡ f[r][j] (mod
+    Z.orders[r]) join the system, and its solutions are one solution of
+    it plus the homs with g·T = 0, listed in the same order (nothing when
+    there is no solution).  ValueError when more than cap would be
+    listed, known from the echelon form before anything is listed.
     """
     ks, kd = len(src.orders), len(dst.orders)
     n = ks * kd
@@ -1046,8 +1016,21 @@ def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None):
                 if any(x % m for x in row):  # 0 ≡ 0 when Γ acts trivially on both
                     rows.append(row)
                     rmods.append(m)
-    basis, _ = linalg.congruence_kernel(rows, rmods, n)
-    size, flats = _coset_elements([0] * n, basis, mods)
+    rhs = [0] * len(rows)
+    if over is not None:
+        g, f = over
+        for j in range(ks):
+            for r, m in enumerate(g.dst.orders):
+                row = [0] * n
+                row[j * kd:(j + 1) * kd] = g.matrix[r]
+                rows.append(row)
+                rmods.append(m)
+                rhs.append(f.matrix[r][j])
+    basis, solve = linalg.congruence_kernel(rows, rmods, n)
+    offset = solve(rhs)
+    if offset is None:
+        return iter(())
+    size, flats = _coset_elements(offset, basis, mods)
     if cap is not None and size > cap:
         raise ValueError("Γ-hom enumeration too large")
     rows_of = [slice(i, None, kd) for i in range(kd)]  # row i of T is flat[i::kd]
@@ -1146,11 +1129,9 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     on X ⊕ Y, found by one integer linear system, not by a sweep of X × Y.
 
     For each Γ-submodule U ⊆ ker π₂ the map N₁ → N₂/U is ψ, the first
-    surjective lift of π₁ in `enumerate_module_homs` order.  The search
-    draws, for each generator of N₁, only the images that π₁ allows, and
-    tests them with `_equivariant_matrices`: that leaves about 1.7
-    candidates per search on the criterion-9 shapes, where an affine
-    solve in the style of `_hom_matrices` would cost one to three SNFs.
+    surjective lift of π₁ in `enumerate_module_homs` order: the homs T
+    with P·T = π₁, P the map N₂/U → N₃ induced by π₂, come from one
+    `_hom_matrices` solve.
     """
     N1, N2 = pi1.src, pi2.src
     N3 = pi1.dst
@@ -1163,24 +1144,15 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
         raise ValueError("equal-rank hypothesis violated")
 
     ker2 = pi2.kernel()
-    best = None  # (U, quotient, project, psi)
     factoring = []
     for U in gamma_submodules(N2, ker2):
-        quo, project = module_quotient(N2, U)
-        # induced map quotient -> N3, tabulated in one pass over N2
-        induced = {}
-        for y in N2.elements():
-            induced[project(y)] = pi2.apply(y)
-        # a surjection N1 -> quotient lifting π₁: generator j may only go
-        # to the y with induced[y] = π₁(e_j)
-        targets = [pi1.apply(x) for x in _unit_columns(N1)]
-        lifts = [[y for y in cand if induced[y] == t]
-                 for t, cand in zip(targets, _hom_candidate_columns(N1, quo))]
-        for T in _equivariant_matrices(N1, quo, lifts):
-            psi = ModuleHom(N1, quo, T)
-            if psi.is_surjective():
-                factoring.append((U, quo, project, psi))
-                break
+        quo, project, lift = module_quotient(N2, U)
+        # P: column t is π₂ of the lift of quotient generator t
+        induced = ModuleHom(quo, N3, _mat_mat(pi2.matrix, lift, N3.orders))
+        lifts = (ModuleHom(N1, quo, T) for T in _hom_matrices(N1, quo, over=(induced, pi1)))
+        psi = next((h for h in lifts if h.is_surjective()), None)
+        if psi is not None:
+            factoring.append((U, quo, project, psi))
     assert factoring, "the common target itself must factor"
     Ustar = frozenset.intersection(*(frozenset(U) for U, _, _, _ in factoring))
     match = [t for t in factoring if frozenset(t[0]) == Ustar]

@@ -25,8 +25,10 @@ class NilClass2Cover:
 
     def __init__(self, ds):
         ds = tuple(int(d) for d in ds)
-        assert all(a >= b for a, b in zip(ds, ds[1:])), "exponents must be sorted descending"
-        assert all(d >= 1 for d in ds), "exponents must be positive"
+        if any(a < b for a, b in zip(ds, ds[1:])):
+            raise ValueError(f"exponents {ds} must be sorted descending")
+        if any(d < 1 for d in ds):
+            raise ValueError(f"exponents {ds} must be positive")
         self.ds = ds
         self.r = len(ds)
         self.orders = tuple(2**d for d in ds)

@@ -320,6 +320,20 @@ def test_mult_order_of_a_non_unit_raises_under_optimize():
     assert res.stdout.startswith("ValueError: 2 is not a unit mod 4")
 
 
+def test_cover_exponent_checks_survive_optimize():
+    # unsorted exponents would give b_exact((1, 2), 3, 4) = 20 where the
+    # sorted (2, 1) gives 11, and a zero exponent b_closed((0,), 1, 4) = 3
+    res = run_python("-O", "-c", "from dvrstat import schur2\n"
+                     "for call in (lambda: schur2.b_exact((1, 2), 3, 4), lambda: schur2.b_closed((0,), 1, 4)):\n"
+                     "    try:\n"
+                     "        print(call())\n"
+                     "    except ValueError as exc:\n"
+                     "        print('ValueError:', exc)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["ValueError: exponents (1, 2) must be sorted descending",
+                                       "ValueError: exponents (0,) must be positive"]
+
+
 def test_ext_does_not_import_sympy():
     # Γ = Z/3 at p = 5: residue degree 2, so realize builds an unramified factor
     res = run_python("-c", "import io, sys; from dvrstat import cli; "

@@ -107,7 +107,7 @@ def test_iso_type_of_kernels_and_quotients():
     H = oracle.realize(e, ModuleType(2, (2, 1)))
     ab = oracle.ab_sets(H, (1,))
     sub, _ = oracle.module_from_subgroup(H, ab.a_plus)
-    quo, _ = oracle.module_quotient(H, ab.b_minus)
+    quo, _, _ = oracle.module_quotient(H, ab.b_minus)
     assert oracle.iso_type(sub, e).parts == oracle.iso_type(quo, e).parts
 
 
@@ -263,6 +263,7 @@ def test_fiber_products_match_sweep_on_catalog_shapes():
         for pi1 in surs1[:2]:
             for pi2 in surs2[:2]:
                 res = oracle.fiber_tools(e, pi1, pi2)
+                assert res.to_common_1.matrix == _first_surjective_lift(res, pi1, pi2)
                 _assert_fiber_matches_sweep(pi1, pi2, e, res.fiber_product)
                 _assert_fiber_matches_sweep(res.to_common_1, res.to_common_2, e, res.boxtimes)
 
@@ -474,6 +475,50 @@ def test_enumerate_module_homs_matches_brute_force():
             assert [h.matrix for h in homs] == brute
             rejected += candidates - len(brute)
         assert rejected > 0
+
+
+def _assert_lifts_match_brute_force(M, N, Z, brute):
+    """For one g: N → Z (the first surjective one, else the last hom) and
+    every f: M → Z, `_hom_matrices(M, N, over=(g, f))` lists the brute
+    force homs T with g∘T = f on M's generators, in the same order.
+    Returns the set of whether each f has a lift."""
+    homs_NZ = oracle.enumerate_module_homs(N, Z)
+    g = next((h for h in homs_NZ if h.is_surjective()), homs_NZ[-1])
+    gens = [tuple(int(i == j) for i in range(len(M.orders))) for j in range(len(M.orders))]
+    lifts_of = {}
+    for T in brute:
+        h = oracle.ModuleHom(M, N, T)
+        lifts_of.setdefault(tuple(g.apply(h.apply(x)) for x in gens), []).append(T)
+    seen = set()
+    for f in oracle.enumerate_module_homs(M, Z):
+        expected = lifts_of.get(tuple(f.apply(x) for x in gens), [])
+        assert list(oracle._hom_matrices(M, N, over=(g, f))) == expected
+        seen.add(bool(expected))
+    return seen
+
+
+def test_hom_matrices_over_matches_brute_force():
+    # the affine form lists the lifts of f through g, on the small
+    # modules and on the catalog modules of each idempotent up to order 4
+    groups = _small_modules()
+    for facs in [(2,), (3,), (4,)]:
+        for p in (2, 3):
+            for e in _idems(facs, p):
+                groups.append([oracle.realize(e, ModuleType(e.Q, lam))
+                               for s in (1, 2) if e.Q ** s <= 4 for lam in partitions_of(s)])
+    seen = set()
+    for mods in groups:
+        for M, N in itertools.product(mods, repeat=2):
+            brute, _ = _brute_homs(M, N)
+            for Z in mods:
+                seen |= _assert_lifts_match_brute_force(M, N, Z, brute)
+    assert seen == {True, False}
+    # f = 1 has no lift through g = 0
+    H = groups[0][0]
+    k = len(H.orders)
+    zero = oracle.ModuleHom(H, H, ((0,) * k,) * k)
+    one = oracle.ModuleHom(H, H, tuple(map(tuple, linalg.identity_matrix(k))))
+    assert list(oracle._hom_matrices(H, H, over=(zero, one))) == []
 
 
 def test_is_surjective_matches_subgroup_size():

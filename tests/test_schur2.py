@@ -187,5 +187,7 @@ def test_moment_ratio():
 
 
 def test_cover_requires_sorted_exponents():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="sorted descending"):
         NilClass2Cover((1, 2))
+    with pytest.raises(ValueError, match="must be positive"):
+        NilClass2Cover((0,))
