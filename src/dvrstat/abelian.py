@@ -288,34 +288,25 @@ def subgroup_lattice(universe, zero, span, add):
     return sorted(closure([start], step), key=lambda s: (len(s), sorted(s)))
 
 
-def galois_exponents(E, p):
-    """Exponents u acting on E-th roots of unity by the p-adic Galois group.
-
-    The group is generated by the units congruent to 1 off p (wild part)
-    together with the Frobenius exponent (p on the prime-to-p part, 1 on
-    the p-part).  Returns a sorted list of units mod E.
-    """
+def galois_generators(E, p):
+    """Generators of the p-adic Galois action on E-th roots of unity, as
+    exponents mod E: the Frobenius (p on the prime-to-p part, 1 on the
+    p-part) and the units of the p-part (1 off it)."""
     require_prime(p)
+    pk = p ** val_p(E, p)
+    m = E // pk
+    return [crt(1, pk, p % m, m)] + [crt(a, pk, 1, m) for a in range(2, pk) if a % p]
+
+
+def galois_exponents(E, p):
+    """Exponents u acting on E-th roots of unity by the p-adic Galois group,
+    the closure of 1 under `galois_generators`.  Returns a sorted list of
+    units mod E.
+    """
+    gens = galois_generators(E, p)
     if E == 1:
         return [1]
-    K = val_p(E, p)
-    pk = p**K
-    m = E // pk
-    wild = [a for a in range(1, pk + 1) if math.gcd(a, pk) == 1] if pk > 1 else [1]
-    f = mult_order(p, m)
-    out = set()
-    for a in wild:
-        frob = 1
-        for _ in range(f):
-            if pk == 1:
-                u = frob % m
-            elif m == 1:
-                u = a % pk
-            else:
-                u = crt(a, pk, frob, m)
-            out.add(u if u else E)
-            frob = frob * p % m if m > 1 else 1
-    return sorted(out)
+    return sorted(closure([1], lambda u: [u * g % E for g in gens]))
 
 
 def frobenius_orbits(G: FiniteAbelianGroup, p):
@@ -326,9 +317,8 @@ def frobenius_orbits(G: FiniteAbelianGroup, p):
     Returns a list of orbits (tuples of coefficient tuples), sorted by
     minimal member; the trivial character's orbit comes first.
     """
-    require_prime(p)
-    units = galois_exponents(G.exponent, p)
-    found = orbits(G.characters(), lambda chi: [G.char_pow(chi, u) for u in units])
+    gens = galois_generators(G.exponent, p)
+    found = orbits(G.characters(), lambda chi: [G.char_pow(chi, g) for g in gens])
     return sorted((tuple(sorted(o)) for o in found), key=lambda o: o[0])
 
 

@@ -343,7 +343,7 @@ def main(argv=None, out=None):
     try:
         _provenance(args, out)
         return args.func(args, out)
-    except (ValueError, AssertionError, KeyError, IndexError) as ex:
+    except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

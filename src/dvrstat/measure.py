@@ -303,8 +303,7 @@ def _tally(rng, n, prec, trials, ring, freq):
     import numpy as np
 
     p, f, u = ring
-    shape = (trials, n, n + 1) if f == 1 else (trials, n, n + 1, f)
-    A = rng.integers(0, p**prec, size=shape).reshape(trials, n, n + 1, f)
+    A = rng.integers(0, p**prec, size=(trials, n, n + 1, f))
     # each row of ascending valuations (at most prec <= 61) is one byte
     # string, so that np.unique compares rows as single keys
     rows = np.sort(_coker_valuations(A, p, prec, u).astype(np.uint8), axis=1)

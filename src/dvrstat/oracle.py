@@ -700,108 +700,56 @@ def enumerate_extensions(Gamma: FiniteAbelianGroup, H: ExplicitModule, refine=Tr
     k = len(H.orders)
     if k == 0:
         return [ExplicitGroup.split(H)]
-    p = H.p
-    alphas = H.alphas
-    A_exp = max(alphas)
-    L = p**A_exp
+    # a normalized 2-cochain f is the vector y over Z/L whose slot
+    # idx[a, b] + i holds s_i·f(a, b)_i, for a, b ≠ 1 and s_i = L/|h_i|
+    L = max(H.orders)
+    s = [L // o for o in H.orders]
     Gs = [g for g in Gamma.elements() if any(g)]
-    m = len(Gs)
-    gidx = {g: t for t, g in enumerate(Gs)}
-    nvar = m * m * k
+    idx = {ab: t * k for t, ab in enumerate(itertools.product(Gs, Gs))}
+    nvar = len(idx) * k
 
-    def vid(a, b, i):
-        return (gidx[a] * m + gidx[b]) * k + i
+    def scaled(T):
+        # T in the scaled coordinates; entry (i, j) becomes T_ij·|h_j|/|h_i|,
+        # which is integral exactly when T is well defined on H
+        assert all(x * oj % oi == 0 for row, oi in zip(T, H.orders) for x, oj in zip(row, H.orders))
+        return [[x * oj // oi % L for x, oj in zip(row, H.orders)] for row, oi in zip(T, H.orders)]
 
-    # action matrices rewritten in the scaled coordinates y_i = p^{A-α_i} x_i;
-    # divisibility of the original entries makes every scaled entry integral
-    scaled = {}
-    for g in Gamma.elements():
-        M = H.action_of(g)
-        S = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                if alphas[j] >= alphas[i]:
-                    S[i][j] = M[i][j] * p ** (alphas[j] - alphas[i]) % L
-                else:
-                    step = p ** (alphas[i] - alphas[j])
-                    assert M[i][j] % step == 0
-                    S[i][j] = M[i][j] // step % L
-        scaled[g] = S
-
-    idg = Gamma.identity()
+    # rows f(a, b) + f(ab, c) − a·f(b, c) − f(a, bc), then the orders |h_i|
+    act = {a: scaled(H.action_of(a)) for a in Gs}
     rows = []
-    for a in Gs:
-        for b in Gs:
-            ab = Gamma.add(a, b)
-            for c in Gs:
-                bc = Gamma.add(b, c)
-                Sa = scaled[a]
-                for i in range(k):
-                    row = [0] * nvar
-                    row[vid(a, b, i)] += 1
-                    if ab != idg:
-                        row[vid(ab, c, i)] += 1
-                    if bc != idg:
-                        row[vid(a, bc, i)] -= 1
-                    for j in range(k):
-                        if Sa[i][j]:
-                            row[vid(b, c, j)] -= Sa[i][j]
-                    rows.append(row)
-    for a in Gs:
-        for b in Gs:
+    for (a, b), t in idx.items():
+        ab = Gamma.add(a, b)
+        for c in Gs:
+            bc = Gamma.add(b, c)
             for i in range(k):
                 row = [0] * nvar
-                row[vid(a, b, i)] = p ** alphas[i]
+                row[t + i] += 1
+                if (ab, c) in idx:
+                    row[idx[ab, c] + i] += 1
+                if (a, bc) in idx:
+                    row[idx[a, bc] + i] -= 1
+                for j, x in enumerate(act[a][i]):
+                    row[idx[b, c] + j] -= x
                 rows.append(row)
+    rows += [[H.orders[t % k] * (u == t) for u in range(nvar)] for t in range(nvar)]
     Kgens, Korders, Kcoords = linalg.kernel_mod(rows, L, nvar)
 
-    def scale_cocycle(coc):
-        y = [0] * nvar
-        for a in Gs:
-            for b in Gs:
-                h = coc[(a, b)]
-                for i in range(k):
-                    y[vid(a, b, i)] = (h[i] * p ** (A_exp - alphas[i])) % L
-        return y
-
-    def unscale(y):
-        coc = {}
-        for a in Gamma.elements():
-            coc[(idg, a)] = H.zero()
-            coc[(a, idg)] = H.zero()
-        for a in Gs:
-            for b in Gs:
-                h = []
-                for i in range(k):
-                    v = y[vid(a, b, i)] % L
-                    s = p ** (A_exp - alphas[i])
-                    assert v % s == 0
-                    h.append((v // s) % (p ** alphas[i]))
-                coc[(a, b)] = tuple(h)
-        return coc
-
-    # coboundaries of the basis 1-cochains
+    # coboundaries δc(u, v) = u·c(v) − c(uv) + c(u) of the basis 1-cochains
+    # c = h_i0 at a0 and 0 elsewhere
     cob_rows = []
     for a0 in Gs:
         for i0 in range(k):
-            coc = {}
-            for u in Gs:
-                for v in Gs:
-                    h = [0] * k
-                    if v == a0:  # u · c(v)
-                        Mu = H.action_of(u)
-                        for i in range(k):
-                            h[i] = (h[i] + Mu[i][i0]) % H.orders[i]
-                    if Gamma.add(u, v) == a0:
-                        h[i0] = (h[i0] - 1) % H.orders[i0]
-                    if u == a0:
-                        h[i0] = (h[i0] + 1) % H.orders[i0]
-                    coc[(u, v)] = tuple(h)
-            cob_rows.append(list(Kcoords(scale_cocycle(coc))))
+            y = [0] * nvar
+            for (u, v), t in idx.items():
+                if v == a0:
+                    for i, row in enumerate(H.action_of(u)):
+                        y[t + i] += s[i] * row[i0]
+                y[t + i0] += s[i0] * ((u == a0) - (Gamma.add(u, v) == a0))
+            cob_rows.append(list(Kcoords(y)))
     h2_orders, h2_proj, h2_lift = linalg.quotient_structure(list(Korders), cob_rows)
 
-    def class_of(coc):
-        c = Kcoords(scale_cocycle(coc))
+    def class_of(y):
+        c = Kcoords(y)
         return tuple(sum(h2_proj[t][j] * c[j] for j in range(len(Korders))) % h2_orders[t]
                      for t in range(len(h2_orders)))
 
@@ -809,31 +757,36 @@ def enumerate_extensions(Gamma: FiniteAbelianGroup, H: ExplicitModule, refine=Tr
         c = [sum(h2_lift[j][t] * z[t] for t in range(len(h2_orders))) % Korders[j]
              for j in range(len(Korders))]
         y = [0] * nvar
-        for j, cj in enumerate(c):
+        for cj, g in zip(c, Kgens):
             if cj:
-                y = [(a + cj * b) % L for a, b in zip(y, Kgens[j])]
-        return unscale(y)
+                y = [(a + cj * b) % L for a, b in zip(y, g)]
+        return y
+
+    def cocycle(y):
+        coc = dict.fromkeys(itertools.product(Gamma.elements(), repeat=2), H.zero())
+        for ab, t in idx.items():
+            assert all(y[t + i] % si == 0 for i, si in enumerate(s))
+            coc[ab] = tuple(y[t + i] // si for i, si in enumerate(s))
+        return coc
 
     classes = list(itertools.product(*(range(o) for o in h2_orders)))
     if refine and len(classes) > 1:
         # Aut_Γ(H) acts linearly on H², so a generator acts through its
         # images of the basis classes, and an orbit is the closure of one
-        # class under the generators
+        # class under the generators; T acts on y block by block
         n2 = len(h2_orders)
-        basis = [rep_of(tuple(int(s == t) for s in range(n2))) for t in range(n2)]
-        acts = {tuple(class_of({ab: _mat_apply(T, h, H.orders) for ab, h in coc.items()})
-                      for coc in basis)
-                for T in automorphism_generators(H)}
+        basis = [rep_of(tuple(int(r == t) for r in range(n2))) for t in range(n2)]
+        acts = {tuple(class_of([sum(x * y[t + j] for j, x in enumerate(row))
+                                for t in range(0, nvar, k) for row in S]) for y in basis)
+                for S in map(scaled, automorphism_generators(H))}
         def step(x):
-            return [tuple(sum(im[s] * xt for im, xt in zip(images, x)) % o
-                          for s, o in enumerate(h2_orders))
+            return [tuple(sum(im[r] * xt for im, xt in zip(images, x)) % o
+                          for r, o in enumerate(h2_orders))
                     for images in acts]
 
         classes = [min(orbit) for orbit in orbits(classes, step)]
-    out = [ExplicitGroup(H, rep_of(z)) for z in classes]
-    z = H.zero()
-    out.sort(key=lambda G: any(v != z for v in G.cocycle.values()))
-    return out
+    # the split extension (y = 0) first
+    return [ExplicitGroup(H, cocycle(y)) for y in sorted(map(rep_of, classes), key=any)]
 
 
 def module_automorphisms(H: ExplicitModule):
@@ -854,9 +807,9 @@ def automorphism_generators(H: ExplicitModule):
     quotient of Z_p[Γ], so Aut_Γ(H) = Aut_O(H).  That group is generated
     by the units of each summand and the transvections 1 + φ, φ a Γ-hom
     from summand j to summand i ≠ j (φ² = 0, so 1 − φ is the inverse).
-    A summand's units are its Γ-endomorphisms of full rank over F_p.  On
-    any other module the generating set is all of
-    `module_automorphisms(H)`.
+    A summand S has |End_Γ(S)| = |S|, so its units come from
+    `module_automorphisms(S)`.  On any other module the generating set is
+    all of `module_automorphisms(H)`.
     """
     if H.blocks is None:
         return module_automorphisms(H)
@@ -873,10 +826,7 @@ def automorphism_generators(H: ExplicitModule):
             T[a + r][c:c + len(row)] = row
         return tuple(map(tuple, T))
 
-    gens = []
-    for i, S in enumerate(parts):
-        ks = len(S.orders)
-        gens += [embed(i, i, U) for U in _hom_matrices(S, S) if _rank_mod_p(U, H.p) == ks]
+    gens = [embed(i, i, U) for i, S in enumerate(parts) for U in module_automorphisms(S)]
     for (i, Si), (j, Sj) in itertools.permutations(enumerate(parts), 2):
         for phi in _hom_matrices(Sj, Si):
             if any(map(any, phi)):

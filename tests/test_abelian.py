@@ -134,6 +134,24 @@ def test_frobenius_orbits_partition():
                 assert all(G.char_order(chi) == o for chi in orb)
 
 
+def test_galois_exponents_are_the_units_over_frobenius_powers():
+    # u ranges over the units mod E whose prime-to-p part is a power of p
+    for E in range(1, 65):
+        for p in (2, 3, 5, 7):
+            m = E // p ** val_p(E, p)
+            frob = {p**j % m for j in range(E)}
+            ref = [u for u in range(1, E + 1) if math.gcd(u, E) == 1 and u % m in frob]
+            assert galois_exponents(E, p) == ref
+
+
+def test_frobenius_orbits_step_by_generators_as_by_all_exponents():
+    for G in (G for n in range(1, 65) for G in abelian_groups_of_order(n)):
+        for p in (2, 3, 5, 7):
+            units = galois_exponents(G.exponent, p)
+            ref = {tuple(sorted({G.char_pow(chi, u) for u in units})) for chi in G.characters()}
+            assert frobenius_orbits(G, p) == sorted(ref, key=lambda o: o[0])
+
+
 def test_crt_and_mult_order():
     assert crt(2, 3, 3, 5) == 8
     for m1, m2 in itertools.product(range(1, 10), repeat=2):

@@ -244,6 +244,18 @@ def test_parse_error_exit_2():
     assert code == 2  # not weakly decreasing
 
 
+@pytest.mark.parametrize("error", [AssertionError, KeyError, IndexError])
+def test_internal_errors_are_not_validation_errors(error, monkeypatch):
+    # only ValueError means invalid input (exit 2); a failed internal
+    # invariant propagates out of main
+    def broken(*args, **kwargs):
+        raise error("internal invariant")
+
+    monkeypatch.setattr(cli.oracle, "enumerate_extensions", broken)
+    with pytest.raises(error):
+        run(["ext", "--gamma", "2", "--p", "2", "--index", "1", "--parts", "1"])
+
+
 def test_non_prime_power_Q_exit_2(capsys):
     for argv in (["counts", "--Q", "6", "--lam", "1", "--mu", "1"],
                  ["weight", "--Q", "12", "--lam", "1", "--mu", "2", "--d", "1"],

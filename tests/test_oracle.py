@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
-from dvrstat.abelian import FiniteAbelianGroup, closure, mult_order
+from dvrstat.abelian import FiniteAbelianGroup, closure, mult_order, orbits
 from dvrstat.dvrmod import ModuleType, aut_count, hom_count, partitions_of, sur_count
 from dvrstat import linalg, oracle
 
@@ -143,6 +143,66 @@ def test_refine_false_is_a_superset():
     assert {oracle.splitting_count(E) > 0 for E in fine} == {
         oracle.splitting_count(E) > 0 for E in coarse
     }
+
+
+def _normalized_cochains(Gamma, H):
+    """(pairs, Z², B²) by enumeration.  A normalized 2-cochain is the
+    tuple of its values on `pairs`, the pairs of nontrivial elements."""
+    Gs = [g for g in Gamma.elements() if any(g)]
+    pairs = list(itertools.product(Gs, Gs))
+    elems = list(H.elements())
+    zero = H.zero()
+    cocycles = set()
+    for vals in itertools.product(elems, repeat=len(pairs)):
+        f = dict(zip(pairs, vals))
+        f = lambda a, b, f=f: f.get((a, b), zero)
+        if all(H.add(f(a, b), f(Gamma.add(a, b), c)) == H.add(H.act(a, f(b, c)), f(a, Gamma.add(b, c)))
+               for a, b, c in itertools.product(Gs, repeat=3)):
+            cocycles.add(vals)
+    coboundaries = set()
+    for vals in itertools.product(elems, repeat=len(Gs)):
+        c = dict(zip(Gs, vals))
+        c = lambda g, c=c: c.get(g, zero)
+        # δc(u, v) = u·c(v) − c(uv) + c(u)
+        coboundaries.add(tuple(H.add(H.add(H.act(u, c(v)), H.neg(c(Gamma.add(u, v)))), c(u))
+                               for u, v in pairs))
+    return pairs, cocycles, coboundaries
+
+
+def _small_extension_cases():
+    # |H| <= 16, rank <= 3 and |H|^{(|Γ|-1)^2} <= 2^13 cochains
+    for facs, p in [((2,), 2), ((3,), 2), ((3,), 3), ((4,), 2), ((2, 2), 2)]:
+        Gamma = FiniteAbelianGroup(facs)
+        for e in _idems(facs, p):
+            for size in range(1, 5):
+                if e.Q**size <= 16 and e.Q ** (size * (Gamma.order - 1) ** 2) <= 2**13:
+                    for lam in partitions_of(size):
+                        if len(lam) <= 3:
+                            yield Gamma, oracle.realize(e, ModuleType(e.Q, lam))
+
+
+def test_extensions_match_brute_force_h2():
+    cases = list(_small_extension_cases())
+    assert len(cases) == 40
+    for Gamma, H in cases:
+        pairs, Z, B = _normalized_cochains(Gamma, H)
+        # each cocycle to the least member of its class in Z²/B²
+        coset = {}
+        for f in sorted(Z):
+            if f not in coset:
+                coset.update((tuple(map(H.add, f, b)), f) for b in B)
+        fine = oracle.enumerate_extensions(Gamma, H, refine=False)
+        reps = [tuple(E.cocycle[ab] for ab in pairs) for E in fine]
+        assert len(reps) == len(Z) // len(B)
+        assert set(reps) <= Z
+        assert len({coset[f] for f in reps}) == len(reps)
+        # refine: one class per orbit of all of Aut_Γ(H), acting by T ∘ f
+        auts = oracle.module_automorphisms(H)
+
+        def step(f):
+            return [coset[tuple(oracle._mat_apply(T, h, H.orders) for h in f)] for T in auts]
+
+        assert len(oracle.enumerate_extensions(Gamma, H)) == len(orbits(set(coset.values()), step))
 
 
 def test_conjugacy_stats_dihedral():
