@@ -10,7 +10,7 @@ order is n = p^k · m' and f is the order of p mod m'.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .abelian import (
     FiniteAbelianGroup,
@@ -61,11 +61,11 @@ class PrimitiveIdempotent:
     def rep(self):
         return self.orbit[0]
 
-    @property
+    @cached_property
     def char_order(self):
         return self.group.char_order(self.rep)
 
-    @property
+    @cached_property
     def k(self):
         return val_p(self.char_order, self.p)
 
@@ -73,19 +73,19 @@ class PrimitiveIdempotent:
     def p_part(self):
         return self.p**self.k
 
-    @property
+    @cached_property
     def m_prime(self):
         return self.char_order // self.p_part
 
-    @property
+    @cached_property
     def e_ram(self):
         return euler_phi_prime_power(self.p, self.k)
 
-    @property
+    @cached_property
     def f(self):
         return mult_order(self.p, self.m_prime)
 
-    @property
+    @cached_property
     def Q(self):
         return self.p**self.f
 

@@ -13,6 +13,7 @@ solutions of one congruence system each, listed from an echelon form.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -134,6 +135,7 @@ class ExplicitModule:
         self.actions = tuple(tuple(tuple(x % o for x in row) for row, o in zip(A, self.orders)) for A in actions)
         self.alphas = tuple(val_p(o, p) for o in self.orders)
         self._action_cache = {}
+        self._residue_ranks = {}  # flattened T mod p -> rank over F_p, for maps onto self
         self.blocks = None
         if check:
             self._validate()
@@ -387,17 +389,13 @@ def uniformizer_matrix(M: ExplicitModule, e: PrimitiveIdempotent):
 
 
 def subgroup_size(orders, gens):
-    """Size of the subgroup of ⊕ Z/orders generated by the given vectors."""
-    if not orders:
-        return 1
-    q_orders, _, _ = linalg.quotient_structure(list(orders), [list(g) for g in gens])
-    quo = 1
-    for o in q_orders:
-        quo *= o
-    total = 1
-    for o in orders:
-        total *= o
-    return total // quo
+    """Size of the subgroup of ⊕ Z/orders generated by the given vectors:
+    ∏ orders over the quotient's order ∏_{t<k} D[t][t], D the Smith
+    normal form of [gens | diag(orders)]."""
+    k = len(orders)
+    A = [[g[i] for g in gens] + [o if i == j else 0 for j in range(k)] for i, o in enumerate(orders)]
+    D, _, _ = linalg.smith_normal_form(A, m=k, n=len(gens) + k)
+    return math.prod(orders) // math.prod(D[t][t] for t in range(k))
 
 
 def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
@@ -425,7 +423,10 @@ def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
 
 
 def residue_rank(M: ExplicitModule, e: PrimitiveIdempotent) -> int:
-    return len(iso_type(M, e).parts)
+    """dim M/𝔪M over F_Q, the number of parts of iso_type(M, e): log_Q of
+    |M| / |𝔪M|, with 𝔪M spanned by the uniformizer's columns."""
+    pi = uniformizer_matrix(M, e)
+    return int_log(M.size // subgroup_size(M.orders, list(zip(*pi))), e.Q)
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +561,17 @@ class ExplicitGroup:
     """Extension of Γ by H given by a normalized 2-cocycle table.
 
     Elements are pairs (h, γ); (h1, γ1)(h2, γ2) = (h1 + γ1·h2 + f(γ1, γ2), γ1γ2).
+    Γ's law is kept as a table (γ1, γ2) ↦ (γ1γ2, f(γ1, γ2)), and each
+    product is one pass over H's coordinates.
     """
 
     def __init__(self, H: ExplicitModule, cocycle, check=True):
         self.H = H
         self.G = H.group
         self.cocycle = dict(cocycle)
-        self._act = {g: H.action_of(g) for g in self.G.elements()}
+        els = list(self.G.elements())
+        self._act = {g: H.action_of(g) for g in els}
+        self._law = {(a, b): (self.G.add(a, b), self.cocycle[(a, b)]) for a in els for b in els}
         self._coset_cache = {}
         if check:
             self._validate()
@@ -578,19 +583,19 @@ class ExplicitGroup:
         return cls(H, coc, check=False)
 
     def _validate(self):
-        G, H = self.G, self.H
+        G, H, law = self.G, self.H, self._law
         idg = G.identity()
         for a in G.elements():
             if self.cocycle[(idg, a)] != H.zero() or self.cocycle[(a, idg)] != H.zero():
                 raise ValueError("cocycle is not normalized")
-        for a in G.elements():
-            for b in G.elements():
-                for c in G.elements():
-                    lhs = H.add(self.cocycle[(a, b)], self.cocycle[(G.add(a, b), c)])
-                    rhs = H.add(_mat_apply(self._act[a], self.cocycle[(b, c)], H.orders),
-                                self.cocycle[(a, G.add(b, c))])
-                    if lhs != rhs:
-                        raise ValueError("cocycle identity fails")
+        # f(a, b) + f(ab, c) = a·f(b, c) + f(a, bc) for all a, b, c
+        for (a, b), (ab, fab) in law.items():
+            for c in G.elements():
+                bc, fbc = law[b, c]
+                if any((x + y - sum(map(operator.mul, row, fbc)) - w) % o
+                       for x, y, row, w, o in zip(fab, law[ab, c][1], self._act[a],
+                                                  law[a, bc][1], H.orders)):
+                    raise ValueError("cocycle identity fails")
 
     @property
     def size(self):
@@ -607,16 +612,18 @@ class ExplicitGroup:
     def mul(self, x, y):
         h1, g1 = x
         h2, g2 = y
-        h = self.H.add(self.H.add(h1, _mat_apply(self._act[g1], h2, self.H.orders)),
-                       self.cocycle[(g1, g2)])
-        return (h, self.G.add(g1, g2))
+        g, f = self._law[g1, g2]
+        return (tuple((a + sum(map(operator.mul, row, h2)) + c) % o
+                      for a, row, c, o in zip(h1, self._act[g1], f, self.H.orders)), g)
 
     def inv(self, x):
-        # (h, γ)^{-1} = (−γ^{-1}·(h + f(γ, γ^{-1})), γ^{-1})
+        # (h, γ)^{-1} = (−γ^{-1}·(h + f(γ, γ^{-1})), γ^{-1}); γ^{-1}·
+        # is well defined on H, so h + f needs no reduction first
         h, g = x
         gi = self.G.neg(g)
-        H = self.H
-        return (H.neg(_mat_apply(self._act[gi], H.add(h, self.cocycle[(g, gi)]), H.orders)), gi)
+        f = self._law[g, gi][1]
+        return (tuple(-sum(r * (a + c) for r, a, c in zip(row, h, f)) % o
+                      for row, o in zip(self._act[gi], self.H.orders)), gi)
 
     def element_order(self, x):
         # x^{|γ|} lies in H, where the group law is addition
@@ -912,8 +919,14 @@ class ModuleHom:
 
     def is_surjective(self):
         # a map onto a finite abelian p-group is onto iff it is onto
-        # modulo p (Nakayama), so one rank over F_p decides it
-        return _rank_mod_p(self.matrix, self.dst.p) == len(self.dst.orders)
+        # modulo p (Nakayama), so one rank over F_p decides it; the target
+        # keeps the rank of each residue matrix for as long as it lives
+        p, ranks = self.dst.p, self.dst._residue_ranks
+        key = tuple([x % p for row in self.matrix for x in row])
+        rank = ranks.get(key)
+        if rank is None:
+            rank = ranks[key] = _rank_mod_p(self.matrix, p)
+        return rank == len(self.dst.orders)
 
     def kernel(self):
         z = self.dst.zero()

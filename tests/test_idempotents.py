@@ -1,11 +1,14 @@
+import dataclasses
+
 import pytest
 
-from dvrstat.abelian import FiniteAbelianGroup, small_abelian_groups, val_p
+from dvrstat.abelian import FiniteAbelianGroup, euler_phi_prime_power, mult_order, small_abelian_groups, val_p
 from dvrstat.idempotents import (
     IdealPower,
     NORM_ANNIHILATES,
     ONE_MINUS_GAMMA_ANNIHILATES,
     WHOLE_RING,
+    PrimitiveIdempotent,
     enumerate_idempotents,
     gamma_annihilation,
     ideal_image_valuation,
@@ -20,6 +23,24 @@ def test_dimensions_sum_to_group_order():
         for p in (2, 3, 5):
             es = enumerate_idempotents(G, p)
             assert sum(e.dimension for e in es) == G.order
+
+
+def test_cached_invariants_match_fresh_computations():
+    # the cached invariants are the formulas, and caching leaves the
+    # dataclass fields, equality and hash alone
+    assert [f.name for f in dataclasses.fields(PrimitiveIdempotent)] == ["group", "p", "orbit"]
+    for G in small_abelian_groups(12):
+        for p in (2, 3, 5):
+            for e in enumerate_idempotents(G, p):
+                n = G.char_order(e.orbit[0])
+                k = val_p(n, p)
+                m = n // p**k
+                f = mult_order(p, m)
+                assert (e.char_order, e.k, e.m_prime, e.e_ram, e.f, e.Q) == (
+                    n, k, m, euler_phi_prime_power(p, k), f, p**f)
+                # e now holds its cached values, a fresh copy holds none
+                fresh = PrimitiveIdempotent(e.group, e.p, e.orbit)
+                assert e == fresh and hash(e) == hash(fresh)
 
 
 def test_z3_at_p2():

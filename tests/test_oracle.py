@@ -10,7 +10,7 @@ import pytest
 import sympy
 
 from dvrstat.abelian import FiniteAbelianGroup, closure, mult_order, orbits
-from dvrstat.dvrmod import ModuleType, aut_count, hom_count, partitions_of, sur_count
+from dvrstat.dvrmod import ModuleType, aut_count, hom_count, partitions_of, partitions_upto, sur_count
 from dvrstat import linalg, oracle
 
 
@@ -593,6 +593,75 @@ def test_is_surjective_matches_subgroup_size():
     assert seen == {True, False}
 
 
+def _assert_residue_rank_counts_parts(M, e):
+    """residue_rank(M, e), log_Q |M/𝔪M|, is the number of parts of
+    iso_type(M, e); both raise ValueError when M is no module over e's
+    DVR and |M/𝔪M| is no power of Q."""
+    try:
+        parts = oracle.iso_type(M, e).parts
+    except ValueError:
+        with pytest.raises(ValueError):
+            oracle.residue_rank(M, e)
+        return False
+    assert oracle.residue_rank(M, e) == len(parts)
+    return True
+
+
+def test_residue_rank_counts_the_parts_of_iso_type():
+    # the small modules under every idempotent of their Γ: the ramified
+    # Z/4 idempotent has 𝔪 = (1 − γ) ≠ (p), so p in place of the
+    # uniformizer fails here
+    agreed = []
+    for facs, mods in zip([(3,), (4,), (2, 2)], _small_modules()):
+        for M, e in itertools.product(mods, _idems(facs, 2)):
+            agreed.append(_assert_residue_rank_counts_parts(M, e))
+    assert True in agreed and False in agreed
+    # the criterion-9 realizations, the zero module, and every fiber_tools
+    # output on the catalog's fiber shapes (first surjection onto N3 each)
+    types = [lam for lam in partitions_upto(4) if lam and max(lam) <= 2]
+    idems = _idems((2,), 2)
+    for e in idems:
+        assert _assert_residue_rank_counts_parts(oracle.zero_module(2, e.group), e)
+        for lam in types:
+            M = oracle.realize(e, ModuleType(2, lam))
+            assert _assert_residue_rank_counts_parts(M, e) and oracle.residue_rank(M, e) == len(lam)
+    pool = json.loads((Path(__file__).resolve().parents[1] / "dvrbench" / "catalog.json").read_text())["pool"]
+    for ei, l1, l2, l3 in (e for kind, e in pool if kind == "fiber"):
+        e = idems[ei]
+        N1, N2, N3 = (oracle.realize(e, ModuleType(2, tuple(lam))) for lam in (l1, l2, l3))
+        pi1, pi2 = (next((f for f in oracle.enumerate_module_homs(N, N3) if f.is_surjective()), None)
+                    for N in (N1, N2))
+        if pi1 is None or pi2 is None:  # N3 is no quotient of N1 or of N2
+            continue
+        res = oracle.fiber_tools(e, pi1, pi2)
+        for M in (res.common_quotient, res.fiber_product, res.boxtimes):
+            assert _assert_residue_rank_counts_parts(M, e)
+
+
+def test_is_surjective_ranks_each_residue_matrix_once(monkeypatch):
+    # a criterion-9 shaped request: N1, N2, N3 realized fresh, then every
+    # hom of Hom(N1, N3) and Hom(N2, N3) asked whether it is onto
+    ranked = []
+    rank_mod_p = oracle._rank_mod_p
+
+    def counting(rows, p):
+        ranked.append(tuple(x % p for row in rows for x in row))
+        return rank_mod_p(rows, p)
+
+    monkeypatch.setattr(oracle, "_rank_mod_p", counting)
+    e = _idems((2,), 2)[1]
+    N1, N2, N3 = (oracle.realize(e, ModuleType(2, lam)) for lam in [(2, 1), (2, 2), (1, 1)])
+    homs = oracle.enumerate_module_homs(N1, N3) + oracle.enumerate_module_homs(N2, N3)
+    answers = [h.is_surjective() for h in homs]
+    residues = {tuple(x % 2 for row in h.matrix for x in row) for h in homs}
+    assert len(ranked) == len(set(ranked)) == len(residues) < len(homs)
+    assert set(ranked) == residues
+    assert answers == [rank_mod_p(h.matrix, 2) == len(N3.orders) for h in homs]
+    assert set(answers) == {True, False}
+    # the memo lives on the target: a fresh realization starts empty
+    assert oracle.realize(e, ModuleType(2, (1, 1)))._residue_ranks == {}
+
+
 def test_module_automorphisms_match_brute_force():
     for mods in _small_modules():
         for H in mods:
@@ -781,6 +850,52 @@ def test_explicit_group_closed_forms_match_walking():
             assert G.element_order(x) == o
             assert G.inv(x) == _walk_power(G, x, o - 1)
             assert all(G.power(x, n) == _walk_power(G, x, n) for n in range(2 * o + 1))
+
+
+def _add_mul(G, x, y):
+    # the group law from H.add and _mat_apply, one operation at a time
+    H = G.H
+    (h1, g1), (h2, g2) = x, y
+    h = H.add(H.add(h1, oracle._mat_apply(H.action_of(g1), h2, H.orders)), G.cocycle[(g1, g2)])
+    return h, G.G.add(g1, g2)
+
+
+def _add_inv(G, x):
+    H = G.H
+    h, g = x
+    gi = G.G.neg(g)
+    return H.neg(oracle._mat_apply(H.action_of(gi), H.add(h, G.cocycle[(g, gi)]), H.orders)), gi
+
+
+def _add_power(G, x, n):
+    y = G.identity()
+    while n:
+        if n & 1:
+            y = _add_mul(G, y, x)
+        x = _add_mul(G, x, x)
+        n >>= 1
+    return y
+
+
+def test_explicit_group_law_matches_add_formulas():
+    # every extension (up to Aut_Γ(H)) of Z/2 (both idempotents), the
+    # ramified Z/4 and Z/3 at Q = 4 by the realizations with |H| <= 16
+    idems = _idems((2,), 2) + [_idems((4,), 2)[2], _idems((3,), 2)[1]]
+    assert [(e.e_ram, e.Q) for e in idems[2:]] == [(2, 2), (1, 4)]
+    checked = 0
+    for e in idems:
+        for lam in partitions_upto(4):
+            if not lam or e.Q ** sum(lam) > 16:
+                continue
+            H = oracle.realize(e, ModuleType(e.Q, lam))
+            for G in oracle.enumerate_extensions(e.group, H):
+                els = list(G.elements())
+                for x in els:
+                    assert G.inv(x) == _add_inv(G, x)
+                    assert all(G.power(x, n) == _add_power(G, x, n) for n in range(6))
+                    assert all(G.mul(x, y) == _add_mul(G, x, y) for y in els)
+                checked += 1
+    assert checked > 20
 
 
 def test_ext_solves_each_order_coset_once(monkeypatch):
