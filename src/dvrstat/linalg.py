@@ -10,7 +10,10 @@ import math
 
 
 def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def mat_mul(A, B):
@@ -55,14 +58,6 @@ def smith_normal_form(A, m=None, n=None):
         for r in V:
             r[i], r[j] = r[j], r[i]
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def col_addmul(dst, src, t):
-        # col dst += t * col src
-        for r in D:
-            r[dst] += t * r[src]
-        for r in V:
-            r[dst] += t * r[src]
-        Vinv[src] = [a - t * b for a, b in zip(Vinv[src], Vinv[dst])]
 
     def left_2x2(t, L):
         # rows t, t+1 <- L @ (rows t, t+1)
@@ -117,12 +112,22 @@ def smith_normal_form(A, m=None, n=None):
                     D[i] = [a - q * b for a, b in zip(D[i], D[t])]
                 if D[i][t]:
                     dirty = True
-            for j in range(t + 1, n):
-                q = D[t][j] // p
-                if q:
-                    col_addmul(j, t, -q)
-                if D[t][j]:
-                    dirty = True
+            # col j -= q_j * col t for every j > t at once: column t is
+            # fixed meanwhile, so each q_j reads off pivot row t first
+            qs = [(j, a // p) for j, a in enumerate(D[t][t + 1:], t + 1) if a // p]
+            if qs:
+                for M in (D, V):
+                    for r in M:
+                        c = r[t]
+                        if c:
+                            for j, q in qs:
+                                r[j] -= c * q
+                vt = Vinv[t]
+                for j, q in qs:
+                    vt = [a + q * b for a, b in zip(vt, Vinv[j])]
+                Vinv[t] = vt
+            if any(D[t][t + 1:]):
+                dirty = True
             if not dirty:
                 break
         if t >= m or t >= n or D[t][t] == 0:

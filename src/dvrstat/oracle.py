@@ -14,7 +14,7 @@ solutions of one congruence system each, listed from an echelon form.
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .abelian import FiniteAbelianGroup, closure, int_log, orbits, subgroup_lattice, tuple_order, val_p
@@ -39,13 +39,14 @@ def _mat_mat(A, B, orders):
 
 
 def _mat_pow(A, n, orders):
-    R = linalg.identity_matrix(len(orders))
-    B = [row[:] for row in A]
-    while n:
-        if n & 1:
-            R = _mat_mat(R, B, orders)
-        B = _mat_mat(B, B, orders)
-        n >>= 1
+    # square-and-multiply from the top bit down, starting at A itself
+    if n == 0:
+        return linalg.identity_matrix(len(orders))
+    R = [[x % o for x in row] for row, o in zip(A, orders)]
+    for bit in bin(n)[3:]:
+        R = _mat_mat(R, R, orders)
+        if bit == "1":
+            R = _mat_mat(R, A, orders)
     return R
 
 
@@ -136,6 +137,7 @@ class ExplicitModule:
         self.alphas = tuple(val_p(o, p) for o in self.orders)
         self._action_cache = {}
         self._residue_ranks = {}  # flattened T mod p -> rank over F_p, for maps onto self
+        self._residue_rank_by_idempotent = {}  # idempotent e -> dim M/𝔪M over F_Q
         self.blocks = None
         if check:
             self._validate()
@@ -389,13 +391,10 @@ def uniformizer_matrix(M: ExplicitModule, e: PrimitiveIdempotent):
 
 
 def subgroup_size(orders, gens):
-    """Size of the subgroup of ⊕ Z/orders generated by the given vectors:
-    ∏ orders over the quotient's order ∏_{t<k} D[t][t], D the Smith
-    normal form of [gens | diag(orders)]."""
-    k = len(orders)
-    A = [[g[i] for g in gens] + [o if i == j else 0 for j in range(k)] for i, o in enumerate(orders)]
-    D, _, _ = linalg.smith_normal_form(A, m=k, n=len(gens) + k)
-    return math.prod(orders) // math.prod(D[t][t] for t in range(k))
+    """Size of the subgroup of ⊕ Z/orders generated by the given vectors,
+    for orders that are powers of one prime: ∏ orders[v] / steps[v],
+    read off the echelon form that `_coset_elements` builds."""
+    return _coset_elements((0,) * len(orders), gens, orders)[0]
 
 
 def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
@@ -424,9 +423,13 @@ def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
 
 def residue_rank(M: ExplicitModule, e: PrimitiveIdempotent) -> int:
     """dim M/𝔪M over F_Q, the number of parts of iso_type(M, e): log_Q of
-    |M| / |𝔪M|, with 𝔪M spanned by the uniformizer's columns."""
-    pi = uniformizer_matrix(M, e)
-    return int_log(M.size // subgroup_size(M.orders, list(zip(*pi))), e.Q)
+    |M| / |𝔪M|, with 𝔪M spanned by the uniformizer's columns.  M keeps
+    the answer for each e as long as it lives."""
+    memo = M._residue_rank_by_idempotent
+    if e not in memo:
+        pi = uniformizer_matrix(M, e)
+        memo[e] = int_log(M.size // subgroup_size(M.orders, list(zip(*pi))), e.Q)
+    return memo[e]
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +916,8 @@ class ModuleHom:
     src: ExplicitModule
     dst: ExplicitModule
     matrix: tuple  # rows indexed by dst coords
+    # fiber_tools' work on the kernel side of this map, kept while it lives
+    _quotients: list = field(default=None, init=False, repr=False, compare=False)
 
     def apply(self, v):
         return _mat_apply(self.matrix, v, self.dst.orders)
@@ -1094,7 +1099,8 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     For each Γ-submodule U ⊆ ker π₂ the map N₁ → N₂/U is ψ, the first
     surjective lift of π₁ in `enumerate_module_homs` order: the homs T
     with P·T = π₁, P the map N₂/U → N₃ induced by π₂, come from one
-    `_hom_matrices` solve.
+    `_hom_matrices` solve.  The quotients N₂/U and the maps P depend on
+    π₂ alone, so π₂ keeps them for every π₁ it is paired with.
     """
     N1, N2 = pi1.src, pi2.src
     N3 = pi1.dst
@@ -1106,13 +1112,17 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     if not (residue_rank(N1, e) == residue_rank(N2, e) == r3):
         raise ValueError("equal-rank hypothesis violated")
 
-    ker2 = pi2.kernel()
+    if pi2._quotients is None:
+        quotients = []
+        for U in gamma_submodules(N2, pi2.kernel()):
+            quo, project, lift = module_quotient(N2, U)
+            # P: column t is π₂ of the lift of quotient generator t
+            P = ModuleHom(quo, pi2.dst, _mat_mat(pi2.matrix, lift, pi2.dst.orders))
+            quotients.append((U, quo, project, P))
+        pi2._quotients = quotients
     factoring = []
-    for U in gamma_submodules(N2, ker2):
-        quo, project, lift = module_quotient(N2, U)
-        # P: column t is π₂ of the lift of quotient generator t
-        induced = ModuleHom(quo, N3, _mat_mat(pi2.matrix, lift, N3.orders))
-        lifts = (ModuleHom(N1, quo, T) for T in _hom_matrices(N1, quo, over=(induced, pi1)))
+    for U, quo, project, P in pi2._quotients:
+        lifts = (ModuleHom(N1, quo, T) for T in _hom_matrices(N1, quo, over=(P, pi1)))
         psi = next((h for h in lifts if h.is_surjective()), None)
         if psi is not None:
             factoring.append((U, quo, project, psi))

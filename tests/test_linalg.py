@@ -156,6 +156,106 @@ def test_smith_normal_form_matches_full_scan():
         assert smith_normal_form(A) == _full_scan_snf(A)
 
 
+def _per_column_snf(A, m, n):
+    """The Smith normal form as it was before its column pass was batched:
+    after each pivot's row pass, col j -= q_j · col t one j at a time."""
+    D, V, Vinv = [list(row) for row in A], identity_matrix(n), identity_matrix(n)
+
+    def col_swap(i, j):
+        for r in D + V:
+            r[i], r[j] = r[j], r[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def col_addmul(dst, src, t):
+        for r in D + V:
+            r[dst] += t * r[src]
+        Vinv[src] = [a - t * b for a, b in zip(Vinv[src], Vinv[dst])]
+
+    for t in range(min(m, n)):
+        while True:
+            piv, best = None, None
+            for i in range(t, m):
+                for j in range(t, n):
+                    a = abs(D[i][j])
+                    if a and (best is None or a < best):
+                        best, piv = a, (i, j)
+                        if a == 1:
+                            break
+                if best == 1:
+                    break
+            if piv is None:
+                break
+            D[t], D[piv[0]] = D[piv[0]], D[t]
+            if piv[1] != t:
+                col_swap(t, piv[1])
+            if D[t][t] < 0:
+                D[t] = [-a for a in D[t]]
+            p = D[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                q = D[i][t] // p
+                if q:
+                    D[i] = [a - q * b for a, b in zip(D[i], D[t])]
+                dirty = dirty or D[i][t] != 0
+            for j in range(t + 1, n):
+                q = D[t][j] // p
+                if q:
+                    col_addmul(j, t, -q)
+                dirty = dirty or D[t][j] != 0
+            if not dirty:
+                break
+        if D[t][t] == 0:
+            break
+    changed = True
+    while changed:
+        changed = False
+        for t in range(min(m, n) - 1):
+            a, b = D[t][t], D[t + 1][t + 1]
+            if a and b and b % a:
+                g = math.gcd(a, b)
+                _, x, y = _ext_gcd(a, b)
+                rt, rs = D[t], D[t + 1]
+                D[t] = [x * u + y * v for u, v in zip(rt, rs)]
+                D[t + 1] = [-b // g * u + a // g * v for u, v in zip(rt, rs)]
+                R, Rinv = [[1, -(y * b) // g], [1, (x * a) // g]], [[(x * a) // g, (y * b) // g], [-1, 1]]
+                for r in D + V:
+                    r[t], r[t + 1] = r[t] * R[0][0] + r[t + 1] * R[1][0], r[t] * R[0][1] + r[t + 1] * R[1][1]
+                rt, rs = Vinv[t], Vinv[t + 1]
+                Vinv[t] = [Rinv[0][0] * u + Rinv[0][1] * v for u, v in zip(rt, rs)]
+                Vinv[t + 1] = [Rinv[1][0] * u + Rinv[1][1] * v for u, v in zip(rt, rs)]
+                changed = True
+    return D, V, Vinv
+
+
+def test_smith_normal_form_column_pass_matches_per_column(monkeypatch):
+    # each q_j reads off pivot row t before any column moves, so the one
+    # pass over the rows of D and V and the one sum into V⁻¹[t] leave D,
+    # V and V⁻¹ bit-for-bit those of col_addmul column by column
+    rng = random.Random(1)
+    for trial in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 9)
+        A = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
+        if trial % 2:  # [A | diag(mods)], as congruence_kernel and quotient_structure build it
+            A = [row + [rng.choice([2, 3, 4, 8, 9, 27]) if i == j else 0 for j in range(m)]
+                 for i, row in enumerate(A)]
+            n += m
+        assert smith_normal_form(A, m=m, n=n) == _per_column_snf(A, m, n)
+    # the cocycle system of enumerate_extensions on a Z/4 module of order 8
+    from dvrstat import linalg, oracle
+    from dvrstat.abelian import FiniteAbelianGroup
+    from dvrstat.dvrmod import ModuleType
+    from dvrstat.idempotents import enumerate_idempotents
+
+    systems = []
+    kernel = linalg.kernel_mod
+    monkeypatch.setattr(linalg, "kernel_mod", lambda B, L, ncols: systems.append((B, ncols)) or kernel(B, L, ncols))
+    e = enumerate_idempotents(FiniteAbelianGroup((4,)), 2)[1]
+    oracle.enumerate_extensions(e.group, oracle.realize(e, ModuleType(2, (2, 1))), refine=False)
+    (B, ncols), = systems
+    assert (len(B), ncols) == (72, 18)  # 3³·k + 3²·k rows in 3²·k unknowns, k = 2
+    assert smith_normal_form(B, m=len(B), n=ncols) == _per_column_snf(B, len(B), ncols)
+
+
 # (mods, number of generators): ambient groups of order <= 72
 QUOTIENT_SHAPES = [((2,), 0), ((2,), 1), ((8,), 2), ((9,), 1), ((2, 3), 0), ((4, 2), 1), ((4, 4), 2),
                    ((3, 9), 2), ((8, 9), 1), ((2, 2, 2), 2), ((2, 4, 8), 1), ((1, 3, 3), 2), ((2, 3, 4), 3)]

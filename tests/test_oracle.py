@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -661,6 +662,114 @@ def test_is_surjective_ranks_each_residue_matrix_once(monkeypatch):
     # the memo lives on the target: a fresh realization starts empty
     assert oracle.realize(e, ModuleType(2, (1, 1)))._residue_ranks == {}
 
+
+
+def test_subgroup_size_matches_span():
+    # |<gens>| off the echelon of `_coset_elements`, for mixed orders that
+    # are powers of p = 2 or 3, with no generators, zero vectors and
+    # multiples of the orders among them
+    rng = random.Random(2)
+    shapes = [(), (2,), (8, 2), (4, 4, 2), (2, 8, 4, 2), (3,), (9, 3), (27, 9, 3), (3, 3, 9)]
+    for mods in shapes:
+        zero = (0,) * len(mods)
+        for trial in range(12):
+            gens = [[rng.randrange(-30, 30) * rng.choice([0, 1, 1, 2, 3]) for _ in mods]
+                    for _ in range(rng.randint(0, 4))]
+            if trial % 3 == 1:
+                gens.insert(rng.randint(0, len(gens)), [0] * len(mods))
+            if trial % 3 == 2:
+                gens.append([rng.randint(-2, 2) * m for m in mods])
+            span = closure([zero], lambda x: [tuple((a + b) % m for a, b, m in zip(x, g, mods)) for g in gens])
+            assert oracle.subgroup_size(mods, gens) == len(span)
+
+
+def test_mat_pow_equals_chained_products(monkeypatch):
+    # A^n from the top bit down, with no product by I, is the residue of n
+    # chained products: on every action matrix of the small modules, and
+    # on every matrix realize raises to a power (its ring's y, z and
+    # uniformizer matrices, and the actions of the quotients it builds)
+    cases = [(A, M.orders) for mods in _small_modules() for M in mods for A in M.actions]
+    small = len(cases)
+    mat_pow = oracle._mat_pow
+    monkeypatch.setattr(oracle, "_mat_pow", lambda A, n, orders: cases.append((A, orders)) or mat_pow(A, n, orders))
+    for facs, p, lam in [((2,), 2, (2, 1)), ((3,), 2, (2,)), ((4,), 2, (3,)), ((6,), 2, (2,)),
+                         ((5,), 2, (1,)), ((3,), 3, (3,)), ((5,), 3, (1,))]:
+        for e in _idems(facs, p):
+            oracle.realize(e, ModuleType(e.Q, lam))
+    monkeypatch.undo()
+    # f = 4 at p = 2 over Z/5: a 4 x 4 ring matrix
+    assert len(cases) > small and any(len(orders) == 4 and len(set(orders)) == 1 for _, orders in cases[small:])
+    for A, orders in cases:
+        R = linalg.identity_matrix(len(orders))
+        for n in range(10):
+            assert oracle._mat_pow(A, n, orders) == R
+            R = oracle._mat_mat(R, A, orders)
+
+
+def _fiber_key(res):
+    mods = (res.common_quotient, res.fiber_product, res.boxtimes)
+    return [(M.orders, M.actions) for M in mods], res.to_common_1.matrix, res.to_common_2.matrix
+
+
+def test_fiber_tools_memos_compute_once_per_module_and_per_pi2(monkeypatch):
+    # a criterion-9 shaped request: fiber_tools on the first 2 x 2 pairs
+    # of surjections onto N3, then the residue rank of each ⊠
+    e = _idems((2,), 2)[1]
+    N1, N2, N3 = (oracle.realize(e, ModuleType(2, lam)) for lam in [(2, 1), (2, 2), (1, 1)])
+    surs1, surs2 = ([f for f in oracle.enumerate_module_homs(N, N3) if f.is_surjective()][:2]
+                    for N in (N1, N2))
+    assert len(surs1) == len(surs2) == 2
+    assert N1._residue_rank_by_idempotent == {} and all(f._quotients is None for f in surs1 + surs2)
+    asks, sized, inside, submodules, quotients = [], [], [], [], []
+    residue_rank, subgroup_size = oracle.residue_rank, oracle.subgroup_size
+    gamma_submodules, module_quotient = oracle.gamma_submodules, oracle.module_quotient
+
+    def counting_rank(M, e):
+        asks.append((id(M), e))
+        inside.append(asks[-1])
+        try:
+            return residue_rank(M, e)
+        finally:
+            inside.pop()
+
+    def counting_size(orders, gens):
+        if inside:
+            sized.append(inside[-1])
+        return subgroup_size(orders, gens)
+
+    def counting_submodules(H, inside=None):
+        submodules.append(gamma_submodules(H, inside))
+        return submodules[-1]
+
+    def counting_quotient(H, U):
+        quotients.append(U)
+        return module_quotient(H, U)
+
+    monkeypatch.setattr(oracle, "residue_rank", counting_rank)
+    monkeypatch.setattr(oracle, "subgroup_size", counting_size)
+    monkeypatch.setattr(oracle, "gamma_submodules", counting_submodules)
+    monkeypatch.setattr(oracle, "module_quotient", counting_quotient)
+    pairs = list(itertools.product(surs1, surs2))
+    results = [oracle.fiber_tools(e, pi1, pi2) for pi1, pi2 in pairs]
+    ranks = [oracle.residue_rank(res.boxtimes, e) for res in results]
+    monkeypatch.undo()
+    # N1, N2 and N3 are asked 4 times each and every ⊠ once: one
+    # subgroup_size per (module, idempotent)
+    assert len(asks) == 16
+    assert len(sized) == len(set(sized)) == len(set(asks)) == 7
+    # ker π₂'s submodules and their quotients are built once per π₂
+    assert len(submodules) == len(surs2)
+    assert quotients == [U for subs in submodules for U in subs]
+    # the same answers as a fresh copy of π₂, which starts with no memo
+    for (pi1, pi2), res, rank in zip(pairs, results, ranks):
+        fresh = dataclasses.replace(pi2)
+        assert fresh._quotients is None and fresh == pi2
+        again = oracle.fiber_tools(e, pi1, fresh)
+        assert _fiber_key(again) == _fiber_key(res)
+        assert oracle.residue_rank(again.boxtimes, e) == rank
+    # the memos live on their module: a fresh realization starts empty
+    assert N3._residue_rank_by_idempotent == {e: 2}
+    assert oracle.realize(e, ModuleType(2, (1, 1)))._residue_rank_by_idempotent == {}
 
 def test_module_automorphisms_match_brute_force():
     for mods in _small_modules():

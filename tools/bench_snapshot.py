@@ -38,11 +38,10 @@ REPEATS = 3
 # one seed for every snapshot, so BENCH_<n>.json files stay comparable
 SEED = 1
 # the fixed requests of ROADMAP aim 1 and the slow requests named under
-# its State. `ext --gamma 8 --p 2 --index 3 --parts 4,4` is left out:
-# three runs of it on a commit before the one-sided Smith normal form
-# take about 7 minutes on 2 cores. `counts` does almost no work, so its
-# time is the start-up of a fresh process; `sample --Q 8` runs the
-# sampler's Galois-ring path (f = 3)
+# its State. `counts` does almost no work, so its time is the start-up
+# of a fresh process; `sample --Q 8` runs the sampler's Galois-ring path
+# (f = 3); `ext --gamma 8 ... --parts 4,4` times the cocycle system's
+# Smith normal form (ROADMAP item 3)
 CLI_REQUESTS = (
     "counts --Q 2 --lam 1 --mu 1",
     "sample --Q 2 --n 12 --prec 5 --trials 100000 --seed 42",
@@ -51,6 +50,7 @@ CLI_REQUESTS = (
     "ext --gamma 2 --p 2 --index 1 --parts 2,2,2",
     "ext --gamma 2 --p 2 --index 0 --parts 1,1,1,1,1",
     "ext --gamma 8 --p 2 --index 3 --parts 7",
+    "ext --gamma 8 --p 2 --index 3 --parts 4,4",
     "ext --gamma 2,4 --p 2 --index 0 --parts 1,1",
     "b2 --H 2,2,2 --q 3 --n 16",
     "b2 --H 2,2,2 --q 3 --n 20",
