@@ -190,14 +190,19 @@ def congruence_kernel(A, mods, n):
     """The system A w ≡ b (row i mod mods[i]) for an m x n matrix A and
     moduli >= 1, from one Smith normal form of [A | diag(mods)].
 
-    Returns (basis, solve): basis is a list of length-n columns spanning
-    the lattice of integer w with A w ≡ 0; solve(b) returns one w with
-    A w ≡ b, or None if there is none.
+    Returns (basis, solve, coords): basis is a list of n length-n
+    columns, a Z-basis of the lattice Λ of integer w with A w ≡ 0;
+    solve(b) returns one w with A w ≡ b, or None if there is none; and
+    coords(w) returns the c with w = Σ_j c_j·basis_j (ValueError when w
+    is not in Λ).  A w + diag(mods) z = 0 fixes z, and c is V⁻¹·(w, z)
+    past its first m entries, which are 0.
     """
     m = len(mods)
     big = [list(A[i]) + [mods[i] if i == j else 0 for j in range(m)] for i in range(m)]
     D, V, Vinv = smith_normal_form(big, m=m, n=n + m)
-    # diag(mods) gives [A | diag(mods)] full row rank: D[t][t] != 0 exactly for t < m
+    # diag(mods) gives [A | diag(mods)] full row rank: D[t][t] != 0 exactly
+    # for t < m, so the last n columns of V span its kernel, and w
+    # determines z
     basis = [[V[i][j] for i in range(n)] for j in range(m, n + m)]
     # rows of U, read off U @ big = D @ Vinv at the diag(mods) columns
     U = [[D[t][t] * Vinv[t][n + j] // mods[j] for j in range(m)] for t in range(m)]
@@ -211,7 +216,13 @@ def congruence_kernel(A, mods, n):
             y.append(q)
         return [sum(v * x for v, x in zip(V[i], y)) for i in range(n)]
 
-    return basis, solve
+    def coords(w):
+        zr = [divmod(-sum(a * x for a, x in zip(row, w)), md) for row, md in zip(A, mods)]
+        if any(r for _, r in zr):
+            raise ValueError("vector not in the kernel lattice")
+        return mat_vec(Vinv[m:], [*w, *(z for z, _ in zr)])
+
+    return basis, solve, coords
 
 
 def kernel_mod(B, L, ncols):

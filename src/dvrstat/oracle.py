@@ -138,6 +138,7 @@ class ExplicitModule:
         self._action_cache = {}
         self._residue_ranks = {}  # flattened T mod p -> rank over F_p, for maps onto self
         self._residue_rank_by_idempotent = {}  # idempotent e -> dim M/𝔪M over F_Q
+        self._norm_kernels = {}  # γ -> (basis, solve) of N_γ·h ≡ b, for `_order_coset`
         self.blocks = None
         if check:
             self._validate()
@@ -197,11 +198,10 @@ class ExplicitModule:
         hit = self._action_cache.get(g)
         if hit is not None:
             return hit
-        k = len(self.orders)
-        M = linalg.identity_matrix(k)
-        for A, a in zip(self.actions, g):
-            if a:
-                M = _mat_mat(M, _mat_pow(A, a, self.orders), self.orders)
+        powers = [_mat_pow(A, a, self.orders) for A, a in zip(self.actions, g) if a]
+        M = powers[0] if powers else linalg.identity_matrix(len(self.orders))
+        for B in powers[1:]:
+            M = _mat_mat(M, B, self.orders)
         self._action_cache[g] = M
         return M
 
@@ -216,11 +216,8 @@ class ExplicitModule:
     def endo_norm(self, g):
         """Σ_{j=1}^{|γ|} (action of γ)^j."""
         A = self.action_of(g)
-        o = self.group.element_order(g)
-        k = len(self.orders)
-        S = [[0] * k for _ in range(k)]
-        P = linalg.identity_matrix(k)
-        for _ in range(o):
+        P, S = A, [list(row) for row in A]
+        for _ in range(self.group.element_order(g) - 1):
             P = _mat_mat(P, A, self.orders)
             S = [[(a + b) % m for a, b in zip(ra, rb)] for ra, rb, m in zip(S, P, self.orders)]
         return S
@@ -237,24 +234,22 @@ def zero_module(p, group):
     return ExplicitModule(p, (), group, [[] for _ in range(group.rank)])
 
 
-def direct_sum(M1: ExplicitModule, M2: ExplicitModule):
-    if M1.p != M2.p:
-        raise ValueError(f"summands over p = {M1.p} and p = {M2.p}")
-    if M1.group != M2.group:
-        raise ValueError("summands carry actions of different groups")
-    k1, k2 = len(M1.orders), len(M2.orders)
+def direct_sum(M1: ExplicitModule, *rest: ExplicitModule):
+    """M1 ⊕ M2 ⊕ ... as one block-diagonal module, validated once."""
+    for M in rest:
+        if M1.p != M.p:
+            raise ValueError(f"summands over p = {M1.p} and p = {M.p}")
+        if M1.group != M.group:
+            raise ValueError("summands carry actions of different groups")
+    orders = sum((M.orders for M in rest), M1.orders)
     actions = []
-    for A, B in zip(M1.actions, M2.actions):
-        k = k1 + k2
-        C = [[0] * k for _ in range(k)]
-        for i in range(k1):
-            for j in range(k1):
-                C[i][j] = A[i][j]
-        for i in range(k2):
-            for j in range(k2):
-                C[k1 + i][k1 + j] = B[i][j]
+    for blocks in zip(M1.actions, *(M.actions for M in rest)):
+        C, a = [], 0
+        for B in blocks:
+            C += [[0] * a + list(row) + [0] * (len(orders) - a - len(row)) for row in B]
+            a += len(B)
         actions.append(C)
-    return ExplicitModule(M1.p, M1.orders + M2.orders, M1.group, actions)
+    return ExplicitModule(M1.p, orders, M1.group, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +361,7 @@ def realize(e: PrimitiveIdempotent, M: ModuleType, precision=None) -> ExplicitMo
     for L in lam:
         piL = _mat_pow(pi_mat, L, ring_orders)
         summands.append(module_quotient(ring, zip(*piL))[0])
-    out = summands[0]
-    for s in summands[1:]:
-        out = direct_sum(out, s)
+    out = direct_sum(*summands) if len(summands) > 1 else summands[0]
     got = iso_type(out, e)
     assert got == M, f"realization round-trip failed: {got} != {M}"
     stops = list(itertools.accumulate(len(part.orders) for part in summands))
@@ -402,16 +395,16 @@ def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
     if M.size == 1:
         return ModuleType(e.Q, ())
     pi = uniformizer_matrix(M, e)
-    k = len(M.orders)
     Q = e.Q
     sizes = [M.size]
-    P = linalg.identity_matrix(k)
-    while sizes[-1] > 1:
-        P = _mat_mat(P, pi, M.orders)
-        cols = [[P[i][j] for i in range(k)] for j in range(k)]
-        sizes.append(subgroup_size(M.orders, cols))
+    P = [[x % o for x in row] for row, o in zip(pi, M.orders)]
+    while True:
+        sizes.append(subgroup_size(M.orders, list(zip(*P))))
         if len(sizes) > 64:
             raise ValueError("module is not annihilated by a power of the maximal ideal")
+        if sizes[-1] == 1:
+            break
+        P = _mat_mat(P, pi, M.orders)
     conj = []
     for prev, cur in zip(sizes, sizes[1:]):
         ratio = prev // cur
@@ -491,19 +484,13 @@ def module_from_subgroup(H: ExplicitModule, subset):
     """
     elems = sorted(subset)
     k = len(H.orders)
-    if not any(any(x) for x in elems):
-        def zero_coords(x):
-            if any(x):
-                raise ValueError(f"element {tuple(x)} not in the subgroup")
-            return ()
-        return zero_module(H.p, H.group), zero_coords
     Gmat = [[el[i] for el in elems] for i in range(k)]
     g = len(elems)
     # kernel lattice of w ↦ G w in ⊕ Z/orders, and preimages from the same SNF
-    K0, solve = linalg.congruence_kernel(Gmat, H.orders, g)
+    K0, solve, _ = linalg.congruence_kernel(Gmat, H.orders, g)
     # orders are powers of p, so max(orders)·e_j lies in K0 and
     # Z^g / K0 = (Z/max(orders))^g / K0
-    orders_s, proj_s, lift_s = linalg.quotient_structure([max(H.orders)] * g, K0)
+    orders_s, proj_s, lift_s = linalg.quotient_structure([max(H.orders, default=1)] * g, K0)
     gens_amb = []
     for t in range(len(orders_s)):
         w = [lift_s[i][t] for i in range(g)]
@@ -652,14 +639,17 @@ def _order_coset(G: ExplicitGroup, gamma):
     frozenset built once per (G, γ).
 
     (h, γ)^{|γ|} = (N_γ·h + c, 1) with N_γ the norm and c = (0, γ)^{|γ|},
-    so c_γ is the coset {h : N_γ·h = −c} of ker N_γ.
+    so c_γ is the coset {h : N_γ·h = −c} of ker N_γ.  N_γ depends on H
+    alone, so H keeps its solve for every extension of H.
     """
     hit = G._coset_cache.get(gamma)
     if hit is not None:
         return hit
     H = G.H
     c = G.power((H.zero(), gamma), G.G.element_order(gamma))[0]
-    kernel, solve = linalg.congruence_kernel(H.endo_norm(gamma), H.orders, len(H.orders))
+    if gamma not in H._norm_kernels:
+        H._norm_kernels[gamma] = linalg.congruence_kernel(H.endo_norm(gamma), H.orders, len(H.orders))[:2]
+    kernel, solve = H._norm_kernels[gamma]
     h0 = solve(H.neg(c))
     coset = frozenset() if h0 is None else frozenset(
         (h, gamma) for h in _coset_elements(h0, kernel, H.orders)[1])
@@ -818,8 +808,12 @@ def automorphism_generators(H: ExplicitModule):
     by the units of each summand and the transvections 1 + φ, φ a Γ-hom
     from summand j to summand i ≠ j (φ² = 0, so 1 − φ is the inverse).
     A summand S has |End_Γ(S)| = |S|, so its units come from
-    `module_automorphisms(S)`.  On any other module the generating set is
-    all of `module_automorphisms(H)`.
+    `module_automorphisms(S)`, and a unit is kept only when the units
+    kept before it do not generate it.  As (1 + φ)(1 + ψ) = 1 + φ + ψ
+    within one block, 1 + φ is kept only for the φ of Hom_Γ(S_j, S_i),
+    in `_hom_matrices` order, that the φ kept before them do not add up
+    to.  On any other module the generating set is all of
+    `module_automorphisms(H)`.
     """
     if H.blocks is None:
         return module_automorphisms(H)
@@ -836,11 +830,18 @@ def automorphism_generators(H: ExplicitModule):
             T[a + r][c:c + len(row)] = row
         return tuple(map(tuple, T))
 
-    gens = [embed(i, i, U) for i, S in enumerate(parts) for U in module_automorphisms(S)]
-    for (i, Si), (j, Sj) in itertools.permutations(enumerate(parts), 2):
-        for phi in _hom_matrices(Sj, Si):
-            if any(map(any, phi)):
-                gens.append(embed(i, j, phi))
+    groups = [[embed(i, i, U) for U in module_automorphisms(S)] for i, S in enumerate(parts)]
+    groups += [[embed(i, j, phi) for phi in _hom_matrices(Sj, Si)]
+               for (i, Si), (j, Sj) in itertools.permutations(enumerate(parts), 2)]
+    gens = []
+    for group in groups:
+        # keep x when the members kept before it do not generate it; the
+        # group is abelian, so x joins the span as span·⟨x⟩
+        span = {tuple(map(tuple, linalg.identity_matrix(k)))}
+        for x in group:
+            if x not in span:
+                gens.append(x)
+                span = closure(span, lambda y: [tuple(map(tuple, _mat_mat(y, x, H.orders)))])
     return gens
 
 
@@ -946,7 +947,7 @@ def brute_module_counts(M: ExplicitModule, N: ExplicitModule):
 
 def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None, over=None):
     """Matrices T (rows indexed by dst coords) of all Γ-homs src → dst,
-    from one `linalg.congruence_kernel` solve.
+    from one `linalg.congruence_kernel` solve, made by `_hom_solver`.
 
     The unknowns are the entries T[i][j] in column-major order, T[i][j]
     read mod dst.orders[i]; the rows are the order condition
@@ -964,6 +965,15 @@ def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None, over=None)
     there is no solution).  ValueError when more than cap would be
     listed, known from the echelon form before anything is listed.
     """
+    g, f = (None, None) if over is None else over
+    return _hom_solver(src, dst, g)(f, cap)
+
+
+def _hom_solver(src: ExplicitModule, dst: ExplicitModule, g=None):
+    """The system of `_hom_matrices(src, dst, over=(g, f))`, solved once:
+    returns homs(f, cap), which lists the T with g·T = f (every Γ-hom
+    when g is None) from that solve.  Only the right-hand side depends
+    on f, so the lifts of many f through one g share the solve."""
     ks, kd = len(src.orders), len(dst.orders)
     n = ks * kd
     mods = list(dst.orders) * ks
@@ -984,25 +994,29 @@ def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None, over=None)
                 if any(x % m for x in row):  # 0 ≡ 0 when Γ acts trivially on both
                     rows.append(row)
                     rmods.append(m)
-    rhs = [0] * len(rows)
-    if over is not None:
-        g, f = over
+    zeros = [0] * len(rows)
+    if g is not None:
         for j in range(ks):
             for r, m in enumerate(g.dst.orders):
                 row = [0] * n
                 row[j * kd:(j + 1) * kd] = g.matrix[r]
                 rows.append(row)
                 rmods.append(m)
-                rhs.append(f.matrix[r][j])
-    basis, solve = linalg.congruence_kernel(rows, rmods, n)
-    offset = solve(rhs)
-    if offset is None:
-        return iter(())
-    size, flats = _coset_elements(offset, basis, mods)
-    if cap is not None and size > cap:
-        raise ValueError("Γ-hom enumeration too large")
+    basis, solve, _ = linalg.congruence_kernel(rows, rmods, n)
     rows_of = [slice(i, None, kd) for i in range(kd)]  # row i of T is flat[i::kd]
-    return (tuple(map(flat.__getitem__, rows_of)) for flat in flats)
+
+    def homs(f=None, cap=None):
+        rhs = zeros if g is None else zeros + [f.matrix[r][j] for j in range(ks)
+                                               for r in range(len(g.dst.orders))]
+        offset = solve(rhs)
+        if offset is None:
+            return iter(())
+        size, flats = _coset_elements(offset, basis, mods)
+        if cap is not None and size > cap:
+            raise ValueError("Γ-hom enumeration too large")
+        return (tuple(map(flat.__getitem__, rows_of)) for flat in flats)
+
+    return homs
 
 
 def enumerate_module_homs(M: ExplicitModule, N: ExplicitModule):
@@ -1070,24 +1084,35 @@ class FiberResult:
     boxtimes: ExplicitModule
 
 
-def _fiber_generators(f: ModuleHom, g: ModuleHom):
-    """(D, gens): D = src(f) ⊕ src(g) and a generating set of at most
-    rank(D) elements of the fiber {(x, y) : f(x) = g(y)} ⊆ D.
-
-    The fiber is the kernel of h = (f, −g): D → Z.  The lattice of lifts
-    w with h(w) ≡ 0 mod Z.orders contains o_j·e_j for each order o_j of D
-    (h is well defined), so its basis, reduced mod D, generates the fiber.
-    """
-    D = direct_sum(f.src, g.src)
-    h = [list(rf) + [-c for c in rg] for rf, rg in zip(f.matrix, g.matrix)]
-    basis, _ = linalg.congruence_kernel(h, f.dst.orders, len(D.orders))
-    return D, {tuple(c % o for c, o in zip(col, D.orders)) for col in basis}
-
-
 def _fiber_submodule(f: ModuleHom, g: ModuleHom):
-    """{(x, y) : f(x) = g(y)} inside src(f) ⊕ src(g) as a module."""
-    sub, _ = module_from_subgroup(*_fiber_generators(f, g))
-    return sub
+    """The fiber {(x, y) : f(x) = g(y)} ⊆ X ⊕ Y as a module, for X =
+    src(f) and Y = src(g).  Returns (module, gens): gens[t] is the
+    element of X ⊕ Y over the module's generator t.
+
+    The fiber is Λ/diag(orders) for the lattice Λ of w ∈ Z^n with
+    (f, −g)·w ≡ 0 mod Z.orders; Λ contains each o_j·e_j, o_j the
+    orders of X ⊕ Y, because (f, −g) is well defined.  One solve gives a
+    basis B of Λ and coordinates in it, so the fiber is Z^n modulo the
+    B-coordinates of the o_j·e_j: one `quotient_structure`, over Z/L
+    with L = max(o_j), as L·Λ ⊆ diag(orders).  Γ acts on X ⊕ Y block by
+    block and keeps Λ, so each action column is the quotient coordinates
+    of a generator's image.
+    """
+    X, Y = f.src, g.src
+    orders = X.orders + Y.orders
+    n, kx = len(orders), len(X.orders)
+    h = [list(rf) + [-c for c in rg] for rf, rg in zip(f.matrix, g.matrix)]
+    B, _, coords = linalg.congruence_kernel(h, f.dst.orders, n)
+    rels = [coords([o * (i == j) for i in range(n)]) for j, o in enumerate(orders)]
+    orders_s, proj, lift = linalg.quotient_structure([max(orders, default=1)] * n, rels)
+    gens = [tuple(sum(lift[j][t] * b[i] for j, b in enumerate(B)) % o for i, o in enumerate(orders))
+            for t in range(len(orders_s))]
+    actions = []
+    for A1, A2 in zip(X.actions, Y.actions):
+        images = (_mat_apply(A1, x[:kx], X.orders) + _mat_apply(A2, x[kx:], Y.orders) for x in gens)
+        cols = [_mat_apply(proj, coords(y), orders_s) for y in images]
+        actions.append([list(row) for row in zip(*cols)])
+    return ExplicitModule(X.p, orders_s, X.group, actions), gens
 
 
 def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> FiberResult:
@@ -1099,8 +1124,10 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     For each Γ-submodule U ⊆ ker π₂ the map N₁ → N₂/U is ψ, the first
     surjective lift of π₁ in `enumerate_module_homs` order: the homs T
     with P·T = π₁, P the map N₂/U → N₃ induced by π₂, come from one
-    `_hom_matrices` solve.  The quotients N₂/U and the maps P depend on
-    π₂ alone, so π₂ keeps them for every π₁ it is paired with.
+    `_hom_solver` system.  The quotients N₂/U and the maps P depend on
+    π₂ alone, so π₂ keeps them for every π₁ it is paired with, and with
+    each the system's solve for every source N₁: π₁ changes only its
+    right-hand side.
     """
     N1, N2 = pi1.src, pi2.src
     N3 = pi1.dst
@@ -1118,11 +1145,13 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
             quo, project, lift = module_quotient(N2, U)
             # P: column t is π₂ of the lift of quotient generator t
             P = ModuleHom(quo, pi2.dst, _mat_mat(pi2.matrix, lift, pi2.dst.orders))
-            quotients.append((U, quo, project, P))
+            quotients.append((U, quo, project, P, {}))
         pi2._quotients = quotients
     factoring = []
-    for U, quo, project, P in pi2._quotients:
-        lifts = (ModuleHom(N1, quo, T) for T in _hom_matrices(N1, quo, over=(P, pi1)))
+    for U, quo, project, P, solvers in pi2._quotients:
+        if N1 not in solvers:
+            solvers[N1] = _hom_solver(N1, quo, P)
+        lifts = (ModuleHom(N1, quo, T) for T in solvers[N1](pi1))
         psi = next((h for h in lifts if h.is_surjective()), None)
         if psi is not None:
             factoring.append((U, quo, project, psi))
@@ -1131,14 +1160,8 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     match = [t for t in factoring if frozenset(t[0]) == Ustar]
     assert match, "intersection of factoring submodules must factor"
     U, quo, project, psi = match[0]
-    q2 = ModuleHom(N2, quo, tuple(tuple(project(col)[i] for col in _unit_columns(N2))
-                                  for i in range(len(quo.orders))))
-    fiber = _fiber_submodule(pi1, pi2)
-    box = _fiber_submodule(psi, q2)
+    q2 = ModuleHom(N2, quo, tuple(zip(*map(project, linalg.identity_matrix(len(N2.orders))))))
+    fiber, _ = _fiber_submodule(pi1, pi2)
+    box, _ = _fiber_submodule(psi, q2)
     return FiberResult(common_quotient=quo, to_common_1=psi, to_common_2=q2,
                        fiber_product=fiber, boxtimes=box)
-
-
-def _unit_columns(M: ExplicitModule):
-    k = len(M.orders)
-    return [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]

@@ -324,7 +324,7 @@ def test_congruence_kernel_matches_brute_force():
             preimages = {}
             for w in it.product(range(M), repeat=n):
                 preimages.setdefault(image(w), set()).add(w)
-            basis, solve = congruence_kernel(A, mods, n)
+            basis, solve, _ = congruence_kernel(A, mods, n)
             assert all(image(col) == zero for col in basis)
             span = closure([(0,) * n], lambda w: [tuple((x + c) % M for x, c in zip(w, col)) for col in basis])
             assert span == preimages[zero]
@@ -332,3 +332,30 @@ def test_congruence_kernel_matches_brute_force():
                 w = solve(b)
                 assert (w is None) == (b not in preimages)
                 assert w is None or image(w) == b
+
+
+def test_congruence_kernel_coords_express_lattice_vectors():
+    # coords(w) are the coefficients of w in the kernel lattice's basis,
+    # on random systems with moduli mixing primes; off the lattice
+    # (some row of A w is not ≡ 0) it raises ValueError
+    rng = random.Random(3)
+    off = 0
+    for trial in range(200):
+        m, n = rng.randint(0, 4), rng.randint(1, 5)
+        mods = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 25, 27]) for _ in range(m)]
+        A = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+        basis, _, coords = congruence_kernel(A, mods, n)
+        assert len(basis) == n
+        for _ in range(6):
+            c = [rng.randint(-5, 5) for _ in range(n)]
+            w = [sum(cj * b[i] for cj, b in zip(c, basis)) for i in range(n)]
+            assert coords(w) == c
+            y = [rng.randint(-40, 40) for _ in range(n)]
+            if all(sum(a * x for a, x in zip(row, y)) % md == 0 for row, md in zip(A, mods)):
+                got = coords(y)
+                assert [sum(cj * b[i] for cj, b in zip(got, basis)) for i in range(n)] == y
+            else:
+                off += 1
+                with pytest.raises(ValueError, match="not in the kernel lattice"):
+                    coords(y)
+    assert off > 100

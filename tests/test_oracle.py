@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import sympy
 
-from dvrstat.abelian import FiniteAbelianGroup, closure, mult_order, orbits
+from dvrstat.abelian import FiniteAbelianGroup, closure, int_log, mult_order, orbits
 from dvrstat.dvrmod import ModuleType, aut_count, hom_count, partitions_of, partitions_upto, sur_count
 from dvrstat import linalg, oracle
 
@@ -297,14 +297,22 @@ def _span(D, gens):
 
 
 def _assert_fiber_matches_sweep(f, g, e, got=None):
-    """The kernel generators span exactly the swept fiber, and the module
-    built from them has the size and type of the one built from the sweep."""
-    D, gens = oracle._fiber_generators(f, g)
+    """The fiber module's generators, as elements of X ⊕ Y, span exactly
+    the swept fiber, Γ moves them as the module's action columns say, and
+    the module has the size and type of the one built from the sweep."""
+    sub, gens = oracle._fiber_submodule(f, g)
+    D = oracle.direct_sum(f.src, g.src)
     ref = _fiber_sweep(f, g)
-    assert len(gens) <= len(D.orders)
+    assert len(gens) == len(sub.orders) <= len(D.orders)
     assert _span(D, gens) == ref
+    for A, B in zip(D.actions, sub.actions):
+        for t, x in enumerate(gens):
+            image = D.zero()
+            for r, y in enumerate(gens):
+                image = D.add(image, D.smul(B[r][t], y))
+            assert oracle._mat_apply(A, x, D.orders) == image
     swept, _ = oracle.module_from_subgroup(D, ref)
-    got = oracle._fiber_submodule(f, g) if got is None else got
+    got = sub if got is None else got
     assert got.size == swept.size == len(ref)
     assert oracle.iso_type(got, e) == oracle.iso_type(swept, e)
 
@@ -336,7 +344,7 @@ def test_fiber_over_zero_target_is_the_direct_sum():
     Z = oracle.zero_module(2, X.group)
     f, g = oracle.ModuleHom(X, Z, ()), oracle.ModuleHom(Y, Z, ())
     _assert_fiber_matches_sweep(f, g, e)
-    assert oracle._fiber_submodule(f, g).size == X.size * Y.size
+    assert oracle._fiber_submodule(f, g)[0].size == X.size * Y.size
 
 
 def test_fiber_submodule_enumerates_no_element(monkeypatch):
@@ -350,7 +358,7 @@ def test_fiber_submodule_enumerates_no_element(monkeypatch):
         raise AssertionError("elements() called")
 
     monkeypatch.setattr(oracle.ExplicitModule, "elements", refuse)
-    fiber = oracle._fiber_submodule(f, f)
+    fiber, _ = oracle._fiber_submodule(f, f)
     assert fiber.size == 2**15
     assert oracle.iso_type(fiber, e).parts == (3, 3, 3, 2, 2, 2)
 
@@ -706,6 +714,53 @@ def test_mat_pow_equals_chained_products(monkeypatch):
             R = oracle._mat_mat(R, A, orders)
 
 
+def _iso_type_from_identity(M, e):
+    # iso_type from the 𝔪-filtration chained from the identity: P = I·π, I·π·π, ...
+    pi = oracle.uniformizer_matrix(M, e)
+    k = len(M.orders)
+    sizes, P = [M.size], linalg.identity_matrix(k)
+    while sizes[-1] > 1:
+        P = oracle._mat_mat(P, pi, M.orders)
+        sizes.append(oracle.subgroup_size(M.orders, [[P[i][j] for i in range(k)] for j in range(k)]))
+        if len(sizes) > 64:
+            raise ValueError("not annihilated by a power of the maximal ideal")
+    conj = [int_log(prev // cur, e.Q) for prev, cur in zip(sizes, sizes[1:])]
+    return ModuleType(e.Q, ModuleType(e.Q, conj).conjugate())
+
+
+def test_action_norm_and_filtration_equal_chained_products_from_identity():
+    # action_of, endo_norm and iso_type start from A, not from I·A; each
+    # equals the product chained from the identity, on the small modules
+    # under every idempotent of their Γ and on realize outputs
+    pairs = [(M, e) for facs, mods in zip([(3,), (4,), (2, 2)], _small_modules())
+             for M in mods for e in _idems(facs, 2)]
+    for facs, p, lam in [((2,), 2, (2, 1)), ((4,), 2, (3, 1)), ((3,), 3, (2,)), ((5,), 2, (1,)), ((2, 2), 2, (2,))]:
+        pairs += [(oracle.realize(e, ModuleType(e.Q, lam)), e) for e in _idems(facs, p)]
+    typed = 0
+    for M, e in pairs:
+        k = len(M.orders)
+        for g in M.group.elements():
+            A = linalg.identity_matrix(k)
+            for B, a in zip(M.actions, g):
+                for _ in range(a):
+                    A = oracle._mat_mat(A, B, M.orders)
+            assert M.action_of(g) == A
+            P, S = linalg.identity_matrix(k), [[0] * k for _ in range(k)]
+            for _ in range(M.group.element_order(g)):
+                P = oracle._mat_mat(P, A, M.orders)
+                S = [[(a + b) % o for a, b in zip(rs, rp)] for rs, rp, o in zip(S, P, M.orders)]
+            assert M.endo_norm(g) == S
+        try:
+            expected = _iso_type_from_identity(M, e)
+        except ValueError:
+            with pytest.raises(ValueError):
+                oracle.iso_type(M, e)
+            continue
+        assert oracle.iso_type(M, e) == expected
+        typed += 1
+    assert typed > 20
+
+
 def _fiber_key(res):
     mods = (res.common_quotient, res.fiber_product, res.boxtimes)
     return [(M.orders, M.actions) for M in mods], res.to_common_1.matrix, res.to_common_2.matrix
@@ -745,10 +800,17 @@ def test_fiber_tools_memos_compute_once_per_module_and_per_pi2(monkeypatch):
         quotients.append(U)
         return module_quotient(H, U)
 
+    systems, hom_solver = [], oracle._hom_solver
+
+    def counting_solver(src, dst, g=None):
+        systems.append((src, dst))
+        return hom_solver(src, dst, g)
+
     monkeypatch.setattr(oracle, "residue_rank", counting_rank)
     monkeypatch.setattr(oracle, "subgroup_size", counting_size)
     monkeypatch.setattr(oracle, "gamma_submodules", counting_submodules)
     monkeypatch.setattr(oracle, "module_quotient", counting_quotient)
+    monkeypatch.setattr(oracle, "_hom_solver", counting_solver)
     pairs = list(itertools.product(surs1, surs2))
     results = [oracle.fiber_tools(e, pi1, pi2) for pi1, pi2 in pairs]
     ranks = [oracle.residue_rank(res.boxtimes, e) for res in results]
@@ -760,6 +822,8 @@ def test_fiber_tools_memos_compute_once_per_module_and_per_pi2(monkeypatch):
     # ker π₂'s submodules and their quotients are built once per π₂
     assert len(submodules) == len(surs2)
     assert quotients == [U for subs in submodules for U in subs]
+    # and each N₂/U solves its lift system once for N₁, for both π₁
+    assert len(systems) == len(quotients) and all(src is N1 for src, _ in systems)
     # the same answers as a fresh copy of π₂, which starts with no memo
     for (pi1, pi2), res, rank in zip(pairs, results, ranks):
         fresh = dataclasses.replace(pi2)
@@ -794,28 +858,95 @@ def _catalog_modules(max_size=64):
                         yield e, lam, oracle.realize(e, ModuleType(e.Q, lam))
 
 
-def test_automorphism_generators_list_transvections_in_sweep_order():
-    # the transvections 1 + φ come last, φ running over the nonzero
-    # Γ-homs between summands in the brute-force sweep's order
-    seen = 0
+def _additive_span(mats, zero, orders):
+    return closure([zero], lambda X: [tuple(tuple((a + b) % o for a, b in zip(x, y))
+                                            for x, y, o in zip(X, Y, orders)) for Y in mats])
+
+
+def test_automorphism_generators_keep_only_what_generates_more():
+    # each summand's units, then each block's transvections 1 + φ: a
+    # unit (a φ) is kept exactly when the units (the φ) kept before it,
+    # in the brute-force sweep's order, do not generate (add up to) it,
+    # and those kept generate all units (all of Hom_Γ(S_j, S_i))
+    kept = listed = 0
     for _, _, H in _catalog_modules(max_size=16):
         k = len(H.orders)
         parts = [oracle.ExplicitModule(H.p, H.orders[a:b], H.group,
                                        [[row[a:b] for row in A[a:b]] for A in H.actions])
                  for a, b in H.blocks]
-        expected = []
-        for (i, Si), (j, Sj) in itertools.permutations(enumerate(parts), 2):
-            for phi in _brute_homs(Sj, Si)[0]:
-                if any(map(any, phi)):
-                    T = [list(row) for row in linalg.identity_matrix(k)]
-                    (a, _), (c, _) = H.blocks[i], H.blocks[j]
-                    for r, row in enumerate(phi):
-                        T[a + r][c:c + len(row)] = row
-                    expected.append(tuple(map(tuple, T)))
+        order = [(i, i) for i in range(len(parts))] + list(itertools.permutations(range(len(parts)), 2))
+
+        def block(T, i, j):
+            (a, b), (c, d) = H.blocks[i], H.blocks[j]
+            return tuple(tuple(row[c:d]) for row in T[a:b])
+
+        idm = linalg.identity_matrix(k)
         gens = oracle.automorphism_generators(H)
-        assert gens[len(gens) - len(expected):] == expected
-        seen += len(expected)
-    assert seen > 0
+        where = []
+        for T in gens:
+            (w,) = [ij for ij in order if block(T, *ij) != block(idm, *ij)]
+            where.append(w)
+        assert where == sorted(where, key=order.index)
+        for i, j in order:
+            Si, Sj = parts[i], parts[j]
+            X = [block(T, i, j) for T, w in zip(gens, where) if w == (i, j)]
+            brute = _brute_homs(Sj, Si)[0]
+            if i == j:
+                brute = [T for T in brute
+                         if len({oracle.ModuleHom(Si, Si, T).apply(x) for x in Si.elements()}) == Si.size]
+
+                def span(mats):
+                    return _generated_group(mats, Si.orders)
+
+                def key(T):
+                    return _keys([T], Si.orders).pop()
+            else:
+                def span(mats):
+                    return _additive_span(mats, brute[0], Si.orders)
+
+                def key(T):
+                    return T
+            for T in brute:
+                before = [U for U in X if brute.index(U) < brute.index(T)]
+                assert (T in X) == (key(T) not in span(before))
+            assert span(X) == span(brute)
+            kept += len(X)
+            listed += len(brute) - (i == j)  # every unit but 1, every φ but 0
+    assert 0 < kept < listed
+
+
+def _orbits_under_every_automorphism(H, exts):
+    """Slow path for cyclic Γ = <γ> of order n: the extensions, one per
+    class of H², grouped by the Aut_Γ(H)-orbit of their class, acting
+    with every element of `module_automorphisms(H)`.  H² ≅ H^Γ/N_γ·H,
+    the class of E going to (0, γ)^n, and T ∈ Aut_Γ(H) acts on both
+    sides through its action on H."""
+    k, n, g = len(H.orders), H.group.order, (1,)
+    mods, radix = np.array(H.orders), np.cumprod([1, *H.orders[:-1]])
+    norm_image = np.array(sorted(H.image_set(H.endo_norm(g))))
+    auts = np.array(oracle.module_automorphisms(H)).reshape(-1, k, k)
+
+    def coset_keys(xs):  # the least key of x + N_γ·H, for each row x
+        return ((xs[:, None, :] + norm_image[None]) % mods @ radix).min(axis=1)
+
+    cs = np.array([E.power((H.zero(), g), n)[0] for E in exts])
+    keys = coset_keys(cs)
+    return {frozenset(np.flatnonzero(np.isin(keys, coset_keys(auts @ c % mods))).tolist()) for c in cs}
+
+
+def test_extension_classes_match_refinement_by_every_automorphism():
+    # on the criterion-5 catalog (all Γ cyclic), the classes refined by
+    # the generating set are one per orbit of all of Aut_Γ(H); up to
+    # |H| = 27 it holds the ramified Z/3 module O/π³ at p = 3, the one
+    # whose orbits need a second unit of its summand
+    refined = 0
+    for _, _, H in _catalog_modules(max_size=27):
+        exts = oracle.enumerate_extensions(H.group, H, refine=False)
+        kept = [[G.cocycle for G in exts].index(G.cocycle) for G in oracle.enumerate_extensions(H.group, H)]
+        orbits = _orbits_under_every_automorphism(H, exts)
+        assert sorted(len(orbit & set(kept)) for orbit in orbits) == [1] * len(kept)
+        refined += len(kept) < len(exts)
+    assert refined > 0
 
 
 def test_module_automorphisms_cap_refuses_before_listing(monkeypatch):
@@ -896,17 +1027,18 @@ def _keys(mats, orders):
 
 
 def _generated_group(gens, orders):
-    """Keys of the group the matrices gens generate: breadth-first by
-    layers, each layer multiplied by every generator in one product."""
+    """Keys of the group the matrices gens generate (the trivial group
+    when there are none): breadth-first by layers, each layer multiplied
+    by every generator in one product."""
     k = len(orders)
     mods = np.array(orders).reshape(k, 1)
     radix = _radix(orders)
-    gens = np.array(gens)
+    gens = np.array(gens, dtype=np.int64).reshape(-1, k, k)
     layer = np.eye(k, dtype=np.int64)[None]
     seen = layer.reshape(1, -1) @ radix
     while len(layer):
         prods = (gens[:, None] @ layer[None] % mods).reshape(-1, k, k)
-        keys, first = np.unique(prods.reshape(len(prods), -1) @ radix, return_index=True)
+        keys, first = np.unique(prods.reshape(len(prods), k * k) @ radix, return_index=True)
         new = ~np.isin(keys, seen)
         layer, seen = prods[first[new]], np.concatenate([seen, keys[new]])
     return set(seen.tolist())
@@ -1010,7 +1142,8 @@ def test_explicit_group_law_matches_add_formulas():
 def test_ext_solves_each_order_coset_once(monkeypatch):
     # Γ = (Z/2)^2 on Z/2 has 8 extension classes; `ext` asks each class for
     # c_γ at the 3 nonzero γ (conjugacy_stats) and at the 2 basis elements
-    # (splitting_count), but only the first ask per (class, γ) solves
+    # (splitting_count); N_γ depends on H alone, so one solve per γ
+    # serves all 8 classes
     from dvrstat import cli
 
     asks, solves, inside = [], [], []
@@ -1034,5 +1167,5 @@ def test_ext_solves_each_order_coset_once(monkeypatch):
     assert cli.main(["ext", "--gamma", "2,2", "--p", "2", "--index", "0", "--parts", "1"],
                     out=io.StringIO()) == 0
     assert len(asks) == 8 * 5
-    assert len(solves) == len(set(solves)) == 8 * 3
-    assert set(solves) == set(asks)
+    assert len(solves) == len({gamma for _, gamma in solves}) == 3
+    assert {gamma for _, gamma in solves} == {gamma for _, gamma in asks}

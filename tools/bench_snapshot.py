@@ -10,6 +10,10 @@ pytest, and stores under `--label` in the JSON file `--out`:
 - the last (JSON) line of `dvrbench/run.py --workload W --seed SEED
   --seconds T --trace 0` for each of the three workloads, with T the
   `run_seconds` of the checkout's BENCHMARK.json;
+- the per-layer `*.calls` counts of `dvrbench/run.py --workload oracle
+  --seed SEED --seconds 0.1 --trace 1`: that run times one block, which
+  is one pass over the oracle pool, so the counts describe the same
+  requests on every machine;
 - the wall time and exit code of each request in CLI_REQUESTS, the
   median of 3 fresh processes;
 - the per-test durations of `tests/test_acceptance.py` and the
@@ -76,6 +80,16 @@ def workload_lines(checkout, seconds):
     return out
 
 
+def oracle_pass_calls(checkout):
+    res = subprocess.run([sys.executable, "dvrbench/run.py", "--workload", "oracle", "--seed", str(SEED),
+                          "--seconds", "0.1", "--trace", "1"],
+                         cwd=checkout, capture_output=True, text=True, check=True)
+    line = json.loads(res.stdout.strip().splitlines()[-1])
+    calls = {k: v["value"] for k, v in line["metrics"].items() if k.endswith(".calls")}
+    print(f"oracle pass: correct={line['correct']} failed={line['failed']}", flush=True)
+    return {"correct": line["correct"], "failed": line["failed"], "calls": calls}
+
+
 def cli_times(checkout):
     out = {}
     for req in CLI_REQUESTS:
@@ -119,6 +133,7 @@ def main():
         "taken_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workloads": {"seed": SEED, "seconds": seconds,
                       "results": workload_lines(checkout, seconds)},
+        "oracle_pass_calls": oracle_pass_calls(checkout),
         "cli": cli_times(checkout),
         "acceptance": acceptance(checkout),
     }
