@@ -135,10 +135,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self):
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return math.prod(self.invariant_factors)
 
     @property
     def exponent(self):

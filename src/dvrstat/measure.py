@@ -28,33 +28,31 @@ from .abelian import prime_power_split
 from .dvrmod import ModuleType, aut_count, partitions_of, sur_count
 from . import linalg
 
-DEFAULT_TRUNC = 64
+Z_TRUNC = 64
 
 
 @dataclass(frozen=True)
 class MeasureContext:
-    """Residue field size plus the truncation index for the constant
-    Z(Q) = ∏_{i=2}^∞ (1 - Q^{-i})."""
+    """Residue field size Q, a prime power; the constant
+    Z(Q) = ∏_{i=2}^∞ (1 - Q^{-i}) is bracketed from its partial product
+    to index Z_TRUNC."""
 
     Q: int
-    trunc: int = DEFAULT_TRUNC
 
     def __post_init__(self):
         prime_power_split(self.Q)
-        if self.trunc < 2:
-            raise ValueError(f"truncation index {self.trunc} must be >= 2")
 
     def z_bracket(self):
         """(lower, upper) rational bracket for Z(Q).
 
-        The partial product to index `trunc` is an upper bound; the tail
-        ∏_{i>T}(1 - Q^{-i}) is at least 1 - Q^{-T}/(Q - 1).
+        The partial product to index T = Z_TRUNC is an upper bound; the
+        tail ∏_{i>T}(1 - Q^{-i}) is at least 1 - Q^{-T}/(Q - 1).
         """
         Q = self.Q
         part = Fraction(1)
-        for i in range(2, self.trunc + 1):
+        for i in range(2, Z_TRUNC + 1):
             part *= 1 - Fraction(1, Q**i)
-        tail_low = 1 - Fraction(1, Q**self.trunc * (Q - 1))
+        tail_low = 1 - Fraction(1, Q**Z_TRUNC * (Q - 1))
         return part * tail_low, part
 
 

@@ -7,7 +7,7 @@ Everything here favours transparency over speed; the closed formulas in
 dvrmod are validated against these computations.  The oracle still
 lists every object it counts, but finds them by exact linear algebra,
 not by testing candidates: Γ-homs, the fiber-product lifts among them
-(`_hom_matrices`) and the order cosets c_γ (`_order_coset`) are the
+(`_hom_solver`) and the order cosets c_γ (`_order_coset`) are the
 solutions of one congruence system each, listed from an echelon form.
 """
 
@@ -168,10 +168,7 @@ class ExplicitModule:
 
     @property
     def size(self):
-        out = 1
-        for o in self.orders:
-            out *= o
-        return out
+        return math.prod(self.orders)
 
     def zero(self):
         return (0,) * len(self.orders)
@@ -255,36 +252,20 @@ def direct_sum(M1: ExplicitModule, *rest: ExplicitModule):
 # ---------------------------------------------------------------------------
 # realization of DVR-module types
 
-def _cyclotomic(m):
-    """Coefficient list of Φ_m via the product formula."""
-    # (x^m - 1) / ∏_{d | m, d < m} Φ_d
-    poly = [0] * (m + 1)
-    poly[0], poly[m] = -1, 1
+def _cyclotomic(m, mod):
+    """Coefficient list of Φ_m mod `mod`: x^m − 1 divided by the monic
+    Φ_d for each d | m, d < m."""
+    poly = [mod - 1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            sub = _cyclotomic(d)
-            poly = _poly_div_exact(poly, sub)
+            poly = linalg.poly_divmod(poly, _cyclotomic(d, mod), mod)[0]
     return poly
-
-
-def _poly_div_exact(a, b):
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for d in range(len(a) - len(b), -1, -1):
-        c = a[d + len(b) - 1]
-        assert c % b[-1] == 0
-        q = c // b[-1]
-        out[d] = q
-        for i in range(len(b)):
-            a[d + i] -= q * b[i]
-    assert all(x == 0 for x in a)
-    return out
 
 
 def _unramified_factor(p, m_prime, f, N):
     """A monic degree-f factor of Φ_{m'} mod p^N (Hensel-lifted)."""
     assert m_prime > 1
-    phi = _cyclotomic(m_prime)
+    phi = _cyclotomic(m_prime, p**N)
     # every irreducible factor of Φ_{m'} mod p has degree f, so the first
     # monic degree-f divisor, in lexicographic order of (u_{f-1}, ..., u_0),
     # is one of them
@@ -306,7 +287,7 @@ def _mult_matrix(reducer, mod, dim):
     return M
 
 
-def realize(e: PrimitiveIdempotent, M: ModuleType, precision=None) -> ExplicitModule:
+def realize(e: PrimitiveIdempotent, M: ModuleType) -> ExplicitModule:
     """Build ⊕_i R/𝔪^{λ_i} for the DVR R attached to e, as an explicit
     module with transported Γ-action.  Round-trips with iso_type."""
     if M.Q != e.Q:
@@ -315,15 +296,13 @@ def realize(e: PrimitiveIdempotent, M: ModuleType, precision=None) -> ExplicitMo
     lam = M.parts
     if not lam:
         return zero_module(p, G)
-    N = precision if precision is not None else max(lam) + e.e_ram + 1
-    if N < max(lam) + e.e_ram:
-        raise ValueError(f"precision {N} is below max(λ) + e = {max(lam) + e.e_ram}")
+    N = max(lam) + e.e_ram + 1
     mod = p**N
     k, m_prime, f, e_ram = e.k, e.m_prime, e.f, e.e_ram
     D = e_ram * f
     # multiplication matrices for the ring on the basis y^a z^b
     if k >= 1:
-        ram_red = _cyclotomic(p**k)
+        ram_red = _cyclotomic(p**k, mod)
         Y1 = _mult_matrix(ram_red, mod, e_ram)
     else:
         Y1 = linalg.identity_matrix(1)
@@ -511,26 +490,16 @@ def module_from_subgroup(H: ExplicitModule, subset):
 
 
 def module_quotient(H: ExplicitModule, subgroup):
-    """H / subgroup as an ExplicitModule; returns (module, project, lift):
-    project maps an element of H to its quotient coordinates, and the
+    """H / subgroup as an ExplicitModule; returns (module, proj, lift):
+    proj is the matrix of the projection H → module (rows indexed by the
+    quotient's coordinates, entries reduced mod its orders), and the
     columns of the matrix lift are elements of H over the quotient's
     generators."""
     gens = [list(x) for x in subgroup]
     orders_q, proj, lift = linalg.quotient_structure(list(H.orders), gens)
-    if not orders_q:
-        Z = zero_module(H.p, H.group)
-        return Z, (lambda x: ()), lift
-
-    def project(x):
-        return tuple(sum(proj[t][i] * x[i] for i in range(len(H.orders))) % orders_q[t]
-                     for t in range(len(orders_q)))
-
-    actions = []
-    for A in H.actions:
-        big = linalg.mat_mul(proj, linalg.mat_mul(A, lift))
-        actions.append([[x % o for x in row] for row, o in zip(big, orders_q)])
-    quo = ExplicitModule(H.p, orders_q, H.group, actions)
-    return quo, project, lift
+    proj = tuple(tuple(x % o for x in row) for row, o in zip(proj, orders_q))
+    actions = [linalg.mat_mul(proj, linalg.mat_mul(A, lift)) for A in H.actions]
+    return ExplicitModule(H.p, orders_q, H.group, actions), proj, lift
 
 
 def gamma_submodules(H: ExplicitModule, inside=None):
@@ -555,7 +524,7 @@ class ExplicitGroup:
     product is one pass over H's coordinates.
     """
 
-    def __init__(self, H: ExplicitModule, cocycle, check=True):
+    def __init__(self, H: ExplicitModule, cocycle):
         self.H = H
         self.G = H.group
         self.cocycle = dict(cocycle)
@@ -563,14 +532,13 @@ class ExplicitGroup:
         self._act = {g: H.action_of(g) for g in els}
         self._law = {(a, b): (self.G.add(a, b), self.cocycle[(a, b)]) for a in els for b in els}
         self._coset_cache = {}
-        if check:
-            self._validate()
+        self._validate()
 
     @classmethod
     def split(cls, H: ExplicitModule):
         z = H.zero()
         coc = {(a, b): z for a in H.group.elements() for b in H.group.elements()}
-        return cls(H, coc, check=False)
+        return cls(H, coc)
 
     def _validate(self):
         G, H, law = self.G, self.H, self._law
@@ -884,19 +852,18 @@ def splitting_count(G: ExplicitGroup) -> int:
                for lifts in itertools.product(*cosets))
 
 
-def aut_extension_count(H: ExplicitModule, Gamma: FiniteAbelianGroup, basis=None) -> int:
-    """#𝔄⁻_{γ₁}(H) · ∏_{j>=2} #𝔄⁺_{γ₁}(H)[|γ_j|] for a basis γ₁..γ_d of Γ
-    with γ₂..γ_d acting trivially on H."""
+def aut_extension_count(H: ExplicitModule, Gamma: FiniteAbelianGroup) -> int:
+    """#𝔄⁻_{γ₁}(H) · ∏_{j>=2} #𝔄⁺_{γ₁}(H)[|γ_j|] for the invariant-factor
+    basis γ₁..γ_d of Γ, the one generator acting nontrivially on H (if
+    any) taken first; ValueError unless γ₂..γ_d then act trivially."""
     if Gamma != H.group:
         raise ValueError("Γ is not the group acting on H")
     d = Gamma.rank
-    if basis is None:
-        basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-        idm = linalg.identity_matrix(len(H.orders))
-        basis.sort(key=lambda g: _mat_eq(H.action_of(g), idm, H.orders))
     if d == 0:
         return 1
     idm = linalg.identity_matrix(len(H.orders))
+    basis = sorted((tuple(1 if j == i else 0 for j in range(d)) for i in range(d)),
+                   key=lambda g: _mat_eq(H.action_of(g), idm, H.orders))
     for g in basis[1:]:
         if not _mat_eq(H.action_of(g), idm, H.orders):
             raise ValueError("all basis elements after the first must act trivially")
@@ -945,9 +912,17 @@ def brute_module_counts(M: ExplicitModule, N: ExplicitModule):
     return len(homs), sum(f.is_surjective() for f in homs)
 
 
-def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None, over=None):
+def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None):
     """Matrices T (rows indexed by dst coords) of all Γ-homs src → dst,
-    from one `linalg.congruence_kernel` solve, made by `_hom_solver`.
+    listed by `_hom_solver(src, dst)`."""
+    return _hom_solver(src, dst)(None, cap)
+
+
+def _hom_solver(src: ExplicitModule, dst: ExplicitModule, g=None):
+    """The Γ-homs T: src → dst with g·T = f (every Γ-hom when g is None),
+    from one `linalg.congruence_kernel` solve: returns homs(f, cap),
+    which lists them for any f.  Only the right-hand side depends on f,
+    so the lifts of many f through one g share the solve.
 
     The unknowns are the entries T[i][j] in column-major order, T[i][j]
     read mod dst.orders[i]; the rows are the order condition
@@ -958,22 +933,13 @@ def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None, over=None)
     range(dst.orders[i]): the order in which itertools.product over the
     admissible columns met them.
 
-    With over = (g, f), Γ-homs g: dst → Z and f: src → Z, only the T
-    with g·T = f are listed: the rows (g·T)[r][j] ≡ f[r][j] (mod
-    Z.orders[r]) join the system, and its solutions are one solution of
-    it plus the homs with g·T = 0, listed in the same order (nothing when
-    there is no solution).  ValueError when more than cap would be
-    listed, known from the echelon form before anything is listed.
+    With g: dst → Z and f: src → Z Γ-homs, the rows (g·T)[r][j] ≡
+    f[r][j] (mod Z.orders[r]) join the system, and its solutions are one
+    solution of it plus the homs with g·T = 0, listed in the same order
+    (nothing when there is no solution).  ValueError when more than cap
+    would be listed, known from the echelon form before anything is
+    listed.
     """
-    g, f = (None, None) if over is None else over
-    return _hom_solver(src, dst, g)(f, cap)
-
-
-def _hom_solver(src: ExplicitModule, dst: ExplicitModule, g=None):
-    """The system of `_hom_matrices(src, dst, over=(g, f))`, solved once:
-    returns homs(f, cap), which lists the T with g·T = f (every Γ-hom
-    when g is None) from that solve.  Only the right-hand side depends
-    on f, so the lifts of many f through one g share the solve."""
     ks, kd = len(src.orders), len(dst.orders)
     n = ks * kd
     mods = list(dst.orders) * ks
@@ -1039,9 +1005,7 @@ def brute_counts_plain(q, lam, mu):
     """(#Hom, #Sur) for ⊕ Z/q^λ → ⊕ Z/q^μ with no group action, counted
     by enumerating generator images (rank of λ at most 2)."""
     mods = [q**b for b in mu]
-    total = 1
-    for m in mods:
-        total *= m
+    total = math.prod(mods)
     elems = list(itertools.product(*(range(m) for m in mods)))
     cand = {}
     for a in set(lam):
@@ -1124,10 +1088,10 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     For each Γ-submodule U ⊆ ker π₂ the map N₁ → N₂/U is ψ, the first
     surjective lift of π₁ in `enumerate_module_homs` order: the homs T
     with P·T = π₁, P the map N₂/U → N₃ induced by π₂, come from one
-    `_hom_solver` system.  The quotients N₂/U and the maps P depend on
-    π₂ alone, so π₂ keeps them for every π₁ it is paired with, and with
-    each the system's solve for every source N₁: π₁ changes only its
-    right-hand side.
+    `_hom_solver` system.  The quotients N₂/U, their projections q₂ and
+    the maps P depend on π₂ alone, so π₂ keeps them for every π₁ it is
+    paired with, and with each the system's solve for every source N₁:
+    π₁ changes only its right-hand side.
     """
     N1, N2 = pi1.src, pi2.src
     N3 = pi1.dst
@@ -1142,26 +1106,25 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     if pi2._quotients is None:
         quotients = []
         for U in gamma_submodules(N2, pi2.kernel()):
-            quo, project, lift = module_quotient(N2, U)
+            quo, proj, lift = module_quotient(N2, U)
             # P: column t is π₂ of the lift of quotient generator t
             P = ModuleHom(quo, pi2.dst, _mat_mat(pi2.matrix, lift, pi2.dst.orders))
-            quotients.append((U, quo, project, P, {}))
+            quotients.append((U, ModuleHom(N2, quo, proj), P, {}))
         pi2._quotients = quotients
     factoring = []
-    for U, quo, project, P, solvers in pi2._quotients:
+    for U, q2, P, solvers in pi2._quotients:
         if N1 not in solvers:
-            solvers[N1] = _hom_solver(N1, quo, P)
-        lifts = (ModuleHom(N1, quo, T) for T in solvers[N1](pi1))
+            solvers[N1] = _hom_solver(N1, q2.dst, P)
+        lifts = (ModuleHom(N1, q2.dst, T) for T in solvers[N1](pi1))
         psi = next((h for h in lifts if h.is_surjective()), None)
         if psi is not None:
-            factoring.append((U, quo, project, psi))
+            factoring.append((U, q2, psi))
     assert factoring, "the common target itself must factor"
-    Ustar = frozenset.intersection(*(frozenset(U) for U, _, _, _ in factoring))
+    Ustar = frozenset.intersection(*(frozenset(U) for U, _, _ in factoring))
     match = [t for t in factoring if frozenset(t[0]) == Ustar]
     assert match, "intersection of factoring submodules must factor"
-    U, quo, project, psi = match[0]
-    q2 = ModuleHom(N2, quo, tuple(zip(*map(project, linalg.identity_matrix(len(N2.orders))))))
+    _, q2, psi = match[0]
     fiber, _ = _fiber_submodule(pi1, pi2)
     box, _ = _fiber_submodule(psi, q2)
-    return FiberResult(common_quotient=quo, to_common_1=psi, to_common_2=q2,
+    return FiberResult(common_quotient=q2.dst, to_common_1=psi, to_common_2=q2,
                        fiber_product=fiber, boxtimes=box)

@@ -9,6 +9,7 @@ commutator coordinate per generator pair.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .abelian import val_p
@@ -45,19 +46,11 @@ class NilClass2Cover:
 
     @property
     def size(self):
-        out = 1
-        for o in self.orders:
-            out *= o
-        for m in self.pair_mods:
-            out *= m
-        return out
+        return math.prod(self.orders) * self.kernel_size
 
     @property
     def kernel_size(self):
-        out = 1
-        for m in self.pair_mods:
-            out *= m
-        return out
+        return math.prod(self.pair_mods)
 
     @property
     def kernel_exponent(self):
@@ -87,16 +80,6 @@ class NilClass2Cover:
         for t, (i, j) in enumerate(self.pairs):
             c2[t] = (c2[t] - a[j] * b[i]) % self.pair_mods[t]
         return (a2, tuple(c2))
-
-    def power(self, x, n):
-        y = self.identity()
-        b = x
-        while n:
-            if n & 1:
-                y = self.mul(y, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return y
 
     def element_order(self, x):
         o = 1
@@ -236,9 +219,7 @@ def b_closed(ds, v, n):
         raise ValueError("v must be >= 1")
     _check_n(n)
     cover = NilClass2Cover(ds)
-    tors = 1
-    for mod in cover.pair_mods:
-        tors *= min(2 ** (v - 1), mod)
+    tors = math.prod(min(2 ** (v - 1), mod) for mod in cover.pair_mods)
     return tors * lattice_kernel_count(cover, n)
 
 
@@ -290,10 +271,6 @@ def moment_ratio(ds, v):
     if v < 1:
         raise ValueError("v must be >= 1")
     cover = NilClass2Cover(ds)
-    num = 1
-    for mod in cover.pair_mods:
-        num *= min(2 ** (v - 1), mod)
-    den = 1
-    for d in ds:
-        den *= 2 ** (d - 1)
+    num = math.prod(min(2 ** (v - 1), mod) for mod in cover.pair_mods)
+    den = math.prod(2 ** (d - 1) for d in ds)
     return Fraction(num, den)

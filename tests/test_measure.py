@@ -72,9 +72,6 @@ def test_context_validates_prime_power():
     MeasureContext(9)
     with pytest.raises(ValueError):
         MeasureContext(6)
-    MeasureContext(2, trunc=2)
-    with pytest.raises(ValueError, match="must be >= 2"):
-        MeasureContext(2, trunc=1)
 
 
 def test_z_bracket_ordered_and_tight():

@@ -37,7 +37,7 @@ def test_unramified_factor_is_sympys_first_factor():
              if m % p and p ** mult_order(p, m) <= 5000]
     assert len(cases) == 92
     for p, m, f in cases:
-        phi = oracle._cyclotomic(m)
+        phi = oracle._cyclotomic(m, p**3)
         fac = next(g for g, _ in sympy.Poly(phi[::-1], y, modulus=p).factor_list()[1]
                    if g.degree() == f)
         u = [int(c) % p for c in fac.all_coeffs()[::-1]]
@@ -50,7 +50,15 @@ def test_cyclotomic_prime_powers_match_closed_form():
         ref = [0] * ((p - 1) * p ** (k - 1) + 1)
         for j in range(p):
             ref[j * p ** (k - 1)] = 1
-        assert oracle._cyclotomic(p**k) == ref
+        assert oracle._cyclotomic(p**k, p ** (k + 1)) == ref
+
+
+def test_cyclotomic_matches_sympy_mod_prime_powers():
+    y = sympy.symbols("y")
+    for m in range(1, 61):
+        ref = sympy.Poly(sympy.cyclotomic_poly(m, y), y).all_coeffs()[::-1]
+        for mod in (2**8, 3**5, 5**3, 7**2):
+            assert oracle._cyclotomic(m, mod) == [int(c) % mod for c in ref]
 
 
 def test_realize_round_trip_ramified():
@@ -110,6 +118,29 @@ def test_iso_type_of_kernels_and_quotients():
     sub, _ = oracle.module_from_subgroup(H, ab.a_plus)
     quo, _, _ = oracle.module_quotient(H, ab.b_minus)
     assert oracle.iso_type(sub, e).parts == oracle.iso_type(quo, e).parts
+
+
+def test_module_quotient_projection_is_onto_with_kernel_u():
+    # for Z/2, Z/4 and (Z/2)^2 at p = 2, the idempotent listed last (the
+    # sign, the ramified one, the character (1, 1)), every type of at
+    # most two parts with |H| <= 64, and every Γ-submodule U: proj is a
+    # Γ-hom from H onto H/U with kernel U
+    count = 0
+    for facs in [(2,), (4,), (2, 2)]:
+        e = _idems(facs, 2)[-1]
+        for lam in (lam for s in range(1, 7) for lam in partitions_of(s) if len(lam) <= 2):
+            H = oracle.realize(e, ModuleType(2, lam))
+            for U in oracle.gamma_submodules(H):
+                quo, proj, _ = oracle.module_quotient(H, U)
+                f = oracle.ModuleHom(H, quo, proj)
+                assert f.is_surjective()
+                assert f.kernel() == U
+                for g in e.group.elements():
+                    assert oracle._mat_eq(oracle._mat_mat(proj, H.action_of(g), quo.orders),
+                                          oracle._mat_mat(quo.action_of(g), proj, quo.orders),
+                                          quo.orders)
+                count += 1
+    assert count == 555
 
 
 def test_extension_catalog_z2_by_z2():
@@ -236,6 +267,21 @@ def test_aut_extension_count_formula():
     e = next(e for e in _idems((2,), 2) if not e.is_trivial)
     H = oracle.realize(e, ModuleType(2, (2,)))
     assert oracle.aut_extension_count(H, G) == 4
+
+
+def test_aut_extension_count_puts_the_acting_generator_first():
+    # Γ = (Z/2)^2: under χ = (0, 1) only the second generator acts, and it
+    # is moved first; χ = (1, 1) moves both, so no order fits
+    G = FiniteAbelianGroup((2, 2))
+    counts = {}
+    for e in _idems((2, 2), 2):
+        H = oracle.realize(e, ModuleType(2, (2,)))
+        if e.rep == (1, 1):
+            with pytest.raises(ValueError, match="all basis elements after the first must act trivially"):
+                oracle.aut_extension_count(H, G)
+        else:
+            counts[e.rep] = oracle.aut_extension_count(H, G)
+    assert counts == {(0, 0): 4, (0, 1): 8, (1, 0): 8}
 
 
 def test_coprime_order_forces_split():
@@ -479,8 +525,6 @@ def test_mismatched_inputs_raise_value_error():
     f4 = next(e for e in _idems((3,), 2) if not e.is_trivial)
     with pytest.raises(ValueError, match="type has Q = 2 but the idempotent has Q = 4"):
         oracle.realize(f4, ModuleType(2, (1,)))
-    with pytest.raises(ValueError, match="precision 2 is below"):
-        oracle.realize(e, ModuleType(2, (3,)), precision=2)
     G2 = FiniteAbelianGroup((2,))
     with pytest.raises(ValueError, match="p = 2 and p = 3"):
         oracle.direct_sum(H, oracle.ExplicitModule(3, (3,), G2, [[[1]]]))
@@ -548,7 +592,7 @@ def test_enumerate_module_homs_matches_brute_force():
 
 def _assert_lifts_match_brute_force(M, N, Z, brute):
     """For one g: N → Z (the first surjective one, else the last hom) and
-    every f: M → Z, `_hom_matrices(M, N, over=(g, f))` lists the brute
+    every f: M → Z, `_hom_solver(M, N, g)(f)` lists the brute
     force homs T with g∘T = f on M's generators, in the same order.
     Returns the set of whether each f has a lift."""
     homs_NZ = oracle.enumerate_module_homs(N, Z)
@@ -561,7 +605,7 @@ def _assert_lifts_match_brute_force(M, N, Z, brute):
     seen = set()
     for f in oracle.enumerate_module_homs(M, Z):
         expected = lifts_of.get(tuple(f.apply(x) for x in gens), [])
-        assert list(oracle._hom_matrices(M, N, over=(g, f))) == expected
+        assert list(oracle._hom_solver(M, N, g)(f)) == expected
         seen.add(bool(expected))
     return seen
 
@@ -587,7 +631,7 @@ def test_hom_matrices_over_matches_brute_force():
     k = len(H.orders)
     zero = oracle.ModuleHom(H, H, ((0,) * k,) * k)
     one = oracle.ModuleHom(H, H, tuple(map(tuple, linalg.identity_matrix(k))))
-    assert list(oracle._hom_matrices(H, H, over=(zero, one))) == []
+    assert list(oracle._hom_solver(H, H, zero)(one)) == []
 
 
 def test_is_surjective_matches_subgroup_size():

@@ -18,6 +18,8 @@ pytest, and stores under `--label` in the JSON file `--out`:
   median of 3 fresh processes;
 - the per-test durations of `tests/test_acceptance.py` and the
   criteria's own ACCEPTANCE lines;
+- the line count (as `wc -l` gives it) of each `src/dvrstat` module and
+  their total;
 - nproc and the Python and numpy versions.
 
 Other labels already in `--out` are kept, so snapshots of two commits
@@ -119,6 +121,12 @@ def acceptance(checkout):
     return {"durations_s": durations, "lines": lines, "summary": summary}
 
 
+def src_lines(checkout):
+    modules = {f.name: f.read_bytes().count(b"\n")
+               for f in sorted((checkout / "src" / "dvrstat").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, type=pathlib.Path)
@@ -136,6 +144,7 @@ def main():
         "oracle_pass_calls": oracle_pass_calls(checkout),
         "cli": cli_times(checkout),
         "acceptance": acceptance(checkout),
+        "src_lines": src_lines(checkout),
     }
     data = json.loads(args.out.read_text()) if args.out.is_file() else {}
     data[args.label] = snap
