@@ -12,7 +12,11 @@ returns the same table as repeated `sample` calls on one generator.
 The kernel keeps a batch as planes of shape (f, rows, columns, trials)
 in the narrowest integer dtype that its bound allows (int32 for the
 moduli the sampler usually sees) and reduces by floor division, not
-`%`; the tally keys each sorted row of valuations as one byte string.
+`%`.  Valuations come from an int32 table of the residues mod p^k,
+p^k <= 2^16, read digit by digit above that; each elimination step
+finds its pivot by one min over int32 keys (valuation << shift) +
+row-major position.  The tally keys each sorted row of valuations as
+one byte string.
 
 numpy is imported inside the sampling functions, not at module level:
 the measure, the moments and every other dvrstat module are exact, so
@@ -174,32 +178,65 @@ def _ring_mul(a, b, u, mod):
 
 
 def _divisor_count(A, p, prec):
-    """#{1 <= j <= prec : p^j divides a} per entry: prec for zero."""
+    """#{1 <= j <= prec : p^j divides a} per entry, as int32: prec for zero."""
     import numpy as np
 
-    V = np.zeros(A.shape, dtype=np.int64)
+    V = np.zeros(A.shape, dtype=np.int32)
     for j in range(1, prec + 1):
         V += _reduce(A, p**j) == 0
     return V
 
 
+TABLE_MOD = 2**16  # largest modulus p^k whose valuations are tabulated
+
+
 @functools.lru_cache(maxsize=32)
 def _valuation_table(p, prec):
+    """(k, table): k the largest digit length <= prec with
+    p^k <= TABLE_MOD, and the valuation, capped at k, of each x < p^k,
+    as int32."""
     import numpy as np
 
-    # int64 like `_divisor_count`, so that `_coker_valuations` can scale
-    # either into pivot keys without wrapping
-    table = _divisor_count(np.arange(p**prec), p, prec)
+    k = max(d for d in range(1, prec + 1) if p**d <= TABLE_MOD)
+    if k < prec:
+        return _valuation_table(p, k)  # the same digits, one table
+    table = _divisor_count(np.arange(p**k), p, k)
     table.flags.writeable = False  # shared by every caller
-    return table
+    return k, table
 
 
 def _valuations(A, p, prec):
-    """Valuation of each ring entry, the minimum of `_divisor_count` over
-    the coefficient axis (the first); moduli up to 2^16 are looked up in
-    a table."""
-    V = _valuation_table(p, prec).take(A) if p**prec <= 2**16 else _divisor_count(A, p, prec)
-    return V.min(axis=0)
+    """Valuation of each ring entry, as int32: the least over the
+    coefficient axis (the first), and prec for zero.
+
+    Entries are read in base-p^k digits (see `_valuation_table`; k =
+    prec whenever p^prec <= TABLE_MOD): the table of x mod p^k gives
+    every valuation below k, and only where p^k divides x is x // p^k
+    looked up in turn, so that a matrix costs at most ⌈prec/k⌉ lookups.
+    For p > TABLE_MOD, which the sampler's 62-bit draws hold to
+    prec <= 3, each entry is divided by p^j for every j <= prec."""
+    import numpy as np
+
+    if p > TABLE_MOD:
+        V = _divisor_count(A, p, prec)
+    else:
+        k, table = _valuation_table(p, prec)
+        if k == prec:
+            V = table.take(A)
+        else:
+            # object entries are cast: take reads only machine integers
+            V = table.take(_reduce(A, p**k).astype(np.intp, copy=False))
+            flat = V.reshape(-1)
+            at = np.flatnonzero(flat == k)
+            x = A.reshape(-1)[at]
+            for _ in range(k, prec, k):
+                x = x // p**k
+                digit = table.take(_reduce(x, p**k).astype(np.intp, copy=False))
+                flat[at] += digit
+                deeper = digit == k
+                at, x = at[deeper], x[deeper]
+            np.minimum(V, prec, out=V)  # zero counts k per digit
+    return V[0] if len(V) == 1 else V.min(axis=0)
 
 
 def _kernel_dtype(mod, f):
@@ -223,6 +260,14 @@ def _coker_valuations(A, p, prec, u):
     and drops the pivot row and column: a column pass would only clear
     the rest of the pivot row.
 
+    The pivot is the least (valuation, row-major position) of a trial,
+    found by one min over int32 keys (v << shift) + position, where
+    shift is the bit length of the largest position n·m - 1; a key stays
+    below (prec + 1)·2^shift <= 2^31 for prec <= 61 and n·m <= 2^25,
+    which `_sampler_ring` checks.  Rows and columns are then moved with
+    flat gathers and scatters of index arrays sliced from one table of
+    plane offsets built per call.
+
     With mod = p^prec, the update's two ring products lie in [0, mod^2)
     for f = 1 and, reduced, in [0, mod) for f > 1; inside `_ring_mul`
     intermediates stay above -(f-1)·mod^2 and below f·mod^2; and
@@ -241,31 +286,36 @@ def _coker_valuations(A, p, prec, u):
     # of contiguous runs of `trials` entries
     A = np.ascontiguousarray(A.transpose(3, 1, 2, 0), dtype=_kernel_dtype(mod, f))
     powers = np.array([p**j for j in range(prec + 1)], dtype=A.dtype)
-    tr = np.arange(trials)
+    # pivot key (valuation << shift) + row-major position, in int32
+    shift = (n * m - 1).bit_length()
+    positions = np.arange(n * m, dtype=np.int32)[:, None]
+    # entry (x, y) of trial s sits at (x·c + y)·trials + s of a plane;
+    # `stride` is a numpy scalar, so that offsets are computed in intp
+    offsets = np.arange(n * m * trials).reshape(n * m, trials)
+    stride = offsets.dtype.type(trials)
     vals = np.empty((trials, n), dtype=np.int64)
     for t in range(n):
         r, c = n - t, m - t
-        # least (valuation, row-major position) of each trial, as one key
-        V = _valuations(A, p, prec).reshape(r * c, trials)
-        v, k = np.divmod((V * (r * c) + np.arange(r * c)[:, None]).min(axis=0), r * c)
-        i, j = np.divmod(k, c)
+        key = ((_valuations(A, p, prec).reshape(r * c, trials) << shift) + positions[:r * c]).min(axis=0)
+        v, k = key >> shift, key & ((1 << shift) - 1)
+        j = k % c
         vals[:, t] = v
-        pv = powers[v]
-        # take out the pivot row P and column; row and column 0 move into
-        # their slots, so rows and columns 1: hold everything else.  The
-        # gathers index A's planes flat: entry (x, y) of trial s sits at
-        # (x·c + y)·trials + s
+        # swap the pivot column, divided by p^v, with column 0, then move
+        # row 0 into the pivot row's slot: rows and columns 1: hold all
+        # but the pivot row P, whose entry 0 is the unit.  Scatters go
+        # one plane at a time, which numpy does faster than (f, ·) at once
         flat = A.reshape(f, -1)
-        row = i * c * trials + tr + np.arange(0, c * trials, trials)[:, None]
+        col = offsets[:r * c:c] + j * stride
+        row = offsets[:c] + (k - j) * stride
+        pivot_col = flat.take(col, axis=1) // powers.take(v)
+        for plane, col0 in zip(flat, A[:, :, 0]):
+            plane[col] = col0
+        A[:, :, 0] = pivot_col
         P = flat.take(row, axis=1)
-        flat[:, row] = A[:, 0]
-        col = j * trials + tr + np.arange(c * trials, r * c * trials, c * trials)[:, None]
-        w = flat.take(col, axis=1) // pv
-        flat[:, col] = A[:, 1:, 0]
-        unit = P[:, j, tr] // pv
-        P[:, j, tr] = P[:, 0]
-        A = _reduce(_ring_mul(unit[:, None, None], A[:, 1:, 1:], u, mod)
-                    - _ring_mul(w[:, :, None], P[:, None, 1:], u, mod), mod)
+        for plane, row0 in zip(flat, A[:, 0]):
+            plane[row] = row0
+        A = _reduce(_ring_mul(P[:, None, :1], A[:, 1:, 1:], u, mod)
+                    - _ring_mul(A[:, 1:, :1], P[:, None, 1:], u, mod), mod)
     return vals
 
 
@@ -291,6 +341,9 @@ def _sampler_ring(Q, n, prec):
     p, f = prime_power_split(Q)
     if p**prec >= 2**62:
         raise ValueError(f"p^prec = {p}^{prec} does not fit the sampler's 62-bit draws")
+    if n * (n + 1) > 2**25:
+        raise ValueError(f"matrix size n = {n} has more entries than the sampler's "
+                         f"int32 pivot keys can place (n(n+1) <= 2^25)")
     return p, f, _irreducible_poly(p, f)
 
 

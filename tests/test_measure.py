@@ -17,6 +17,7 @@ from dvrstat.measure import (
     _coker_valuations,
     _irreducible_poly,
     _kernel_dtype,
+    _reduce,
     _ring_mul,
     _sampler_ring,
     _tally,
@@ -41,6 +42,13 @@ def slow_coker_valuations(A, p, prec, u):
         return tuple(x % mod for x in c[:f])
     def val(a):
         return min(next(v for v in range(prec) if x % p ** (v + 1)) if x % mod else prec for x in a)
+    def inverse(a):
+        # a^(#units - 1), the unit group having order (p^f - 1)·p^(f(prec-1))
+        e, b, r = (p**f - 1) * p ** (f * (prec - 1)) - 1, a, one
+        while e:
+            r, b, e = mul(r, b) if e & 1 else r, mul(b, b), e >> 1
+        assert mul(a, r) == one
+        return r
     A, n, m, vals = [list(row) for row in A], len(A), len(A[0]), []
     for t in range(n):
         v, bi, bj = min((val(A[i][j]), i, j) for i in range(t, n) for j in range(t, m))
@@ -49,7 +57,7 @@ def slow_coker_valuations(A, p, prec, u):
         A[t], A[bi] = A[bi], A[t]
         for row in A:
             row[t], row[bj] = row[bj], row[t]
-        inv = next(b for b in it.product(range(mod), repeat=f) if mul(tuple(x // p**v for x in A[t][t]), b) == one)
+        inv = inverse(tuple(x // p**v for x in A[t][t]))
         for i in range(t + 1, n):
             c = mul(tuple(x // p**v for x in A[i][t]), inv)
             A[i] = [tuple((x - y) % mod for x, y in zip(a, mul(c, b))) for a, b in zip(A[i], A[t])]
@@ -212,6 +220,107 @@ def test_kernel_matches_slow_reference(case):
     vals = _coker_valuations(np.array(A), p, prec, u)
     for k, matrix in enumerate(A):
         assert sorted(vals[k].tolist()) == sorted(slow_coker_valuations(matrix, p, prec, u))
+
+
+def biased_matrices(p, f, prec, shape, rng):
+    """Uniform coefficients times p^e mod p^prec, e = 0 for about half of
+    them and up to prec for the rest, so that entries of high valuation,
+    zeros and ties are common."""
+    mod = p**prec
+    A = rng.integers(0, mod, size=shape + (f,)).astype(object)
+    A = A * p ** rng.integers(-prec, prec + 1, size=shape + (f,)).clip(0).astype(object) % mod
+    return A.astype(np.int64) if mod < 2**62 else A
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+@pytest.mark.parametrize("Q", [2, 3, 5, 4, 8])
+@pytest.mark.parametrize("prec", [1, 3, 5])
+def test_kernel_matches_slow_reference_at_benchmark_sizes(n, Q, prec):
+    p, f = prime_power_split(Q)
+    u = _irreducible_poly(p, f)
+    A = biased_matrices(p, f, prec, (3, n, n + 1), make_rng(100 * n + 10 * Q + prec))
+    vals = _coker_valuations(A, p, prec, u)
+    for k, matrix in enumerate(A.tolist()):
+        assert sorted(vals[k].tolist()) == sorted(slow_coker_valuations(matrix, p, prec, u))
+
+
+def frozen_coker_valuations(A, p, prec, u):
+    """The batched kernel with its earlier pivot search: int64 keys
+    V·(r·c) + position, split by divmod, and fancy-index swaps."""
+    mod = p**prec
+    trials, n, m, f = A.shape
+    A = np.ascontiguousarray(A.transpose(3, 1, 2, 0), dtype=_kernel_dtype(mod, f))
+    powers = np.array([p**j for j in range(prec + 1)], dtype=A.dtype)
+    tr = np.arange(trials)
+    vals = np.empty((trials, n), dtype=np.int64)
+    for t in range(n):
+        r, c = n - t, m - t
+        V = _valuations(A, p, prec).astype(np.int64).reshape(r * c, trials)
+        v, k = np.divmod((V * (r * c) + np.arange(r * c)[:, None]).min(axis=0), r * c)
+        i, j = np.divmod(k, c)
+        vals[:, t] = v
+        pv = powers[v]
+        flat = A.reshape(f, -1)
+        row = i * c * trials + tr + np.arange(0, c * trials, trials)[:, None]
+        P = flat.take(row, axis=1)
+        flat[:, row] = A[:, 0]
+        col = j * trials + tr + np.arange(c * trials, r * c * trials, c * trials)[:, None]
+        w = flat.take(col, axis=1) // pv
+        flat[:, col] = A[:, 1:, 0]
+        unit = P[:, j, tr] // pv
+        P[:, j, tr] = P[:, 0]
+        A = _reduce(_ring_mul(unit[:, None, None], A[:, 1:, 1:], u, mod)
+                    - _ring_mul(w[:, :, None], P[:, None, 1:], u, mod), mod)
+    return vals
+
+
+@pytest.mark.parametrize("Q, n, prec, trials", [
+    (2, 12, 5, 300), (3, 8, 4, 300), (5, 10, 3, 200), (2, 6, 17, 100),
+    (4, 6, 3, 100), (8, 4, 4, 100), (9, 3, 3, 50), (3, 4, 20, 40),
+])
+def test_kernel_equals_frozen_pivot_rule(Q, n, prec, trials):
+    # the same pivots give the same arrays, entry for entry and unsorted
+    p, f = prime_power_split(Q)
+    u = _irreducible_poly(p, f)
+    A = biased_matrices(p, f, prec, (trials, n, n + 1), make_rng(Q * n + prec))
+    assert (_coker_valuations(A, p, prec, u) == frozen_coker_valuations(A, p, prec, u)).all()
+
+
+def test_pivot_keys_hold_positions_past_2_16():
+    # a 256 x 257 permuted diagonal has n(n+1) = 65,792 > 2^16 entries;
+    # its least valuation sits alone in the last row, at a position past
+    # 2^16, and the kernel returns the valuations in ascending order
+    n, p, prec = 256, 2, 6
+    gen = np.random.default_rng(8)
+    v = 1 + np.arange(n) % (prec - 1)
+    v[-1] = 0
+    rows = np.concatenate([gen.permutation(n - 1), [n - 1]])
+    cols = np.concatenate([gen.permutation(np.delete(np.arange(n + 1), 200))[:n - 1], [200]])
+    A = np.zeros((1, n, n + 1, 1), dtype=np.int64)
+    A[0, rows, cols, 0] = p**v * (2 * gen.integers(0, 2 ** (prec - 1), size=n) + 1) % p**prec
+    assert (n - 1) * (n + 1) + 200 >= 2**16
+    assert _coker_valuations(A, p, prec, (0, 1))[0].tolist() == sorted(v.tolist())
+
+
+def test_sampler_rejects_n_beyond_pivot_keys():
+    assert _sampler_ring(2, 5792, 3) == (2, 1, (0, 1))  # 5792·5793 <= 2^25
+    with pytest.raises(ValueError, match="pivot keys"):
+        sample_many(MeasureContext(2), 5793, 3, 1, seed=1)
+
+
+@pytest.mark.parametrize("p, f, prec", [
+    (2, 1, 16), (2, 1, 17), (2, 1, 33), (2, 1, 61), (3, 1, 11), (3, 1, 20), (3, 2, 21),
+    (5, 1, 6), (5, 1, 7), (65537, 1, 2),
+])
+def test_valuations_by_digits_match_divisor_count(p, f, prec):
+    # above p^k = 2^16 valuations are read digit by digit; zero and
+    # multiples of p^k (one digit of zeros or more) are common here
+    A = biased_matrices(p, f, prec, (40, 3, 4), make_rng(prec))
+    A[:, 0, 0] = 0
+    A[:, 0, 1] = p ** (prec - 1)
+    want = measure_mod._divisor_count(A.transpose(3, 0, 1, 2), p, prec).min(axis=0)
+    got = _valuations(A.transpose(3, 0, 1, 2), p, prec)
+    assert got.dtype == np.int32 and (got == want).all()
 
 
 def test_kernel_object_dtype_matches_int64():
