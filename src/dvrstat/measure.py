@@ -12,11 +12,10 @@ returns the same table as repeated `sample` calls on one generator.
 The kernel keeps a batch as planes of shape (f, rows, columns, trials)
 in the narrowest integer dtype that its bound allows (int32 for the
 moduli the sampler usually sees) and reduces by floor division, not
-`%`.  Valuations come from an int32 table of the residues mod p^k,
-p^k <= 2^16, read digit by digit above that; each elimination step
-finds its pivot by one min over int32 keys (valuation << shift) +
-row-major position.  The tally keys each sorted row of valuations as
-one byte string.
+`%`.  Valuations come from an int32 table of the residues mod p^prec
+while p^prec <= 2^16; each elimination step finds its pivot by one min
+over int32 keys (valuation << shift) + row-major position.  The tally
+keys each sorted row of valuations as one byte string.
 
 numpy is imported inside the sampling functions, not at module level:
 the measure, the moments and every other dvrstat module are exact, so
@@ -187,55 +186,21 @@ def _divisor_count(A, p, prec):
     return V
 
 
-TABLE_MOD = 2**16  # largest modulus p^k whose valuations are tabulated
-
-
 @functools.lru_cache(maxsize=32)
 def _valuation_table(p, prec):
-    """(k, table): k the largest digit length <= prec with
-    p^k <= TABLE_MOD, and the valuation, capped at k, of each x < p^k,
-    as int32."""
+    """The valuation, capped at prec, of each x < p^prec, as int32."""
     import numpy as np
 
-    k = max(d for d in range(1, prec + 1) if p**d <= TABLE_MOD)
-    if k < prec:
-        return _valuation_table(p, k)  # the same digits, one table
-    table = _divisor_count(np.arange(p**k), p, k)
+    table = _divisor_count(np.arange(p**prec), p, prec)
     table.flags.writeable = False  # shared by every caller
-    return k, table
+    return table
 
 
 def _valuations(A, p, prec):
     """Valuation of each ring entry, as int32: the least over the
-    coefficient axis (the first), and prec for zero.
-
-    Entries are read in base-p^k digits (see `_valuation_table`; k =
-    prec whenever p^prec <= TABLE_MOD): the table of x mod p^k gives
-    every valuation below k, and only where p^k divides x is x // p^k
-    looked up in turn, so that a matrix costs at most ⌈prec/k⌉ lookups.
-    For p > TABLE_MOD, which the sampler's 62-bit draws hold to
-    prec <= 3, each entry is divided by p^j for every j <= prec."""
-    import numpy as np
-
-    if p > TABLE_MOD:
-        V = _divisor_count(A, p, prec)
-    else:
-        k, table = _valuation_table(p, prec)
-        if k == prec:
-            V = table.take(A)
-        else:
-            # object entries are cast: take reads only machine integers
-            V = table.take(_reduce(A, p**k).astype(np.intp, copy=False))
-            flat = V.reshape(-1)
-            at = np.flatnonzero(flat == k)
-            x = A.reshape(-1)[at]
-            for _ in range(k, prec, k):
-                x = x // p**k
-                digit = table.take(_reduce(x, p**k).astype(np.intp, copy=False))
-                flat[at] += digit
-                deeper = digit == k
-                at, x = at[deeper], x[deeper]
-            np.minimum(V, prec, out=V)  # zero counts k per digit
+    coefficient axis (the first), and prec for zero; moduli up to 2^16
+    are looked up in a table."""
+    V = _valuation_table(p, prec).take(A) if p**prec <= 2**16 else _divisor_count(A, p, prec)
     return V[0] if len(V) == 1 else V.min(axis=0)
 
 

@@ -21,7 +21,7 @@ from dvrstat.measure import MeasureContext, measure
 # across a chunk boundary (2500 trials) and p^prec >= 2^31 (3^20, 2^40,
 # and 2^32 over F4), which the sampler runs in object dtype; and runs at
 # p^prec on either side of the 2^16 valuation table (2^16, 2^17, 5^6, 5^7),
-# recorded before valuations were read in base-p^k digits
+# recorded before the int32 pivot keys
 GOLDEN = json.loads((Path(__file__).parent / "sample_golden.json").read_text())
 EXT_GOLDEN = json.loads((Path(__file__).parent / "ext_golden.json").read_text())
 
@@ -193,7 +193,8 @@ def test_sample_odd_prime_power_Q(Q):
 
 
 def test_sample_bad_arguments_exit_2():
-    for bad in (["--n", "0", "--prec", "3"], ["--n", "2", "--prec", "0"], ["--n", "2", "--prec", "62"]):
+    for bad in (["--n", "0", "--prec", "3"], ["--n", "2", "--prec", "0"], ["--n", "2", "--prec", "62"],
+                ["--n", "5793", "--prec", "3"]):
         code, _ = run(["sample", "--Q", "2", "--trials", "10", "--seed", "1"] + bad)
         assert code == 2
     code, _ = run(["sample", "--Q", "2", "--n", "2", "--prec", "3", "--trials", "-1", "--seed", "1"])
@@ -256,12 +257,6 @@ def test_internal_errors_are_not_validation_errors(error, monkeypatch):
     monkeypatch.setattr(cli.oracle, "enumerate_extensions", broken)
     with pytest.raises(error):
         run(["ext", "--gamma", "2", "--p", "2", "--index", "1", "--parts", "1"])
-
-
-def test_sample_n_beyond_pivot_keys_exit_2(capsys):
-    code, _ = run(["sample", "--Q", "2", "--n", "5793", "--prec", "3", "--trials", "1", "--seed", "1"])
-    assert code == 2
-    assert "int32 pivot keys" in capsys.readouterr().err
 
 
 def test_non_prime_power_Q_exit_2(capsys):

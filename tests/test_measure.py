@@ -308,21 +308,6 @@ def test_sampler_rejects_n_beyond_pivot_keys():
         sample_many(MeasureContext(2), 5793, 3, 1, seed=1)
 
 
-@pytest.mark.parametrize("p, f, prec", [
-    (2, 1, 16), (2, 1, 17), (2, 1, 33), (2, 1, 61), (3, 1, 11), (3, 1, 20), (3, 2, 21),
-    (5, 1, 6), (5, 1, 7), (65537, 1, 2),
-])
-def test_valuations_by_digits_match_divisor_count(p, f, prec):
-    # above p^k = 2^16 valuations are read digit by digit; zero and
-    # multiples of p^k (one digit of zeros or more) are common here
-    A = biased_matrices(p, f, prec, (40, 3, 4), make_rng(prec))
-    A[:, 0, 0] = 0
-    A[:, 0, 1] = p ** (prec - 1)
-    want = measure_mod._divisor_count(A.transpose(3, 0, 1, 2), p, prec).min(axis=0)
-    got = _valuations(A.transpose(3, 0, 1, 2), p, prec)
-    assert got.dtype == np.int32 and (got == want).all()
-
-
 def test_kernel_object_dtype_matches_int64():
     # p^prec = 3^20 takes the object path; the same matrices scaled down
     # to 3^5 run in int32 and must give the valuations capped at 5
