@@ -302,12 +302,6 @@ def test_pivot_keys_hold_positions_past_2_16():
     assert _coker_valuations(A, p, prec, (0, 1))[0].tolist() == sorted(v.tolist())
 
 
-def test_sampler_rejects_n_beyond_pivot_keys():
-    assert _sampler_ring(2, 5792, 3) == (2, 1, (0, 1))  # 5792·5793 <= 2^25
-    with pytest.raises(ValueError, match="pivot keys"):
-        sample_many(MeasureContext(2), 5793, 3, 1, seed=1)
-
-
 def test_kernel_object_dtype_matches_int64():
     # p^prec = 3^20 takes the object path; the same matrices scaled down
     # to 3^5 run in int32 and must give the valuations capped at 5
@@ -437,9 +431,10 @@ def test_sample_many_equals_repeated_sample():
 
 def test_sampler_rejects_bad_arguments():
     ctx = MeasureContext(2)
-    for n, prec, trials in [(0, 3, 10), (2, 0, 10), (2, 3, -1), (2, 62, 10)]:
+    for n, prec, trials in [(0, 3, 10), (2, 0, 10), (2, 3, -1), (2, 62, 10), (5793, 3, 1)]:
         with pytest.raises(ValueError):
             sample_many(ctx, n, prec, trials, seed=1)
+    assert _sampler_ring(2, 5792, 3) == (2, 1, (0, 1))  # 5792·5793 <= 2^25: pivot keys fit int32
     with pytest.raises(ValueError):
         sample(ctx, 0, 3, make_rng(1))
     with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
