@@ -25,7 +25,7 @@ from .idempotents import (
     residue_module_key,
     threshold_ideal,
 )
-from .measure import MeasureContext, _coker_valuations, measure, moment_truncated, sample, make_rng
+from .measure import _coker_valuations, make_rng, measure, moment_truncated, sample, z_bracket
 from . import oracle
 
 
@@ -285,24 +285,23 @@ def suite_groups():
     ok = c == len(ab.a_minus) and d == orb == 2
     r.check("split conjugacy statistics match the kernel/image quotient orbits", ok)
 
-    exts = oracle.enumerate_extensions(G2, oracle.realize(e_triv, ModuleType(2, (1,))))
+    exts = oracle.enumerate_extensions(oracle.realize(e_triv, ModuleType(2, (1,))))
     r.check("two extensions of Z/2 by Z/2", len(exts) == 2)
     r.check(
         "splitting counts on the reference extensions",
         oracle.splitting_count(exts[0]) == 2 and oracle.splitting_count(exts[1]) == 0,
     )
-    exts4 = oracle.enumerate_extensions(G2, H4)
+    exts4 = oracle.enumerate_extensions(H4)
     r.check("two extensions of Z/2 by Z/4 with inversion", len(exts4) == 2)
     r.check("splitting count |H| for the split inversion extension",
             oracle.splitting_count(exts4[0]) == 4)
     r.check("formula for automorphisms of the split extension",
-            oracle.aut_extension_count(H4, G2) == 4)
+            oracle.aut_extension_count(H4) == 4)
 
-    G3 = FiniteAbelianGroup((3,))
-    e3t = next(e for e in enumerate_idempotents(G3, 2) if e.is_trivial)
+    e3t = next(e for e in enumerate_idempotents(FiniteAbelianGroup((3,)), 2) if e.is_trivial)
     r.check(
         "coprime orders give only the split extension",
-        len(oracle.enumerate_extensions(G3, oracle.realize(e3t, ModuleType(2, (1,))))) == 1,
+        len(oracle.enumerate_extensions(oracle.realize(e3t, ModuleType(2, (1,))))) == 1,
     )
 
     # A-/B- quotient isomorphic to A0 and to H/(B- + B+), as modules
@@ -474,13 +473,11 @@ def suite_schur():
 def suite_measure():
     r = _Recorder("measure")
     for Q in (2, 3, 4):
-        ctx = MeasureContext(Q)
-        zlo, zhi = ctx.z_bracket()
+        zlo, zhi = z_bracket(Q)
         r.check(f"Z({Q}) bracket is positive and ordered", 0 < zlo <= zhi < 1)
 
-    ctx2 = MeasureContext(2)
-    m0_lo, m0_hi = measure(ctx2, ModuleType(2, ()))
-    m1_lo, m1_hi = measure(ctx2, ModuleType(2, (1,)))
+    m0_lo, m0_hi = measure(ModuleType(2, ()))
+    m1_lo, m1_hi = measure(ModuleType(2, (1,)))
     r.check(
         "measure ratio of the simple module to the zero module",
         m1_lo / m0_lo == Fraction(1, (2 - 1) * 2),
@@ -488,10 +485,9 @@ def suite_measure():
 
     ok = True
     for Q in (2, 3):
-        ctx = MeasureContext(Q)
         for lam in [(), (1,), (2,), (1, 1)]:
             V = ModuleType(Q, lam)
-            br = moment_truncated(ctx, V, 10)
+            br = moment_truncated(V, 10)
             target = Fraction(1, V.size)
             if not (br.lower <= target <= br.upper):
                 ok = False
@@ -499,11 +495,10 @@ def suite_measure():
 
     ok = True
     for Q in (2, 3):
-        ctx = MeasureContext(Q)
         V = ModuleType(Q, (1,))
         prev = None
         for B in (6, 8, 10, 12):
-            br = moment_truncated(ctx, V, B)
+            br = moment_truncated(V, B)
             if prev is not None and not (prev.lower <= br.lower and br.upper <= prev.upper):
                 ok = False
             prev = br
@@ -513,10 +508,9 @@ def suite_measure():
 
     ok = True
     for Q in (2, 3):
-        ctx = MeasureContext(Q)
         prev = Fraction(0)
         for B in (2, 4, 6, 8):
-            br = moment_truncated(ctx, ModuleType(Q, ()), B)
+            br = moment_truncated(ModuleType(Q, ()), B)
             mass = br.lower  # tail-free partial sum
             if not (prev <= mass <= 1):
                 ok = False
@@ -531,14 +525,12 @@ def suite_measure():
     r.check("exhaustive 1x2 cokernels over Z/8: unimodular fraction 3/4",
             Fraction(int((vals == 0).all(axis=1).sum()), len(pairs)) == Fraction(3, 4))
 
-    ctx = MeasureContext(2)
-    seq1 = [sample(ctx, 3, 3, make_rng(7)).parts for _ in range(1)]
+    seq1 = [sample(2, 3, 3, make_rng(7)).parts for _ in range(1)]
     rng = make_rng(7)
-    seq2 = [sample(ctx, 3, 3, rng).parts]
+    seq2 = [sample(2, 3, 3, rng).parts]
     r.check("fixed seed reproduces the sample sequence", seq1 == seq2)
 
-    ctx4 = MeasureContext(4)
-    outs = {sample(ctx4, 2, 3, make_rng(s)).parts for s in range(20)}
+    outs = {sample(4, 2, 3, make_rng(s)).parts for s in range(20)}
     r.check("prime-power residue field sampler runs", len(outs) >= 1)
 
     return r.results

@@ -18,7 +18,7 @@ from . import __version__, checks, schur2
 from .abelian import _is_prime, parse_group, parse_tuple, prime_power_split, val_p
 from .dvrmod import ModuleType, aut_count, hom_count, sur_count, weight
 from .idempotents import IdealPower, enumerate_idempotents, ramtype_qualifies, threshold_ideal
-from .measure import MeasureContext, measure as measure_fn, moment_truncated, sample_many
+from .measure import measure as measure_fn, moment_truncated, sample_many
 from . import oracle
 
 INT64_MAX = 2**63 - 1
@@ -152,7 +152,7 @@ def cmd_ext(args, out):
     _, e = es[0]
     parts = _parse_partition(args.parts)
     H = oracle.realize(e, ModuleType(e.Q, parts))
-    for ci, ext in enumerate(oracle.enumerate_extensions(G, H)):
+    for ci, ext in enumerate(oracle.enumerate_extensions(H)):
         table = []
         for g in G.elements():
             if not any(g):
@@ -202,15 +202,13 @@ def cmd_ratio(args, out):
 
 
 def cmd_measure(args, out):
-    ctx = MeasureContext(args.Q)
-    lo, hi = measure_fn(ctx, ModuleType(args.Q, _parse_partition(args.parts)))
+    lo, hi = measure_fn(ModuleType(args.Q, _parse_partition(args.parts)))
     _emit({"mu_lower": _frac(lo), "mu_upper": _frac(hi)}, out)
     return 0
 
 
 def cmd_moment(args, out):
-    ctx = MeasureContext(args.Q)
-    br = moment_truncated(ctx, ModuleType(args.Q, _parse_partition(args.V)), args.B)
+    br = moment_truncated(ModuleType(args.Q, _parse_partition(args.V)), args.B)
     _emit(
         {
             "lower": _frac(br.lower),
@@ -224,8 +222,7 @@ def cmd_moment(args, out):
 
 
 def cmd_sample(args, out):
-    ctx = MeasureContext(args.Q)
-    freq = sample_many(ctx, args.n, args.prec, args.trials, args.seed)
+    freq = sample_many(args.Q, args.n, args.prec, args.trials, args.seed)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["label", "count", "frequency"])
     rows = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0].label()))

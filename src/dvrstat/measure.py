@@ -3,19 +3,21 @@ truncated moment sums with bracketed tails, and a Monte-Carlo sampler
 that draws the cokernel of a uniform n x (n+1) matrix over the ring
 truncated at 𝔪^prec.
 
-The residue field size Q may be any prime power, p odd or even;
-sampling over Q = p^f with f > 1 runs in the unramified extension ring
-(Z/p^N)[z]/u(z).  The sampler draws and eliminates trials in batches of
-CHUNK matrices with one numpy kernel for every Q; a batch consumes the
-Philox stream exactly as one draw per trial would, so `sample_many`
-returns the same table as repeated `sample` calls on one generator.
-The kernel keeps a batch as planes of shape (f, rows, columns, trials)
-in the narrowest integer dtype that its bound allows (int32 for the
-moduli the sampler usually sees) and reduces by floor division, not
-`%`.  Valuations come from an int32 table of the residues mod p^prec
-while p^prec <= 2^16; each elimination step finds its pivot by one min
-over int32 keys (valuation << shift) + row-major position.  The tally
-keys each sorted row of valuations as one byte string.
+The residue field size Q may be any prime power, p odd or even.  The
+measure and the moments read Q from their ModuleType, the sampler takes
+it as an int, and Z(Q) is bracketed once per Q.  Sampling over Q = p^f
+with f > 1 runs in the unramified extension ring (Z/p^N)[z]/u(z).  The
+sampler draws and eliminates trials in batches of at most CHUNK
+matrices and BATCH_ENTRIES entries, with one numpy kernel for every Q;
+a batch consumes the Philox stream exactly as one draw per trial would,
+so `sample_many` returns the same table as repeated `sample` calls on
+one generator.  The kernel keeps a batch as planes of shape (f, rows,
+columns, trials) in the narrowest integer dtype that its bound allows
+(int32 for the moduli the sampler usually sees) and reduces by floor
+division, not `%`.  Valuations come from an int32 table of the residues
+mod p^prec while p^prec <= 2^16; each elimination step finds its pivot
+by one min over int32 keys (valuation << shift) + row-major position.
+The tally keys each sorted row of valuations as one byte string.
 
 numpy is imported inside the sampling functions, not at module level:
 the measure, the moments and every other dvrstat module are exact, so
@@ -34,36 +36,25 @@ from . import linalg
 Z_TRUNC = 64
 
 
-@dataclass(frozen=True)
-class MeasureContext:
-    """Residue field size Q, a prime power; the constant
-    Z(Q) = ∏_{i=2}^∞ (1 - Q^{-i}) is bracketed from its partial product
-    to index Z_TRUNC."""
+@functools.lru_cache(maxsize=32)
+def z_bracket(Q):
+    """(lower, upper) rational bracket for Z(Q) = ∏_{i=2}^∞ (1 - Q^{-i}),
+    Q a prime power; cached for the last 32 Q.
 
-    Q: int
-
-    def __post_init__(self):
-        prime_power_split(self.Q)
-
-    def z_bracket(self):
-        """(lower, upper) rational bracket for Z(Q).
-
-        The partial product to index T = Z_TRUNC is an upper bound; the
-        tail ∏_{i>T}(1 - Q^{-i}) is at least 1 - Q^{-T}/(Q - 1).
-        """
-        Q = self.Q
-        part = Fraction(1)
-        for i in range(2, Z_TRUNC + 1):
-            part *= 1 - Fraction(1, Q**i)
-        tail_low = 1 - Fraction(1, Q**Z_TRUNC * (Q - 1))
-        return part * tail_low, part
+    The partial product to index T = Z_TRUNC is an upper bound; the
+    tail ∏_{i>T}(1 - Q^{-i}) is at least 1 - Q^{-T}/(Q - 1).
+    """
+    prime_power_split(Q)
+    part = Fraction(1)
+    for i in range(2, Z_TRUNC + 1):
+        part *= 1 - Fraction(1, Q**i)
+    tail_low = 1 - Fraction(1, Q**Z_TRUNC * (Q - 1))
+    return part * tail_low, part
 
 
-def measure(ctx: MeasureContext, M: ModuleType):
-    """Rational bracket for μ(M) = Z(Q) / (#Aut(M)·|M|)."""
-    if M.Q != ctx.Q:
-        raise ValueError("residue field size mismatch")
-    zlo, zhi = ctx.z_bracket()
+def measure(M: ModuleType):
+    """Rational bracket for μ(M) = Z(Q) / (#Aut(M)·|M|), Q = M.Q."""
+    zlo, zhi = z_bracket(M.Q)
     den = aut_count(M) * M.size
     return zlo / den, zhi / den
 
@@ -79,7 +70,7 @@ class MomentBracket:
         return self.upper - self.lower
 
 
-def moment_truncated(ctx: MeasureContext, V: ModuleType, B: int) -> MomentBracket:
+def moment_truncated(V: ModuleType, B: int) -> MomentBracket:
     """Bracket for ∫ #Sur(X, V) dμ(X) from partitions of total size <= B.
 
     The lower bound drops the tail entirely; the upper bound adds a
@@ -87,12 +78,10 @@ def moment_truncated(ctx: MeasureContext, V: ModuleType, B: int) -> MomentBracke
     (the tail estimate is reported so callers can label it as such).
     The exact value of the full sum is 1/|V|.
     """
-    if V.Q != ctx.Q:
-        raise ValueError("residue field size mismatch")
     if B < sum(V.parts):
         raise ValueError("truncation below the target size")
-    Q = ctx.Q
-    zlo, zhi = ctx.z_bracket()
+    Q = V.Q
+    zlo, zhi = z_bracket(Q)
     increments = []
     for b in range(B + 1):
         s = Fraction(0)
@@ -284,7 +273,11 @@ def _coker_valuations(A, p, prec, u):
     return vals
 
 
-CHUNK = 1024  # trials per batched draw; bounds the working arrays
+CHUNK = 1024  # trials per batched draw
+# matrix entries per batched draw, n·(n+1)·f a trial; with CHUNK it
+# bounds the working arrays, and a batch keeps all CHUNK trials while
+# n·(n+1)·f <= 1024 (n <= 31 at f = 1, n <= 17 at f = 3)
+BATCH_ENTRIES = 2**20
 
 
 def make_rng(seed: int):
@@ -299,11 +292,11 @@ def make_rng(seed: int):
 def _sampler_ring(Q, n, prec):
     """(p, f, u) of the ring sampled for Q = p^f at precision prec, after
     checking the request."""
+    p, f = prime_power_split(Q)
     if n < 1:
         raise ValueError(f"matrix size n must be >= 1, got {n}")
     if prec < 1:
         raise ValueError(f"precision must be >= 1, got {prec}")
-    p, f = prime_power_split(Q)
     if p**prec >= 2**62:
         raise ValueError(f"p^prec = {p}^{prec} does not fit the sampler's 62-bit draws")
     if n * (n + 1) > 2**25:
@@ -332,21 +325,22 @@ def _tally(rng, n, prec, trials, ring, freq):
     return freq
 
 
-def sample(ctx: MeasureContext, n: int, prec: int, rng) -> SampleOutcome:
+def sample(Q: int, n: int, prec: int, rng) -> SampleOutcome:
     """Partition of the cokernel of a uniform n x (n+1) matrix over the
-    ring truncated at 𝔪^prec."""
-    (out,) = _tally(rng, n, prec, 1, _sampler_ring(ctx.Q, n, prec), {})
+    ring of residue field size Q truncated at 𝔪^prec."""
+    (out,) = _tally(rng, n, prec, 1, _sampler_ring(Q, n, prec), {})
     return out
 
 
-def sample_many(ctx: MeasureContext, n: int, prec: int, trials: int, seed: int):
+def sample_many(Q: int, n: int, prec: int, trials: int, seed: int):
     """Frequency table {SampleOutcome: count} over `trials` draws; the
     same draws and outcomes as `trials` calls of `sample` on one rng."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    ring = _sampler_ring(ctx.Q, n, prec)
+    ring = _sampler_ring(Q, n, prec)
+    batch = min(CHUNK, max(1, BATCH_ENTRIES // (n * (n + 1) * ring[1])))
     rng = make_rng(seed)
     freq = {}
-    for start in range(0, trials, CHUNK):
-        _tally(rng, n, prec, min(CHUNK, trials - start), ring, freq)
+    for start in range(0, trials, batch):
+        _tally(rng, n, prec, min(batch, trials - start), ring, freq)
     return freq

@@ -646,23 +646,21 @@ def conjugacy_stats(G: ExplicitGroup, gamma):
     return len(c), len(classes)
 
 
-def enumerate_extensions(Gamma: FiniteAbelianGroup, H: ExplicitModule, refine=True):
-    """All extensions of Γ by H up to isomorphisms fixing H pointwise and
-    inducing the identity on Γ, then (with refine) further identified
-    under module automorphisms of H.
+def enumerate_extensions(H: ExplicitModule, refine=True):
+    """All extensions of Γ = H.group by H up to isomorphisms fixing H
+    pointwise and inducing the identity on Γ, then (with refine) further
+    identified under module automorphisms of H.
 
     Returns a list of ExplicitGroup, the split one first.  refine=False
     gives one group per cohomology class, which is enough for invariants
     like conjugacy statistics or splitting counts; refine=True closes each
     class under `automorphism_generators(H)` acting on H², and keeps the
     least class of each orbit.  On a module built by `realize` ValueError
-    comes only from the size cap (|Γ| > 8 or |H| > 256) and from a Γ that
-    is not H's group; any other module (H.blocks is None) takes its
-    generators from `module_automorphisms(H)`, which refuses modules with
-    |End_Γ(H)| > HOM_ENUM_CAP = 2^22.
+    comes only from the size cap (|Γ| > 8 or |H| > 256); any other module
+    (H.blocks is None) takes its generators from `module_automorphisms(H)`,
+    which refuses modules with |End_Γ(H)| > HOM_ENUM_CAP = 2^22.
     """
-    if Gamma != H.group:
-        raise ValueError("Γ is not the group acting on H")
+    Gamma = H.group
     if Gamma.order > 8 or H.size > 256:
         raise ValueError("extension enumeration cap exceeded")
     k = len(H.orders)
@@ -852,12 +850,12 @@ def splitting_count(G: ExplicitGroup) -> int:
                for lifts in itertools.product(*cosets))
 
 
-def aut_extension_count(H: ExplicitModule, Gamma: FiniteAbelianGroup) -> int:
+def aut_extension_count(H: ExplicitModule) -> int:
     """#𝔄⁻_{γ₁}(H) · ∏_{j>=2} #𝔄⁺_{γ₁}(H)[|γ_j|] for the invariant-factor
-    basis γ₁..γ_d of Γ, the one generator acting nontrivially on H (if
-    any) taken first; ValueError unless γ₂..γ_d then act trivially."""
-    if Gamma != H.group:
-        raise ValueError("Γ is not the group acting on H")
+    basis γ₁..γ_d of Γ = H.group, the one generator acting nontrivially
+    on H (if any) taken first; ValueError unless γ₂..γ_d then act
+    trivially."""
+    Gamma = H.group
     d = Gamma.rank
     if d == 0:
         return 1
@@ -1003,9 +1001,15 @@ def _divisors(n):
 
 def brute_counts_plain(q, lam, mu):
     """(#Hom, #Sur) for ⊕ Z/q^λ → ⊕ Z/q^μ with no group action, counted
-    by enumerating generator images (rank of λ at most 2)."""
+    by enumerating generator images (rank of λ at most 2, |⊕ Z/q^μ| at
+    most MODULE_ENUM_CAP)."""
+    r = len(lam)
+    if r > 2:
+        raise ValueError("plain brute-force counts support rank <= 2")
     mods = [q**b for b in mu]
     total = math.prod(mods)
+    if total > MODULE_ENUM_CAP:
+        raise ValueError("module too large to enumerate")
     elems = list(itertools.product(*(range(m) for m in mods)))
     cand = {}
     for a in set(lam):
@@ -1013,27 +1017,24 @@ def brute_counts_plain(q, lam, mu):
     hom = 1
     for a in lam:
         hom *= len(cand[a])
-    r = len(lam)
     if r == 0:
         return 1, (1 if total == 1 else 0)
     if r == 1:
         return hom, sum(tuple_order(y, mods) == total for y in cand[lam[0]])
-    if r == 2:
-        seconds = []
-        for y2 in cand[lam[1]]:
-            multiples = [(t, tuple((t * c) % m for c, m in zip(y2, mods)))
-                         for t in _divisors(tuple_order(y2, mods))]
-            seconds.append(multiples)
-        sur = 0
-        for y1 in cand[lam[0]]:
-            S1 = _cyclic_set(y1, mods)
-            s1 = len(S1)
-            for multiples in seconds:
-                tmin = next(t for t, x in multiples if x in S1)
-                if s1 * tmin == total:
-                    sur += 1
-        return hom, sur
-    raise ValueError("plain brute-force counts support rank <= 2")
+    seconds = []
+    for y2 in cand[lam[1]]:
+        multiples = [(t, tuple((t * c) % m for c, m in zip(y2, mods)))
+                     for t in _divisors(tuple_order(y2, mods))]
+        seconds.append(multiples)
+    sur = 0
+    for y1 in cand[lam[0]]:
+        S1 = _cyclic_set(y1, mods)
+        s1 = len(S1)
+        for multiples in seconds:
+            tmin = next(t for t, x in multiples if x in S1)
+            if s1 * tmin == total:
+                sur += 1
+    return hom, sur
 
 
 # ---------------------------------------------------------------------------

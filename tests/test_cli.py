@@ -14,7 +14,7 @@ import pytest
 
 from dvrstat import cli
 from dvrstat.dvrmod import ModuleType
-from dvrstat.measure import MeasureContext, measure
+from dvrstat.measure import measure
 
 # `dvrstat sample` stdout recorded before the batched sampler, keyed by
 # the arguments after `sample`: Q = 2, 3, 5 and the rings Q = 4, 8, a run
@@ -24,6 +24,7 @@ from dvrstat.measure import MeasureContext, measure
 # recorded before the int32 pivot keys
 GOLDEN = json.loads((Path(__file__).parent / "sample_golden.json").read_text())
 EXT_GOLDEN = json.loads((Path(__file__).parent / "ext_golden.json").read_text())
+EXACT_GOLDEN = json.loads((Path(__file__).parent / "exact_golden.json").read_text())
 
 
 def run(argv):
@@ -157,6 +158,15 @@ def test_ext_stdout_matches_golden(group):
         assert got == want, request
 
 
+@pytest.mark.parametrize("group", ["measure", "moment"])
+def test_exact_stdout_matches_golden(group):
+    # the exact workload's measure and moment (B <= 12) requests, byte for byte
+    for request, want in EXACT_GOLDEN[group].items():
+        code, out = run(request.split())
+        got = {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
+        assert got == want, request
+
+
 @pytest.mark.parametrize("request_args", [
     "ext --gamma 2 --p 2 --index 0 --parts 1,1,1,1,1",
     "ext --gamma 2 --p 2 --index 1 --parts 2,1,1,1,1",
@@ -186,7 +196,7 @@ def test_sample_odd_prime_power_Q(Q):
     assert code == 0
     counts = {l.rsplit(",", 2)[0].strip('"'): int(l.rsplit(",", 2)[1]) for l in out.splitlines()[2:]}
     for label, lam in [("0", ()), ("1", (1,))]:
-        lo, hi = measure(MeasureContext(Q), ModuleType(Q, lam))
+        lo, hi = measure(ModuleType(Q, lam))
         p = float((lo + hi) / 2)
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(counts.get(label, 0) / trials - p) < 3 * sigma
@@ -243,6 +253,8 @@ def test_parse_error_exit_2():
     assert code == 2
     code, _ = run(["oracle", "--Q", "4", "--lam", "1", "--mu", "1"])
     assert code == 2  # brute-force counts need a prime Q
+    code, _ = run(["oracle", "--Q", "2", "--lam", "1", "--mu", "13"])
+    assert code == 2  # 2^13 target elements: refused before any is listed
     code, _ = run(["counts", "--Q", "2", "--lam", "1,2", "--mu", "1"])
     assert code == 2  # not weakly decreasing
 
@@ -263,7 +275,10 @@ def test_non_prime_power_Q_exit_2(capsys):
     for argv in (["counts", "--Q", "6", "--lam", "1", "--mu", "1"],
                  ["weight", "--Q", "12", "--lam", "1", "--mu", "2", "--d", "1"],
                  ["b2", "--H", "4,4", "--q", "15", "--n", "4"],
-                 ["b2", "--H", "2", "--q", "-1", "--n", "2"]):
+                 ["b2", "--H", "2", "--q", "-1", "--n", "2"],
+                 ["measure", "--Q", "6", "--parts", "1"],
+                 ["moment", "--Q", "6", "--V", "1", "--B", "2"],
+                 ["sample", "--Q", "6", "--n", "2", "--prec", "2", "--trials", "1", "--seed", "1"]):
         code, _ = run(argv)
         assert code == 2
         assert "is not a prime power" in capsys.readouterr().err

@@ -250,7 +250,7 @@ def test_smith_normal_form_column_pass_matches_per_column(monkeypatch):
     kernel = linalg.kernel_mod
     monkeypatch.setattr(linalg, "kernel_mod", lambda B, L, ncols: systems.append((B, ncols)) or kernel(B, L, ncols))
     e = enumerate_idempotents(FiniteAbelianGroup((4,)), 2)[1]
-    oracle.enumerate_extensions(e.group, oracle.realize(e, ModuleType(2, (2, 1))), refine=False)
+    oracle.enumerate_extensions(oracle.realize(e, ModuleType(2, (2, 1))), refine=False)
     (B, ncols), = systems
     assert (len(B), ncols) == (72, 18)  # 3³·k + 3²·k rows in 3²·k unknowns, k = 2
     assert smith_normal_form(B, m=len(B), n=ncols) == _per_column_snf(B, len(B), ncols)

@@ -11,8 +11,8 @@ from dvrstat import measure as measure_mod
 from dvrstat.abelian import prime_power_split
 from dvrstat.dvrmod import ModuleType
 from dvrstat.measure import (
+    BATCH_ENTRIES,
     CHUNK,
-    MeasureContext,
     SampleOutcome,
     _coker_valuations,
     _irreducible_poly,
@@ -27,6 +27,7 @@ from dvrstat.measure import (
     moment_truncated,
     sample,
     sample_many,
+    z_bracket,
 )
 
 
@@ -75,54 +76,46 @@ def int_coker(rows, p, prec):
     return sorted(_coker_valuations(A, p, prec, (0, 1))[0].tolist())
 
 
-def test_context_validates_prime_power():
-    MeasureContext(4)
-    MeasureContext(9)
-    with pytest.raises(ValueError):
-        MeasureContext(6)
+def test_z_bracket_validates_prime_power():
+    z_bracket(4)
+    z_bracket(9)
+    with pytest.raises(ValueError, match="is not a prime power"):
+        z_bracket(6)
 
 
 def test_z_bracket_ordered_and_tight():
     for Q in (2, 3, 4, 5):
-        lo, hi = MeasureContext(Q).z_bracket()
+        lo, hi = z_bracket(Q)
         assert 0 < lo <= hi < 1
         assert float(hi - lo) < 1e-15
     # numeric sanity for Q=2: prod_{i>=2} (1 - 2^{-i}) ~ 0.5776
-    lo, _ = MeasureContext(2).z_bracket()
+    lo, _ = z_bracket(2)
     assert abs(float(lo) - 0.577576) < 1e-5
 
 
 def test_measure_ratios():
-    ctx = MeasureContext(2)
-    lo0, hi0 = measure(ctx, ModuleType(2, ()))
-    lo1, hi1 = measure(ctx, ModuleType(2, (1,)))
+    lo0, hi0 = measure(ModuleType(2, ()))
+    lo1, hi1 = measure(ModuleType(2, (1,)))
     assert lo1 / lo0 == hi1 / hi0 == Fraction(1, 2)
-    lo2, _ = measure(ctx, ModuleType(2, (1, 1)))
+    lo2, _ = measure(ModuleType(2, (1, 1)))
     # aut((1,1)) = 6, size 4
     assert lo2 == lo0 / 24
 
 
-def test_measure_requires_matching_Q():
-    with pytest.raises(ValueError):
-        measure(MeasureContext(2), ModuleType(3, (1,)))
-
-
 def test_moment_bracket_contains_reciprocal_size():
     for Q in (2, 3):
-        ctx = MeasureContext(Q)
         for lam in [(), (1,), (2,), (1, 1)]:
             V = ModuleType(Q, lam)
-            br = moment_truncated(ctx, V, 12)
+            br = moment_truncated(V, 12)
             assert br.lower <= Fraction(1, V.size) <= br.upper
             assert br.width < Fraction(1, 100)
 
 
 def test_moment_brackets_nested():
-    ctx = MeasureContext(2)
     V = ModuleType(2, (1,))
     prev = None
     for B in (4, 6, 8, 10):
-        br = moment_truncated(ctx, V, B)
+        br = moment_truncated(V, B)
         if prev is not None:
             assert prev.lower <= br.lower
             assert br.upper <= prev.upper + prev.tail_estimate
@@ -131,17 +124,16 @@ def test_moment_brackets_nested():
 
 def test_total_mass_monotone_bounded():
     for Q in (2, 3):
-        ctx = MeasureContext(Q)
         prev = Fraction(0)
         for B in (0, 2, 4, 6, 8):
-            mass = moment_truncated(ctx, ModuleType(Q, ()), B).lower
+            mass = moment_truncated(ModuleType(Q, ()), B).lower
             assert prev <= mass <= 1
             prev = mass
 
 
 def test_moment_truncation_too_small():
     with pytest.raises(ValueError):
-        moment_truncated(MeasureContext(2), ModuleType(2, (2, 1)), 2)
+        moment_truncated(ModuleType(2, (2, 1)), 2)
 
 
 def test_coker_valuations_exhaustive_1x2():
@@ -372,18 +364,16 @@ def test_tally_counts_sorted_rows_by_first_occurrence(monkeypatch, source):
 
 
 def test_sampler_reproducibility():
-    ctx = MeasureContext(2)
-    a = [sample(ctx, 3, 4, make_rng(11)).parts for _ in range(1)]
-    b = [sample(ctx, 3, 4, make_rng(11)).parts for _ in range(1)]
+    a = [sample(2, 3, 4, make_rng(11)).parts for _ in range(1)]
+    b = [sample(2, 3, 4, make_rng(11)).parts for _ in range(1)]
     assert a == b
-    f1 = sample_many(ctx, 3, 4, 500, seed=9)
-    f2 = sample_many(ctx, 3, 4, 500, seed=9)
+    f1 = sample_many(2, 3, 4, 500, seed=9)
+    f2 = sample_many(2, 3, 4, 500, seed=9)
     assert f1 == f2
 
 
 def test_sampler_outcome_labels():
-    ctx = MeasureContext(2)
-    outs = [sample(ctx, 2, 3, make_rng(s)) for s in range(50)]
+    outs = [sample(2, 2, 3, make_rng(s)) for s in range(50)]
     for o in outs:
         assert all(1 <= v <= 3 for v in o.parts)
         if o.parts and o.parts[0] == 3:
@@ -392,8 +382,7 @@ def test_sampler_outcome_labels():
 
 def test_sampler_statistics_small():
     # P(trivial cokernel) for a 1x2 matrix over Z/8 is exactly 3/4
-    ctx = MeasureContext(2)
-    freq = sample_many(ctx, 1, 3, 4000, seed=5)
+    freq = sample_many(2, 1, 3, 4000, seed=5)
     trivial = sum(c for o, c in freq.items() if o.parts == ())
     p = 3 / 4
     sigma = math.sqrt(p * (1 - p) / 4000)
@@ -401,8 +390,7 @@ def test_sampler_statistics_small():
 
 
 def test_sampler_prime_power_field():
-    ctx = MeasureContext(4)
-    freq = sample_many(ctx, 2, 3, 300, seed=3)
+    freq = sample_many(4, 2, 3, 300, seed=3)
     assert sum(freq.values()) == 300
     # trivial cokernel should dominate strongly at Q = 4
     trivial = sum(c for o, c in freq.items() if o.parts == ())
@@ -417,28 +405,42 @@ def test_batched_draws_match_per_trial_draws():
         assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
 
 
-def test_sample_many_equals_repeated_sample():
-    # crosses a chunk boundary on the integer path; runs the ring path
-    for Q, n, prec, trials in [(2, 2, 3, CHUNK + 30), (4, 2, 3, 150)]:
-        ctx = MeasureContext(Q)
+def test_sample_many_equals_repeated_sample(monkeypatch):
+    # crosses a chunk boundary on the integer path; runs the ring path;
+    # then batches cut by entries, of 10 and of 5 trials
+    for Q, n, prec, trials, entries in [(2, 2, 3, CHUNK + 30, BATCH_ENTRIES), (4, 2, 3, 150, BATCH_ENTRIES),
+                                        (2, 2, 3, 35, 60), (4, 2, 3, 35, 60)]:
+        monkeypatch.setattr(measure_mod, "BATCH_ENTRIES", entries)
         rng, freq = make_rng(9), {}
         for _ in range(trials):
-            out = sample(ctx, n, prec, rng)
+            out = sample(Q, n, prec, rng)
             freq[out] = freq.get(out, 0) + 1
-        batched = sample_many(ctx, n, prec, trials, seed=9)
+        batched = sample_many(Q, n, prec, trials, seed=9)
         assert list(batched.items()) == list(freq.items())
 
 
+def test_batches_are_bounded_by_entries(monkeypatch):
+    # n = 300 has 300·301 entries a trial, so 11 trials fill a batch; the
+    # sizes are recorded without drawing or eliminating any matrix
+    sizes = []
+    monkeypatch.setattr(measure_mod, "_tally", lambda rng, n, prec, trials, ring, freq: sizes.append(trials))
+    sample_many(2, 300, 3, 25, seed=1)
+    assert sizes == [11, 11, 3] and 11 * 300 * 301 <= BATCH_ENTRIES < 12 * 300 * 301
+    # the largest benchmark matrices, n = 12 over Q = 8 (f = 3), keep whole CHUNKs
+    sizes.clear()
+    sample_many(8, 12, 3, CHUNK + 1, seed=1)
+    assert sizes == [CHUNK, 1]
+
+
 def test_sampler_rejects_bad_arguments():
-    ctx = MeasureContext(2)
     for n, prec, trials in [(0, 3, 10), (2, 0, 10), (2, 3, -1), (2, 62, 10), (5793, 3, 1)]:
         with pytest.raises(ValueError):
-            sample_many(ctx, n, prec, trials, seed=1)
+            sample_many(2, n, prec, trials, seed=1)
     assert _sampler_ring(2, 5792, 3) == (2, 1, (0, 1))  # 5792·5793 <= 2^25: pivot keys fit int32
     with pytest.raises(ValueError):
-        sample(ctx, 0, 3, make_rng(1))
+        sample(2, 0, 3, make_rng(1))
     with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
-        sample_many(ctx, 2, 3, 10, seed=-1)
+        sample_many(2, 2, 3, 10, seed=-1)
     with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
         make_rng(-1)
-    assert sample_many(ctx, 2, 3, 0, seed=1) == {}
+    assert sample_many(2, 2, 3, 0, seed=1) == {}
