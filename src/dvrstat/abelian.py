@@ -34,16 +34,58 @@ def factorize(n):
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
 def prime_power_split(Q):
-    """(p, f) with Q = p^f and f >= 1; ValueError for any other Q."""
-    fs = factorize(Q) if Q >= 2 else ()
-    if len(fs) != 1:
-        raise ValueError(f"Q = {Q} is not a prime power")
-    return fs[0]
+    """(p, f) with Q = p^f and f >= 1; ValueError for any other Q.
+
+    Q is a prime power exactly when the root for the largest exact f is
+    prime, so primality is tested once.  Cached: every ModuleType checks
+    its Q here, and a moment sweep makes thousands of them."""
+    for f in range(max(Q, 1).bit_length() - 1, 0, -1):
+        p = _int_root(Q, f)
+        if p**f == Q:
+            if _is_prime(p):
+                return p, f
+            break
+    raise ValueError(f"Q = {Q} is not a prime power")
+
+
+def _int_root(n, k):
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+# Miller–Rabin with these bases is exact below _MR_LIMIT (about 3.3·10^24)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(p):
-    return p >= 2 and factorize(p) == ((p, 1),)
+    """Deterministic Miller–Rabin below _MR_LIMIT, trial division above."""
+    if p < 2:
+        return False
+    if p >= _MR_LIMIT:
+        return factorize(p) == ((p, 1),)
+    if any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = val_p(p - 1, 2)
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def require_prime(p):

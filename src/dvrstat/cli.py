@@ -30,7 +30,11 @@ def _enc(n):
 
 
 def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # Python refuses to print an int past its digit limit
+        raise ValueError(f"the exact value has more than {sys.get_int_max_str_digits()} digits, "
+                         "too many to print") from None
 
 
 def _emit(record, out):

@@ -45,8 +45,7 @@ class IdealOps:
     """The standard operations at I = 𝔪^d."""
 
     image: ModuleType        # I·M
-    torsion: ModuleType      # M[I]
-    quotient: ModuleType     # M/IM
+    torsion: ModuleType      # M[I], which has the partition of M/IM
     rank: int                # rk_I M = #{i : λ_i >= d}
     closure: ModuleType      # the I-closure, parts λ_i + d
 
@@ -64,7 +63,7 @@ def ideal_ops(M: ModuleType, d: int) -> IdealOps:
     tor = ModuleType(M.Q, tuple(min(a, d) for a in lam if min(a, d) > 0))
     rank = len(lam) if d == 0 else sum(1 for a in lam if a >= d)
     closure = ModuleType(M.Q, tuple(a + d for a in lam))
-    return IdealOps(image=image, torsion=tor, quotient=tor, rank=rank, closure=closure)
+    return IdealOps(image=image, torsion=tor, rank=rank, closure=closure)
 
 
 def hom_count(M: ModuleType, N: ModuleType) -> int:
@@ -108,7 +107,7 @@ def weight(M: ModuleType, H: ModuleType, d: int) -> int:
     if H.parts and H.parts[-1] <= d and d > 0:
         raise ValueError("H is not the closure of IH at this depth")
     ops = ideal_ops(H, d)
-    if sur_count(M, ops.quotient) == 0:
+    if sur_count(M, ops.torsion) == 0:
         return 0
     return hom_count(M, ops.torsion)
 

@@ -152,52 +152,36 @@ def nr_pow(cover: NilClass2Cover, q, a):
 
 def lattice_kernel_vectors(cover: NilClass2Cover, n):
     """All m̲ ≥ 0 over H/2H with Σ m_a = n, Σ m_a ≡ 0 (mod 2), and
-    Σ m_a·a ≡ 0 in H/2H.
+    Σ m_a·a ≡ 0 in H/2H, in lexicographic order.
 
-    The reference sweep: it lists every vector, so it is only for small
-    n and r.  w_image_multiset and b_exact count the same vectors by
-    dynamic programming, and tests compare the two."""
-    out = []
-    if n % 2 == 0:
-        _extend_kernel_vectors(class_reps(cover), 0, n, (0,) * cover.r, [], out)
-    return out
-
-
-def _extend_kernel_vectors(reps, idx, rem, res, prefix, out):
-    """Append to out every lattice-kernel vector that starts with prefix
-    (m_a for the first idx reps, with image res in H/2H) and has rem
-    left to distribute.  A module-level function rather than a closure:
-    a self-referencing closure is a reference cycle, which would keep
-    out alive until the cyclic garbage collector runs."""
-    if idx == len(reps) - 1:
-        res2 = tuple((x + rem * y) % 2 for x, y in zip(res, reps[idx]))
-        if all(x == 0 for x in res2):
-            out.append(tuple(prefix) + (rem,))
-        return
-    for m_a in range(rem + 1):
-        prefix.append(m_a)
-        _extend_kernel_vectors(reps, idx + 1, rem - m_a,
-                               tuple((x + m_a * y) % 2 for x, y in zip(res, reps[idx])), prefix, out)
-        prefix.pop()
+    The reference sweep, for small n and r: one filter over the
+    compositions of n into 2^r parts, the gaps between 2^r − 1 bars in
+    n + 2^r − 1 slots.  Tests compare it with the counts of
+    lattice_kernel_count, w_image_multiset and b_exact."""
+    if n % 2:
+        return []
+    reps = class_reps(cover)
+    slots = n + len(reps) - 1
+    comps = (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+             for bars in itertools.combinations(range(slots), len(reps) - 1))
+    return [m for m in comps
+            if not any(sum(m_a * a[i] for m_a, a in zip(m, reps)) % 2 for i in range(cover.r))]
 
 
 def lattice_kernel_count(cover: NilClass2Cover, n):
-    """#{m̲ ≥ 0 : Σ m_a = n, image 0 in H/2H × Z/2}, by dynamic programming
-    over (partial sum, partial residue)."""
+    """#{m̲ ≥ 0 : Σ m_a = n, image 0 in H/2H × Z/2}, as a character sum.
+
+    The count is the average over the characters χ of H/2H of the xⁿ
+    coefficient of ∏_a (1 − χ(a)x)^{−1}, for even n (0 for odd n).
+    With c = 2^r classes, the trivial character gives C(n + c − 1, c − 1);
+    each of the other c − 1 is −1 on half the classes, so its product is
+    (1 − x²)^{−c/2}, with xⁿ coefficient C(n/2 + c/2 − 1, c/2 − 1)."""
     if n % 2:
         return 0
-    reps = class_reps(cover)
-    zero = (0,) * cover.r
-    dp = {(0, zero): 1}
-    for a in reps:
-        nxt = {}
-        for (s, res), cnt in dp.items():
-            for m_a in range(n - s + 1):
-                res2 = tuple((x + m_a * y) % 2 for x, y in zip(res, a)) if m_a % 2 else res
-                key = (s + m_a, res2)
-                nxt[key] = nxt.get(key, 0) + cnt
-        dp = nxt
-    return dp.get((n, zero), 0)
+    c = 2**cover.r
+    if c == 1:
+        return 1
+    return (math.comb(n + c - 1, c - 1) + (c - 1) * math.comb(n // 2 + c // 2 - 1, c // 2 - 1)) // c
 
 
 def _check_n(n):
@@ -214,7 +198,8 @@ def b_exact(ds, q, n):
 
 
 def b_closed(ds, v, n):
-    """#(∧²2H)[2^{v-1}] times the lattice-kernel count."""
+    """The large-n lattice sum as a formula, sharing no code with b_exact:
+    #(∧²2H)[2^{v-1}] times the lattice-kernel count's character sum."""
     if v < 1:
         raise ValueError("v must be >= 1")
     _check_n(n)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dvrstat import oracle
 from dvrstat.abelian import (
     FiniteAbelianGroup,
+    _is_prime,
     abelian_groups_of_order,
     closure,
     crt,
@@ -179,6 +180,22 @@ def test_factorize_and_prime_power_split():
     for Q in (-4, 0, 1, 6, 12, 100):
         with pytest.raises(ValueError, match="not a prime power"):
             prime_power_split(Q)
+
+
+def test_primality_and_prime_power_split_agree_with_factorize():
+    def split(n):
+        try:
+            return prime_power_split(n)
+        except ValueError:
+            return None
+
+    for n in range(-2, 10**5):
+        fs = factorize(n) if n >= 1 else ()
+        assert _is_prime(n) == (fs == ((n, 1),))
+        assert split(n) == (fs[0] if len(fs) == 1 else None)
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not _is_prime(3215031751)
+    assert prime_power_split((2**61 - 1) ** 3) == (2**61 - 1, 3)
 
 
 @pytest.mark.parametrize("Q", [2, 4, 9])

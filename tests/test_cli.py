@@ -158,9 +158,10 @@ def test_ext_stdout_matches_golden(group):
         assert got == want, request
 
 
-@pytest.mark.parametrize("group", ["measure", "moment"])
+@pytest.mark.parametrize("group", ["measure", "moment", "b2", "ratio"])
 def test_exact_stdout_matches_golden(group):
-    # the exact workload's measure and moment (B <= 12) requests, byte for byte
+    # the exact workload's measure, moment (B <= 12), b2 and ratio requests,
+    # byte for byte
     for request, want in EXACT_GOLDEN[group].items():
         code, out = run(request.split())
         got = {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
@@ -282,6 +283,29 @@ def test_non_prime_power_Q_exit_2(capsys):
         code, _ = run(argv)
         assert code == 2
         assert "is not a prime power" in capsys.readouterr().err
+
+
+def test_large_prime_Q_and_p_exit_quickly():
+    # Q = p = 2^61 - 1 is prime; trial division to its square root never ended
+    M61 = str(2**61 - 1)
+    for args, code in ((["counts", "--Q", M61, "--lam", "1", "--mu", "1"], 0),
+                       (["idem", "--gamma", "2", "--p", M61], 0),
+                       (["measure", "--Q", M61, "--parts", "1"], 2)):
+        res = run_python("-m", "dvrstat.cli", *args, timeout=20)
+        assert res.returncode == code, (args, res.stderr)
+
+
+@pytest.mark.parametrize("request_args, want", [("measure --Q 101 --parts 1", 0),
+                                                 ("measure --Q 103 --parts 1", 2),
+                                                 ("moment --Q 127 --V 1 --B 2", 2)])
+def test_unprintable_exact_value_exit_2(request_args, want, capsys):
+    # from Q = 103 the exact brackets outgrow Python's digit limit for printing an int
+    code, out = run(request_args.split())
+    assert code == want
+    limit = sys.get_int_max_str_digits()
+    refused = f"error: the exact value has more than {limit} digits" in capsys.readouterr().err
+    assert refused == (want == 2)
+    assert len(out.splitlines()) == (1 if refused else 2)  # the header, then the record
 
 
 def test_b2_q_one_exit_2():

@@ -127,6 +127,23 @@ def test_dynamic_program_matches_vector_sweep():
         assert schur2.b_exact(ds, 3, 6) != schur2.b_closed(ds, 1, 6)
 
 
+def test_kernel_count_formula_matches_sweep_and_fibers():
+    # the character sum, the reference sweep and the W-fiber dynamic
+    # program count the same vectors; the nontrivial characters' term is
+    # what makes the residue condition hold
+    for ds in SWEEP_COVERS:
+        cover = NilClass2Cover(ds)
+        for n in range(11 if len(ds) < 3 else 9):
+            count = schur2.lattice_kernel_count(cover, n)
+            assert count == len(schur2.lattice_kernel_vectors(cover, n))
+            for q in (3, 5):
+                assert count == sum(schur2.w_image_multiset(ds, q, n).values())
+    for ds in [ds for ds in SWEEP_COVERS if len(ds) <= 2]:
+        cover = NilClass2Cover(ds)
+        for n in range(25):
+            assert schur2.lattice_kernel_count(cover, n) == sum(schur2.w_image_multiset(ds, 3, n).values())
+
+
 def test_w_map_rejects_wrong_length():
     cover = NilClass2Cover((2, 2))
     assert schur2.w_map(cover, 3, (1, 1, 1, 1)) == (1,)

@@ -47,7 +47,8 @@ SEED = 1
 # its State. `counts` does almost no work, so its time is the start-up
 # of a fresh process; `sample --Q 8` runs the sampler's Galois-ring path
 # (f = 3); `ext --gamma 8 ... --parts 4,4` times the cocycle system's
-# Smith normal form (ROADMAP item 3)
+# Smith normal form (ROADMAP item 4); `b2 --H 4,4,2 --q 3 --n 12` is the
+# heaviest b2 of the exact workload
 CLI_REQUESTS = (
     "counts --Q 2 --lam 1 --mu 1",
     "sample --Q 2 --n 12 --prec 5 --trials 100000 --seed 42",
@@ -60,6 +61,7 @@ CLI_REQUESTS = (
     "ext --gamma 2,4 --p 2 --index 0 --parts 1,1",
     "b2 --H 2,2,2 --q 3 --n 16",
     "b2 --H 2,2,2 --q 3 --n 20",
+    "b2 --H 4,4,2 --q 3 --n 12",
     "moment --Q 2 --V 1 --B 30",
     "moment --Q 2 --V 1 --B 40",
     "verify --suite all",
