@@ -1,7 +1,7 @@
 """Finite abelian groups in invariant-factor form, their elements,
 characters, subgroup enumeration, orbits of characters under the
-p-adic Galois action, and the closure search that every orbit, span
-and subgroup enumeration in the package runs on.
+p-adic Galois action, and the closure search that the span, subgroup
+and module-orbit enumerations of the package run on.
 
 Elements and characters are exponent tuples; character values are held
 as exponents mod the group exponent, so everything stays in exact
@@ -16,7 +16,6 @@ from functools import lru_cache
 SUBGROUP_ENUM_CAP = 2**12
 
 
-@lru_cache(maxsize=4096)
 def factorize(n):
     """Prime factorisation of n >= 1 as ((p, e), ...) with p ascending."""
     if n < 1:
@@ -60,17 +59,18 @@ def _int_root(n, k):
         x = y
 
 
-# Miller–Rabin with these bases is exact below _MR_LIMIT (about 3.3·10^24)
+# Miller–Rabin with these bases proves primality below _MR_LIMIT (about 3.3·10^24)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(p):
-    """Deterministic Miller–Rabin below _MR_LIMIT, trial division above."""
+    """Miller–Rabin with the bases _MR_BASES.  A witness proves p
+    composite, and below _MR_LIMIT the absence of one proves p prime.
+    At or above _MR_LIMIT a p with no witness is only a strong probable
+    prime, so ValueError is raised instead of an answer."""
     if p < 2:
         return False
-    if p >= _MR_LIMIT:
-        return factorize(p) == ((p, 1),)
     if any(p % a == 0 for a in _MR_BASES):
         return p in _MR_BASES
     s = val_p(p - 1, 2)
@@ -85,6 +85,9 @@ def _is_prime(p):
                 break
         else:
             return False
+    if p >= _MR_LIMIT:
+        raise ValueError(f"cannot decide whether {p} is prime: Miller–Rabin with bases up to "
+                         f"{_MR_BASES[-1]} proves primality only below {_MR_LIMIT}")
     return True
 
 
@@ -134,11 +137,6 @@ def euler_phi_prime_power(p, k):
     return 1 if k == 0 else (p - 1) * p ** (k - 1)
 
 
-def crt(a1, m1, a2, m2):
-    """x with x ≡ a1 mod m1, x ≡ a2 mod m2 for coprime m1, m2."""
-    return (a1 + m1 * ((a2 - a1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
-
-
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Invariant factors d_1 | d_2 | ... | d_k, each >= 2."""
@@ -157,23 +155,17 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_orders(cls, orders):
-        """Canonical invariant factors of ⊕ Z/orders[i] (orders arbitrary >= 1)."""
-        per_prime = {}
+        """Canonical invariant factors of ⊕ Z/orders[i] (orders arbitrary >= 1),
+        without factoring: as Z/a ⊕ Z/b ≅ Z/gcd ⊕ Z/lcm, each order o joins
+        the chain d_1 | d_2 | ... as d_i ← gcd(d_i, o), o ← lcm(d_i, o)."""
+        facs = []
         for o in map(int, orders):
             if o < 1:
                 raise ValueError(f"cyclic factor orders must be >= 1, got {o}")
-            for p, v in factorize(o):
-                per_prime.setdefault(p, []).append(v)
-        if not per_prime:
-            return cls(())
-        width = max(len(v) for v in per_prime.values())
-        facs = [1] * width
-        for p, exps in per_prime.items():
-            exps = sorted(exps, reverse=True)
-            for i, a in enumerate(exps):
-                facs[i] *= p**a
-        facs = [d for d in sorted(facs) if d > 1]
-        return cls(tuple(facs))
+            for i, d in enumerate(facs):
+                facs[i], o = math.gcd(d, o), math.lcm(d, o)
+            facs.append(o)
+        return cls(tuple(d for d in facs if d > 1))
 
     @property
     def order(self):
@@ -327,38 +319,38 @@ def subgroup_lattice(universe, zero, span, add):
     return sorted(closure([start], step), key=lambda s: (len(s), sorted(s)))
 
 
-def galois_generators(E, p):
-    """Generators of the p-adic Galois action on E-th roots of unity, as
-    exponents mod E: the Frobenius (p on the prime-to-p part, 1 on the
-    p-part) and the units of the p-part (1 off it)."""
-    require_prime(p)
-    pk = p ** val_p(E, p)
-    m = E // pk
-    return [crt(1, pk, p % m, m)] + [crt(a, pk, 1, m) for a in range(2, pk) if a % p]
-
-
-def galois_exponents(E, p):
-    """Exponents u acting on E-th roots of unity by the p-adic Galois group,
-    the closure of 1 under `galois_generators`.  Returns a sorted list of
-    units mod E.
+def galois_exponents(n, p):
+    """Gal(Q_p(ζ_n)/Q_p) as the exponents u with which it acts on n-th
+    roots of unity: for n = p^k·m with p ∤ m it is (Z/p^k)^× × ⟨Frob_p⟩,
+    so u runs over the units mod n whose residue mod m is a power of p.
+    Returns them sorted, each in [1, n].
     """
-    gens = galois_generators(E, p)
-    if E == 1:
+    require_prime(p)
+    if n == 1:
         return [1]
-    return sorted(closure([1], lambda u: [u * g % E for g in gens]))
+    m = n // p ** val_p(n, p)
+    frob = (pow(p, j, m) for j in range(mult_order(p, m)))
+    return sorted(u for r in frob for u in range(r, n, m) if math.gcd(u, n) == 1)
 
 
 def frobenius_orbits(G: FiniteAbelianGroup, p):
     """Partition of the characters of G into orbits of the p-adic Galois action.
 
-    Each orbit is the full set {χ^u} over Galois exponents u; for a
-    character of order prime to p this is the orbit of χ ↦ χ^p.
-    Returns a list of orbits (tuples of coefficient tuples), sorted by
-    minimal member; the trivial character's orbit comes first.
+    The orbit of χ is {χ^u : u in galois_exponents(ord χ, p)}, the
+    exponents listed once per order; the action on characters of one
+    order is free, so this is one pass over G.  Returns the orbits as
+    sorted tuples, sorted by minimal member (the trivial one first).
     """
-    gens = galois_generators(G.exponent, p)
-    found = orbits(G.characters(), lambda chi: [G.char_pow(chi, g) for g in gens])
-    return sorted((tuple(sorted(o)) for o in found), key=lambda o: o[0])
+    exponents, seen, out = {}, set(), []
+    for chi in G.characters():  # in increasing order, so chi is its orbit's minimum
+        if chi not in seen:
+            n = G.char_order(chi)
+            if n not in exponents:
+                exponents[n] = galois_exponents(n, p)
+            orbit = sorted({G.char_pow(chi, u) for u in exponents[n]})
+            seen.update(orbit)
+            out.append(tuple(orbit))
+    return out
 
 
 def wedge_square_p_part(G: FiniteAbelianGroup, p):

@@ -24,17 +24,22 @@ from . import oracle
 INT64_MAX = 2**63 - 1
 
 
+def _digits(n):
+    """str(n), with a plain error where Python refuses an int past its digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ValueError(f"the exact value has more than {sys.get_int_max_str_digits()} digits, "
+                         "too many to print") from None
+
+
 def _enc(n):
     """Decimal string for integers beyond 64 bits, plain int otherwise."""
-    return n if -INT64_MAX <= n <= INT64_MAX else str(n)
+    return n if -INT64_MAX <= n <= INT64_MAX else _digits(n)
 
 
 def _frac(x: Fraction) -> str:
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    except ValueError:  # Python refuses to print an int past its digit limit
-        raise ValueError(f"the exact value has more than {sys.get_int_max_str_digits()} digits, "
-                         "too many to print") from None
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 def _emit(record, out):
@@ -90,8 +95,9 @@ def _idem_record(i, e):
 
 def cmd_idem(args, out):
     _, es = _idempotent(args)
-    for i, e in es:
-        _emit(_idem_record(i, e), out)
+    records = [_idem_record(i, e) for i, e in es]  # all built, so a refusal writes none
+    for rec in records:
+        _emit(rec, out)
     return 0
 
 

@@ -29,6 +29,9 @@ NORM_ANNIHILATES = "NORM_ANNIHILATES"
 
 INFINITE_VALUATION = 10**9
 
+# largest |Γ| whose characters are listed: Z/2^20 at p = 2 takes seconds
+CHARACTER_ENUM_CAP = 2**20
+
 
 @dataclass(frozen=True)
 class IdealPower:
@@ -139,8 +142,11 @@ class PrimitiveIdempotent:
 
 def enumerate_idempotents(G: FiniteAbelianGroup, p):
     """One primitive idempotent per Galois orbit of characters; the trivial
-    idempotent comes first."""
+    idempotent comes first.  ValueError if |Γ| exceeds CHARACTER_ENUM_CAP."""
     require_prime(p)
+    if G.order > CHARACTER_ENUM_CAP:
+        raise ValueError(f"Γ has order {G.order}; its characters are listed only up to "
+                         f"order {CHARACTER_ENUM_CAP}")
     out = [PrimitiveIdempotent(G, p, orbit) for orbit in frobenius_orbits(G, p)]
     out.sort(key=lambda e: (not e.is_trivial, e.char_order, e.rep))
     return out
@@ -200,22 +206,21 @@ def residue_module_key(e: PrimitiveIdempotent):
 def ramtype_qualifies(e: PrimitiveIdempotent, I: IdealPower, inertia_gens, decomposition_gens):
     """Ramification-type test against the ideal I = 𝔪^d.
 
-    True iff some generator γ of the (cyclic, nontrivial) inertia
-    subgroup has image-ideal valuation >= d, and every element of the
-    decomposition subgroup acts trivially on the ring mod 𝔪^d.  The
-    residue-characteristic exclusion is the caller's responsibility.
+    True iff a generator γ of the (cyclic, nontrivial) inertia subgroup
+    has image-ideal valuation >= d, and every element of the
+    decomposition subgroup acts trivially on the ring mod 𝔪^d.  Any
+    generator serves: χ(γ^u) = χ(γ)^u for u prime to |γ| has the same
+    order, so the same image ideal.  The residue-characteristic
+    exclusion is the caller's responsibility.
     """
     G = e.group
     inertia = G.subgroup_generated(inertia_gens)
     decomp = G.subgroup_generated(decomposition_gens)
     if not inertia <= decomp:
         raise ValueError("inertia must lie inside the decomposition subgroup")
-    gens_of_inertia = [g for g in inertia if G.element_order(g) == len(inertia)]
-    if len(inertia) > 1 and not gens_of_inertia:
+    gen = next((g for g in inertia if G.element_order(g) == len(inertia)), None)
+    if gen is None:
         raise ValueError("inertia subgroup is not cyclic")
-    d = I.d
-    cond_a = any(
-        any(c for c in g) and ideal_image_valuation(e, g).d >= d for g in gens_of_inertia
-    )
-    cond_b = all(e.one_minus_value_valuation(g) >= d for g in decomp)
+    cond_a = any(gen) and ideal_image_valuation(e, gen).d >= I.d
+    cond_b = all(e.one_minus_value_valuation(g) >= I.d for g in decomp)
     return cond_a and cond_b

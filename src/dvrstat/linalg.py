@@ -280,12 +280,6 @@ def poly_mul(a, b, mod):
     return poly_trim(out)
 
 
-def poly_sub(a, b, mod):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % mod for i in range(n)]
-    return poly_trim(out)
-
-
 def poly_add_scaled(a, b, scale, mod):
     n = max(len(a), len(b))
     out = [((a[i] if i < len(a) else 0) + scale * (b[i] if i < len(b) else 0)) % mod for i in range(n)]
@@ -319,8 +313,8 @@ def poly_ext_gcd_modp(a, b, p):
         q, r = poly_divmod(r0, [x * inv % p for x in r1], p)
         q = [x * inv % p for x in q]  # r0 = q·r1 + r
         r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, p), p)
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1, p), p)
+        s0, s1 = s1, poly_add_scaled(s0, poly_mul(q, s1, p), -1, p)
+        t0, t1 = t1, poly_add_scaled(t0, poly_mul(q, t1, p), -1, p)
     if r0:
         inv = pow(r0[-1], -1, p)
         r0 = [x * inv % p for x in r0]
@@ -346,12 +340,12 @@ def hensel_lift_factor(F, u, p, N):
     pj = p
     for _ in range(1, N):
         mod = pj * p
-        E = poly_sub([x % mod for x in F], poly_mul(U, Vc, mod), mod)
+        E = poly_add_scaled(F, poly_mul(U, Vc, mod), -1, mod)
         assert all(x % pj == 0 for x in E)
         Ered = poly_trim([(x // pj) % p for x in E])
         # solve du*v + dv*u = Ered over F_p with deg du < deg u
         du = poly_divmod(poly_mul(b, Ered, p), u, p)[1]
-        dv, rem2 = poly_divmod(poly_sub(Ered, poly_mul(du, v, p), p), u, p)
+        dv, rem2 = poly_divmod(poly_add_scaled(Ered, poly_mul(du, v, p), -1, p), u, p)
         assert not rem2
         U = poly_add_scaled(U, du, pj, mod)
         Vc = poly_add_scaled(Vc, dv, pj, mod)

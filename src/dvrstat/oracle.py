@@ -129,7 +129,7 @@ class ExplicitModule:
     them; on any other module it is None.
     """
 
-    def __init__(self, p, orders, group: FiniteAbelianGroup, actions, check=True):
+    def __init__(self, p, orders, group: FiniteAbelianGroup, actions):
         self.p = p
         self.orders = tuple(int(o) for o in orders)
         self.group = group
@@ -140,8 +140,7 @@ class ExplicitModule:
         self._residue_rank_by_idempotent = {}  # idempotent e -> dim M/𝔪M over F_Q
         self._norm_kernels = {}  # γ -> (basis, solve) of N_γ·h ≡ b, for `_order_coset`
         self.blocks = None
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         k = len(self.orders)
@@ -335,7 +334,7 @@ def realize(e: PrimitiveIdempotent, M: ModuleType) -> ExplicitModule:
         Wm = _mat_pow(W, m_prime, ring_orders)
         pi_mat = [[(int(i == j) - Wm[i][j]) % mod for j in range(D)] for i in range(D)]
 
-    ring = ExplicitModule(p, ring_orders, G, gen_mats, check=False)
+    ring = ExplicitModule(p, ring_orders, G, gen_mats)
     summands = []
     for L in lam:
         piL = _mat_pow(pi_mat, L, ring_orders)
@@ -785,7 +784,7 @@ def automorphism_generators(H: ExplicitModule):
         return module_automorphisms(H)
     k = len(H.orders)
     parts = [ExplicitModule(H.p, H.orders[a:b], H.group,
-                            [[row[a:b] for row in A[a:b]] for A in H.actions], check=False)
+                            [[row[a:b] for row in A[a:b]] for A in H.actions])
              for a, b in H.blocks]
 
     def embed(i, j, X):

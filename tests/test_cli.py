@@ -158,10 +158,10 @@ def test_ext_stdout_matches_golden(group):
         assert got == want, request
 
 
-@pytest.mark.parametrize("group", ["measure", "moment", "b2", "ratio"])
+@pytest.mark.parametrize("group", ["measure", "moment", "b2", "ratio", "idem", "ie", "ramtype"])
 def test_exact_stdout_matches_golden(group):
-    # the exact workload's measure, moment (B <= 12), b2 and ratio requests,
-    # byte for byte
+    # the exact workload's measure, moment (B <= 12), b2, ratio, idem, ie and
+    # ramtype requests, byte for byte
     for request, want in EXACT_GOLDEN[group].items():
         code, out = run(request.split())
         got = {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
@@ -286,20 +286,29 @@ def test_non_prime_power_Q_exit_2(capsys):
 
 
 def test_large_prime_Q_and_p_exit_quickly():
-    # Q = p = 2^61 - 1 is prime; trial division to its square root never ended
-    M61 = str(2**61 - 1)
+    # Q = p = 2^61 - 1 is prime; trial division to its square root never ended.
+    # 2^89 - 1 is a prime past the range where Miller–Rabin proves primality,
+    # so it is refused, and a Γ of order 2^61 - 1 is too large to list
+    M61, M89 = str(2**61 - 1), str(2**89 - 1)
     for args, code in ((["counts", "--Q", M61, "--lam", "1", "--mu", "1"], 0),
                        (["idem", "--gamma", "2", "--p", M61], 0),
-                       (["measure", "--Q", M61, "--parts", "1"], 2)):
+                       (["measure", "--Q", M61, "--parts", "1"], 2),
+                       (["idem", "--gamma", M61, "--p", "2"], 2),
+                       (["counts", "--Q", M89, "--lam", "1", "--mu", "1"], 2),
+                       (["idem", "--gamma", "2", "--p", M89], 2)):
         res = run_python("-m", "dvrstat.cli", *args, timeout=20)
         assert res.returncode == code, (args, res.stderr)
 
 
 @pytest.mark.parametrize("request_args, want", [("measure --Q 101 --parts 1", 0),
                                                  ("measure --Q 103 --parts 1", 2),
-                                                 ("moment --Q 127 --V 1 --B 2", 2)])
+                                                 ("moment --Q 127 --V 1 --B 2", 2),
+                                                 ("idem --gamma 65536 --p 3", 2),
+                                                 ("counts --Q 2 --lam 15000 --mu 15000", 2)])
 def test_unprintable_exact_value_exit_2(request_args, want, capsys):
-    # from Q = 103 the exact brackets outgrow Python's digit limit for printing an int
+    # from Q = 103 the exact brackets outgrow Python's digit limit for printing
+    # an int, as do Q = 3^16384 of the last idempotent of Z/65536 at p = 3 and
+    # the hom count 2^(15000^2); an idem request writes no record before it
     code, out = run(request_args.split())
     assert code == want
     limit = sys.get_int_max_str_digits()

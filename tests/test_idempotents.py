@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -145,6 +146,22 @@ def test_ramtype_rejects_beyond_threshold():
         d = threshold_ideal(e).d
         gens = [(1,)]
         assert not ramtype_qualifies(e, IdealPower(d + 1), gens, gens)
+
+
+def test_inertia_generators_share_their_image_ideal():
+    # ramtype_qualifies tests one generator of the cyclic inertia group:
+    # on the verify suite's catalog, every generator g^u (u prime to |g|)
+    # of a cyclic subgroup <g> has the same image-ideal valuation
+    for G in small_abelian_groups(36):
+        for p in (2, 3, 5):
+            for e in enumerate_idempotents(G, p):
+                for g in G.elements():
+                    n = G.element_order(g)
+                    if n == 1:
+                        continue
+                    vals = {ideal_image_valuation(e, G.scalar_mul(u, g))
+                            for u in range(1, n) if math.gcd(u, n) == 1}
+                    assert len(vals) == 1, (G, p, e.rep, g)
 
 
 def test_ramtype_noncyclic_inertia_rejected():
