@@ -210,27 +210,21 @@ class FiniteAbelianGroup:
         return _subgroups_cached(self.invariant_factors)
 
     def cyclic_quotients(self):
-        """All (subgroup N, |Γ/N|) with Γ/N cyclic."""
-        out = []
-        n = self.order
-        for N in self.subgroups():
-            index = n // len(N)
-            if self._quotient_is_cyclic(N, index):
-                out.append((N, index))
+        """All (subgroup N, |Γ/N|) with Γ/N cyclic, sorted by (|Γ/N|, N).
+        These N are the kernels ker χ, with |Γ/N| = ord χ, and χ, χ' share
+        a kernel iff ⟨χ⟩ = ⟨χ'⟩, so Γ is scanned once per cyclic subgroup
+        of the dual.  ValueError if |Γ| exceeds SUBGROUP_ENUM_CAP."""
+        if self.order > SUBGROUP_ENUM_CAP:
+            raise ValueError(f"subgroup enumeration capped at order {SUBGROUP_ENUM_CAP}")
+        seen, out = set(), []
+        for chi in self.characters():
+            if chi not in seen:
+                n = self.char_order(chi)
+                seen.update(self.char_pow(chi, u) for u in range(1, n + 1) if math.gcd(u, n) == 1)
+                N = frozenset(g for g in self.elements() if self.char_value_exponent(chi, g) == 0)
+                out.append((N, n))
         out.sort(key=lambda t: (t[1], sorted(t[0])))
         return out
-
-    def _quotient_is_cyclic(self, N, index):
-        for g in self.elements():
-            # order of g + N in the quotient
-            o = 1
-            x = g
-            while x not in N:
-                x = self.add(x, g)
-                o += 1
-            if o == index:
-                return True
-        return False
 
     def p_part(self, p):
         """The p-Sylow subgroup as its own FiniteAbelianGroup."""

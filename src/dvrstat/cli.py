@@ -89,7 +89,7 @@ def _idem_record(i, e):
         "Q": _enc(e.Q),
         "dimension": e.dimension,
         "uniformizer": e.uniformizer_kind,
-        "cyclic_quotient_order": e.cyclic_quotient_order,
+        "cyclic_quotient_order": e.char_order,  # |Γ/ker χ|
     }
 
 
@@ -156,6 +156,8 @@ def cmd_oracle(args, out):
 
 
 def cmd_ext(args, out):
+    if parse_group(args.gamma).order > oracle.EXT_GAMMA_CAP:
+        raise ValueError(oracle.EXT_CAP_MESSAGE)
     G, es = _idempotent(args)
     if args.index is None:
         raise ValueError("ext requires --index to pick the module structure")

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from . import linalg
 from .abelian import (
     FiniteAbelianGroup,
     euler_phi_prime_power,
@@ -104,10 +105,6 @@ class PrimitiveIdempotent:
     def is_trivial(self):
         return self.char_order == 1
 
-    @property
-    def cyclic_quotient_order(self):
-        return self.char_order
-
     def value_exponent(self, g):
         """χ(g) for the orbit representative, as an exponent mod exponent(Γ)."""
         return self.group.char_value_exponent(self.rep, g)
@@ -179,17 +176,17 @@ def ideal_image_valuation(e: PrimitiveIdempotent, g) -> IdealPower:
 
 @lru_cache(maxsize=None)
 def _threshold_cached(e: PrimitiveIdempotent):
-    best = 0
-    for g in e.group.elements():
-        if all(a == 0 for a in g):
-            continue
-        best = max(best, ideal_image_valuation(e, g).d)
-    return IdealPower(best)
+    orders, _, _ = linalg.quotient_structure(e.group.invariant_factors, [e.rep])
+    d = e.e_ram * val_p(max(orders, default=1), e.p)
+    return IdealPower(max(d, e.p ** (e.k - 1) if e.k else 0))
 
 
 def threshold_ideal(e: PrimitiveIdempotent) -> IdealPower:
-    """Intersection over nontrivial γ of the image ideals; 𝔪^d with d the
-    max of the per-γ valuations.  Whole ring iff p does not divide |Γ|."""
+    """Intersection over nontrivial γ of the image ideals: 𝔪^d with d the
+    max of their valuations, read off the character χ of e.  A γ with χ(γ)
+    of order p^a >= p gives φ(p^k)/φ(p^a) <= p^(k−1), equal at a = 1 (which
+    occurs iff k >= 1); a γ in ker χ gives e_ram·val_p(|γ|), largest at the
+    exponent of ker χ, which is that of Γ^/⟨χ⟩; any other γ gives 0."""
     return _threshold_cached(e)
 
 

@@ -25,6 +25,9 @@ from . import linalg
 MODULE_ENUM_CAP = 4096
 GROUP_SCAN_CAP = 8192
 HOM_ENUM_CAP = 2**22
+EXT_GAMMA_CAP = 8
+EXT_MODULE_CAP = 256
+EXT_CAP_MESSAGE = "extension enumeration cap exceeded"
 
 
 # ---------------------------------------------------------------------------
@@ -655,13 +658,14 @@ def enumerate_extensions(H: ExplicitModule, refine=True):
     like conjugacy statistics or splitting counts; refine=True closes each
     class under `automorphism_generators(H)` acting on H², and keeps the
     least class of each orbit.  On a module built by `realize` ValueError
-    comes only from the size cap (|Γ| > 8 or |H| > 256); any other module
-    (H.blocks is None) takes its generators from `module_automorphisms(H)`,
-    which refuses modules with |End_Γ(H)| > HOM_ENUM_CAP = 2^22.
+    comes only from the size caps (|Γ| > EXT_GAMMA_CAP = 8 or |H| >
+    EXT_MODULE_CAP = 256); any other module (H.blocks is None) takes its
+    generators from `module_automorphisms(H)`, which refuses modules with
+    |End_Γ(H)| > HOM_ENUM_CAP = 2^22.
     """
     Gamma = H.group
-    if Gamma.order > 8 or H.size > 256:
-        raise ValueError("extension enumeration cap exceeded")
+    if Gamma.order > EXT_GAMMA_CAP or H.size > EXT_MODULE_CAP:
+        raise ValueError(EXT_CAP_MESSAGE)
     k = len(H.orders)
     if k == 0:
         return [ExplicitGroup.split(H)]

@@ -92,23 +92,41 @@ def test_subgroup_count_klein():
     assert len(G.subgroups()) == 5
 
 
+def _cyclic_quotients_by_subgroups(G):
+    """Every subgroup N of the lattice whose quotient has an element of
+    order |G/N|, sorted as cyclic_quotients sorts."""
+    def coset_order(N, g):
+        o, x = 1, g
+        while x not in N:
+            x, o = G.add(x, g), o + 1
+        return o
+
+    out = [(N, G.order // len(N)) for N in G.subgroups()
+           if any(coset_order(N, g) == G.order // len(N) for g in G.elements())]
+    return sorted(out, key=lambda t: (t[1], sorted(t[0])))
+
+
 def test_cyclic_quotients_reference_counts():
     assert len(FiniteAbelianGroup((2, 2)).cyclic_quotients()) == 4
     assert len(FiniteAbelianGroup((4,)).cyclic_quotients()) == 3
     # Z/2 x Z/4: quotients by the three order-4 subgroups, two of the
     # order-2 subgroups, and the whole group are cyclic
     assert len(FiniteAbelianGroup((2, 4)).cyclic_quotients()) == 6
+    # Z/4096: one quotient per divisor 2^0, ..., 2^12
+    quotients = FiniteAbelianGroup((4096,)).cyclic_quotients()
+    assert [n for _, n in quotients] == [2**a for a in range(13)]
+    assert all(len(N) * n == 4096 for N, n in quotients)
 
 
 def test_cyclic_quotient_count_equals_cyclic_subgroup_count():
-    # duality: cyclic quotients of G correspond to cyclic subgroups
-    for G in small_abelian_groups(16):
-        cyc_sub = sum(
-            1
-            for H in G.subgroups()
-            if any(G.element_order(g) == len(H) for g in H)
-        )
-        assert len(G.cyclic_quotients()) == cyc_sub
+    # duality: cyclic quotients of G correspond to cyclic subgroups; and
+    # the character kernels are exactly the subgroups with a cyclic
+    # quotient found by searching the subgroup lattice
+    for G in small_abelian_groups(64):
+        quotients = G.cyclic_quotients()
+        assert quotients == _cyclic_quotients_by_subgroups(G), G
+        cyc_sub = sum(1 for H in G.subgroups() if any(G.element_order(g) == len(H) for g in H))
+        assert len(quotients) == cyc_sub
 
 
 def test_characters_biject_and_pair_nondegenerately():

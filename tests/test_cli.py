@@ -158,10 +158,12 @@ def test_ext_stdout_matches_golden(group):
         assert got == want, request
 
 
-@pytest.mark.parametrize("group", ["measure", "moment", "b2", "ratio", "idem", "ie", "ramtype"])
+@pytest.mark.parametrize("group", ["measure", "moment", "b2", "ratio", "idem", "ie", "ramtype",
+                                   "verify", "ie_large"])
 def test_exact_stdout_matches_golden(group):
     # the exact workload's measure, moment (B <= 12), b2, ratio, idem, ie and
-    # ramtype requests, byte for byte
+    # ramtype requests, every verify suite but `all`, and `ie` on two groups of
+    # order 2^16 and 2^10, byte for byte
     for request, want in EXACT_GOLDEN[group].items():
         code, out = run(request.split())
         got = {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
@@ -315,6 +317,19 @@ def test_unprintable_exact_value_exit_2(request_args, want, capsys):
     refused = f"error: the exact value has more than {limit} digits" in capsys.readouterr().err
     assert refused == (want == 2)
     assert len(out.splitlines()) == (1 if refused else 2)  # the header, then the record
+
+
+@pytest.mark.parametrize("request_args", ["ext --gamma 1048576 --p 2 --index 0 --parts 1",
+                                          "ext --gamma 16 --p 2 --index 0 --parts 1",
+                                          "ext --gamma 16 --p 2 --index 99 --parts 1",
+                                          "ext --gamma 16 --p 4 --index 0 --parts 1"])
+def test_ext_refuses_large_gamma_before_listing_characters(request_args, capsys):
+    # |Γ| > 8 is refused before the characters of Γ are listed, so it is
+    # the error reported even beside a bad --index or a non-prime p
+    code, out = run(request_args.split())
+    assert code == 2
+    assert len(out.splitlines()) == 1  # the header only
+    assert capsys.readouterr().err == "error: extension enumeration cap exceeded\n"
 
 
 def test_b2_q_one_exit_2():

@@ -85,6 +85,16 @@ def test_threshold_trivial_idempotent_is_p_exponent():
             assert threshold_ideal(e).d == val_p(G.exponent, p)
 
 
+def test_threshold_is_max_of_image_valuations():
+    # the threshold read off χ is the max over every nontrivial γ
+    for G in small_abelian_groups(64):
+        nontrivial = [g for g in G.elements() if any(g)]
+        for p in (2, 3, 5, 7):
+            for e in enumerate_idempotents(G, p):
+                want = max((ideal_image_valuation(e, g).d for g in nontrivial), default=0)
+                assert threshold_ideal(e).d == want, (G, p, e.rep)
+
+
 def test_threshold_faithful_character_of_zp():
     for p in (2, 3, 5):
         G = FiniteAbelianGroup((p,))

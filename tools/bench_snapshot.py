@@ -49,7 +49,8 @@ SEED = 1
 # (f = 3); `ext --gamma 8 ... --parts 4,4` times the cocycle system's
 # Smith normal form (ROADMAP item 4); `b2 --H 4,4,2 --q 3 --n 12` is the
 # heaviest b2 of the exact workload; `idem --gamma 4096 --p 2` times the
-# Galois orbits of 4096 characters
+# Galois orbits of 4096 characters; `ie --gamma 65536 --p 2` times the
+# threshold ideals of 65536 characters' idempotents
 CLI_REQUESTS = (
     "counts --Q 2 --lam 1 --mu 1",
     "sample --Q 2 --n 12 --prec 5 --trials 100000 --seed 42",
@@ -61,6 +62,7 @@ CLI_REQUESTS = (
     "ext --gamma 8 --p 2 --index 3 --parts 4,4",
     "ext --gamma 2,4 --p 2 --index 0 --parts 1,1",
     "idem --gamma 4096 --p 2",
+    "ie --gamma 65536 --p 2",
     "b2 --H 2,2,2 --q 3 --n 16",
     "b2 --H 2,2,2 --q 3 --n 20",
     "b2 --H 4,4,2 --q 3 --n 12",
