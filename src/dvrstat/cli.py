@@ -3,7 +3,8 @@
 Every invocation prints a one-line JSON provenance header (version,
 request echo, seed) followed by the payload: JSON records one per line,
 or an RFC-4180 CSV table for `sample`.  Exit codes: 2 on parse errors,
-1 on verify-suite failures, 0 otherwise.  Integers that do not fit in
+1 on verify-suite failures and when the reader closes stdout early
+(with no traceback), 0 otherwise.  Integers that do not fit in
 64 bits are serialized as decimal strings.
 """
 
@@ -11,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -163,6 +165,10 @@ def cmd_ext(args, out):
         raise ValueError("ext requires --index to pick the module structure")
     _, e = es[0]
     parts = _parse_partition(args.parts)
+    # |H| = Q^Σparts, refused before H is built; as Q >= 2, Q^b already
+    # exceeds the cap for b its bit length, so no larger power is taken
+    if e.Q ** min(sum(parts), oracle.EXT_MODULE_CAP.bit_length()) > oracle.EXT_MODULE_CAP:
+        raise ValueError(oracle.EXT_CAP_MESSAGE)
     H = oracle.realize(e, ModuleType(e.Q, parts))
     for ci, ext in enumerate(oracle.enumerate_extensions(H)):
         table = []
@@ -344,6 +350,19 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
+    try:
+        code = _run(argv, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`dvrstat idem ... | head -1`):
+        # exit with no traceback, and point stdout at devnull so that the
+        # interpreter's last flush of it cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv, out):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -63,7 +63,7 @@ def measure(M: ModuleType):
 class MomentBracket:
     lower: Fraction
     upper: Fraction
-    tail_estimate: Fraction  # heuristic geometric extrapolation, included in upper
+    tail_estimate: Fraction  # geometric tail after the last increment, included in upper
 
     @property
     def width(self):
@@ -74,9 +74,17 @@ def moment_truncated(V: ModuleType, B: int) -> MomentBracket:
     """Bracket for ∫ #Sur(X, V) dμ(X) from partitions of total size <= B.
 
     The lower bound drops the tail entirely; the upper bound adds a
-    heuristic geometric extrapolation of the last partial-sum increments
-    (the tail estimate is reported so callers can label it as such).
-    The exact value of the full sum is 1/|V|.
+    geometric tail after the last increment, with ratio r the largest of
+    1/Q and the last three increment ratios (1/Q alone at B = Σ V.parts,
+    where only the last increment is positive), and reports that tail
+    as the tail estimate.  The exact value of the full sum is 1/|V|.
+
+    The upper bound holds: with v = Σ V.parts, the size-(v + k) increment
+    is c_k/|V| with c_k = Q^{−2k}/∏_{j=1..k}(1 − Q^{−j}) (Cohen–Lenstra;
+    Macdonald, Symmetric Functions and Hall Polynomials, ch. II), and
+    the ratios c_{k+1}/c_k = Q^{−2}/(1 − Q^{−(k+1)}) fall with k and are
+    at most 1/(Q(Q − 1)) <= 1/Q <= r, so each later increment is at
+    most r times the one before it.
     """
     if B < sum(V.parts):
         raise ValueError("truncation below the target size")
@@ -94,9 +102,9 @@ def moment_truncated(V: ModuleType, B: int) -> MomentBracket:
     S = sum(increments)
     positive = [x for x in increments if x > 0]
     tail = Fraction(0)
-    if len(positive) >= 2 and increments[-1] > 0:
-        ratios = [b / a for a, b in zip(positive, positive[1:]) if a > 0][-3:]
-        r = min(max(max(ratios), Fraction(1, Q)), Fraction(9, 10))
+    if increments[-1] > 0:
+        ratios = [b / a for a, b in zip(positive, positive[1:])][-3:]
+        r = min(max(ratios + [Fraction(1, Q)]), Fraction(9, 10))
         tail = increments[-1] * r / (1 - r)
     return MomentBracket(lower=zlo * S, upper=zhi * (S + tail), tail_estimate=zhi * tail)
 

@@ -28,6 +28,9 @@ HOM_ENUM_CAP = 2**22
 EXT_GAMMA_CAP = 8
 EXT_MODULE_CAP = 256
 EXT_CAP_MESSAGE = "extension enumeration cap exceeded"
+# realized modules kept by `realize`; one pass over the benchmark's
+# oracle pool asks for 132 distinct (e, λ)
+REALIZE_MEMO_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +294,20 @@ def _mult_matrix(reducer, mod, dim):
 
 def realize(e: PrimitiveIdempotent, M: ModuleType) -> ExplicitModule:
     """Build ⊕_i R/𝔪^{λ_i} for the DVR R attached to e, as an explicit
-    module with transported Γ-action.  Round-trips with iso_type."""
+    module with transported Γ-action.  Round-trips with iso_type.
+
+    Memoized by (e, M) for the REALIZE_MEMO_SIZE most recent pairs: equal
+    requests get the same module, with the memos (residue ranks, norm
+    kernels, action matrices) that earlier requests left on it.  That
+    module is shared, so no caller may assign to it; its memos are pure
+    functions of the module.  A refused or failing build is not kept."""
     if M.Q != e.Q:
         raise ValueError(f"type has Q = {M.Q} but the idempotent has Q = {e.Q}")
+    return _realize_cached(e, M)
+
+
+@lru_cache(maxsize=REALIZE_MEMO_SIZE)
+def _realize_cached(e: PrimitiveIdempotent, M: ModuleType) -> ExplicitModule:
     G, p = e.group, e.p
     lam = M.parts
     if not lam:

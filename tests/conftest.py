@@ -1,5 +1,16 @@
 import sys
 
+import pytest
+
+from dvrstat import oracle
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_realizations():
+    """Start each test with no module kept by `oracle.realize`, so counts
+    of the work done on a realized module do not depend on test order."""
+    oracle._realize_cached.cache_clear()
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the per-criterion acceptance lines after the run."""

@@ -33,11 +33,15 @@ def run(argv):
     return code, buf.getvalue()
 
 
+def src_env():
+    """The environment with the package's sources first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(*args, timeout=120):
     """A fresh interpreter with the package's sources on its path."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=src_env(), timeout=timeout)
 
 
 def trace_targets():
@@ -332,6 +336,43 @@ def test_ext_refuses_large_gamma_before_listing_characters(request_args, capsys)
     assert capsys.readouterr().err == "error: extension enumeration cap exceeded\n"
 
 
+@pytest.mark.parametrize("request_args", ["ext --gamma 2 --p 2 --index 0 --parts 65",
+                                          "ext --gamma 2 --p 2 --index 0 --parts 9",
+                                          "ext --gamma 3 --p 2 --index 1 --parts 5",
+                                          "ext --gamma 8 --p 2 --index 3 --parts 200",
+                                          "ext --gamma 2 --p 3 --index 0 --parts 1000000000"])
+def test_ext_refuses_large_module_before_realizing(request_args, capsys, monkeypatch):
+    # |H| = Q^Σparts > 256 is refused from the partition, before H is built
+    def unexpected(e, M):
+        raise AssertionError(f"realized {M}")
+
+    monkeypatch.setattr(cli.oracle, "realize", unexpected)
+    code, out = run(request_args.split())
+    assert code == 2
+    assert len(out.splitlines()) == 1  # the header only
+    assert capsys.readouterr().err == "error: extension enumeration cap exceeded\n"
+
+
+def test_ext_realizes_a_module_at_the_size_cap():
+    # |H| = 2^8 = 256 is within the cap: H is realized and its split
+    # extension comes first
+    code, out = run("ext --gamma 2 --p 2 --index 1 --parts 8".split())
+    assert code == 0
+    assert json.loads(out.splitlines()[1])["split"]
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes the header line and closes the pipe while the
+    # writer still has most of its 0.6 MB to write
+    proc = subprocess.Popen([sys.executable, "-m", "dvrstat.cli", "idem", "--gamma", "65536", "--p", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
+    assert json.loads(proc.stdout.readline())["request"]["subcommand"] == "idem"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def test_b2_q_one_exit_2():
     code, _ = run(["b2", "--H", "2", "--q", "1", "--n", "2"])
     assert code == 2
@@ -485,3 +526,29 @@ def test_numpy_is_loaded_only_by_sampling():
                      "print(json.dumps([missing, codes, 'numpy' in sys.modules]))",
                      json.dumps(modules), json.dumps(requests))
     assert json.loads(res.stdout) == [[], [0] * len(requests), False], res.stderr
+
+
+def test_replay_of_the_working_tree_matches_itself(tmp_path):
+    # two replays of the first two requests of each set agree, and a
+    # changed record is listed by --diff
+    tool = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    for path in (a, b):
+        res = subprocess.run([sys.executable, str(tool), "--out", str(path), "--limit", "2"],
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+    records = [json.loads(line) for line in b.read_text().splitlines()]
+    assert [r["set"] for r in records] == ["exact"] * 2 + ["oracle"] * 2 + ["verify"] + \
+        [s for s in ("warmup", "left_out", "golden", "probes") for _ in range(2)]
+    assert records[4] == {"set": "verify", "request": "verify --suite all", "exit": 0,
+                          "stdout_sha256": records[4]["stdout_sha256"], "stderr": ""}
+    same = subprocess.run([sys.executable, str(tool), "--diff", str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+    assert (same.returncode, same.stdout) == (0, f"0 of {len(records)} requests differ\n")
+    records[0]["exit"] = 7
+    b.write_text("".join(json.dumps(r) + "\n" for r in records))
+    changed = subprocess.run([sys.executable, str(tool), "--diff", str(a), str(b)],
+                             capture_output=True, text=True, timeout=60)
+    assert changed.returncode == 1
+    assert changed.stdout.splitlines() == [f"{records[0]['request']}: exit differ", "  exit: 0 -> 7",
+                                           f"1 of {len(records)} requests differ"]

@@ -111,6 +111,18 @@ def test_moment_bracket_contains_reciprocal_size():
             assert br.width < Fraction(1, 100)
 
 
+@pytest.mark.parametrize("Q", [2, 3, 4, 5])
+def test_moment_bracket_contains_reciprocal_size_from_b_equal_v(Q):
+    # from B = v = Σ V.parts, where only the last increment is positive
+    # and the tail's ratio is 1/Q alone, up to B = v + 7
+    for lam in [(), (1,), (2,), (1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1, 1)]:
+        V = ModuleType(Q, lam)
+        v = sum(lam)
+        for B in range(v, v + 8):
+            br = moment_truncated(V, B)
+            assert br.lower <= Fraction(1, V.size) <= br.upper, (lam, B)
+
+
 def test_moment_brackets_nested():
     V = ModuleType(2, (1,))
     prev = None

@@ -707,8 +707,10 @@ def test_is_surjective_ranks_each_residue_matrix_once(monkeypatch):
     assert set(ranked) == residues
     assert answers == [rank_mod_p(h.matrix, 2) == len(N3.orders) for h in homs]
     assert set(answers) == {True, False}
-    # the memo lives on the target: a fresh realization starts empty
-    assert oracle.realize(e, ModuleType(2, (1, 1)))._residue_ranks == {}
+    # the memo lives on the target, which `realize` keeps: asked again,
+    # it returns N3 with the rank of every residue matrix kept
+    assert oracle.realize(e, ModuleType(2, (1, 1))) is N3
+    assert N3._residue_ranks.keys() == set(ranked)
 
 
 
@@ -871,9 +873,9 @@ def test_fiber_tools_memos_compute_once_per_module_and_per_pi2(monkeypatch):
         again = oracle.fiber_tools(e, pi1, fresh)
         assert _fiber_key(again) == _fiber_key(res)
         assert oracle.residue_rank(again.boxtimes, e) == rank
-    # the memos live on their module: a fresh realization starts empty
+    # the memos live on their module, which `realize` keeps
     assert N3._residue_rank_by_idempotent == {e: 2}
-    assert oracle.realize(e, ModuleType(2, (1, 1)))._residue_rank_by_idempotent == {}
+    assert oracle.realize(e, ModuleType(2, (1, 1))) is N3
 
 def test_module_automorphisms_match_brute_force():
     for mods in _small_modules():
@@ -896,6 +898,51 @@ def _catalog_modules(max_size=64):
                         break
                     for lam in partitions_of(s):
                         yield e, lam, oracle.realize(e, ModuleType(e.Q, lam))
+
+
+def test_realize_keeps_one_module_per_type(monkeypatch):
+    # equal (e, λ) give the same module, whichever equal copy of e asks;
+    # another type or idempotent gives another module
+    e = _idems((2,), 2)[1]
+    again = dataclasses.replace(e)
+    assert again == e and again is not e
+    H = oracle.realize(e, ModuleType(2, (2, 1)))
+    assert oracle.realize(again, ModuleType(2, (1, 2))) is H
+    assert oracle.realize(e, ModuleType(2, (2,))) is not H
+    assert oracle.realize(_idems((2,), 2)[0], ModuleType(2, (2, 1))) is not H
+    kept = oracle._realize_cached.cache_info().currsize
+    # a refused request is not kept, and is refused again
+    f4 = next(e for e in _idems((3,), 2) if not e.is_trivial)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Q = 2 but the idempotent has Q = 4"):
+            oracle.realize(f4, ModuleType(2, (1,)))
+    # nor is a build that fails; the next request builds the module anew
+    def failing(M, e):
+        raise ValueError("round trip failed")
+
+    monkeypatch.setattr(oracle, "iso_type", failing)
+    with pytest.raises(ValueError, match="round trip failed"):
+        oracle.realize(e, ModuleType(2, (3,)))
+    assert oracle._realize_cached.cache_info().currsize == kept
+    monkeypatch.undo()
+    assert oracle.iso_type(oracle.realize(e, ModuleType(2, (3,))), e) == ModuleType(2, (3,))
+    assert oracle._realize_cached.cache_info().currsize == kept + 1
+
+
+def test_kept_realization_matches_a_fresh_build_on_catalog():
+    # after its memos are filled, the kept module still has the orders,
+    # actions and blocks of an uncached build, and round-trips
+    build = oracle._realize_cached.__wrapped__
+    for e, lam, H in _catalog_modules():
+        M = ModuleType(e.Q, lam)
+        oracle.residue_rank(H, e)
+        for g in H.group.elements():
+            H.action_of(g)
+        assert oracle.realize(e, M) is H
+        fresh = build(e, M)
+        assert fresh is not H
+        assert (H.orders, H.actions, H.blocks) == (fresh.orders, fresh.actions, fresh.blocks)
+        assert oracle.iso_type(H, e) == M
 
 
 def _additive_span(mats, zero, orders):
