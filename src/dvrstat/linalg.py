@@ -7,6 +7,7 @@ about modules or group actions.
 """
 
 import math
+import operator
 
 
 def identity_matrix(n):
@@ -34,7 +35,7 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    return [sum(map(operator.mul, row, v)) for row in A]
 
 
 def smith_normal_form(A, m=None, n=None):
@@ -206,21 +207,25 @@ def congruence_kernel(A, mods, n):
     basis = [[V[i][j] for i in range(n)] for j in range(m, n + m)]
     # rows of U, read off U @ big = D @ Vinv at the diag(mods) columns
     U = [[D[t][t] * Vinv[t][n + j] // mods[j] for j in range(m)] for t in range(m)]
+    # the closures keep only what they read, not D, V and Vinv whole
+    diag = [D[t][t] for t in range(m)]
+    V_top = [V[i][:m] for i in range(n)]
+    Vinv_low = Vinv[m:]
 
     def solve(b):
         y = []
-        for t, c in enumerate(mat_vec(U, b)):
-            q, r = divmod(c, D[t][t])
+        for c, d in zip(mat_vec(U, b), diag):
+            q, r = divmod(c, d)
             if r:
                 return None
             y.append(q)
-        return [sum(v * x for v, x in zip(V[i], y)) for i in range(n)]
+        return mat_vec(V_top, y)
 
     def coords(w):
         zr = [divmod(-sum(a * x for a, x in zip(row, w)), md) for row, md in zip(A, mods)]
         if any(r for _, r in zr):
             raise ValueError("vector not in the kernel lattice")
-        return mat_vec(Vinv[m:], [*w, *(z for z, _ in zr)])
+        return mat_vec(Vinv_low, [*w, *(z for z, _ in zr)])
 
     return basis, solve, coords
 

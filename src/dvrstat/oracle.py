@@ -145,6 +145,7 @@ class ExplicitModule:
         self._residue_ranks = {}  # flattened T mod p -> rank over F_p, for maps onto self
         self._residue_rank_by_idempotent = {}  # idempotent e -> dim M/𝔪M over F_Q
         self._norm_kernels = {}  # γ -> (basis, solve) of N_γ·h ≡ b, for `_order_coset`
+        self._extension_classes = {}  # refine -> cochain vectors y, for `enumerate_extensions`
         self.blocks = None
         self._validate()
 
@@ -386,7 +387,11 @@ def subgroup_size(orders, gens):
 
 
 def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
-    """Partition type of an e-typed module, read off the 𝔪-filtration."""
+    """Partition type of an e-typed module, read off the 𝔪-filtration.
+
+    𝔪^{j+1}·M ⊆ 𝔪^j·M, and once a step leaves it the same, every later
+    step does: then no power of 𝔪 annihilates M, and ValueError is raised
+    at that step.  So the filtration stops within log_p |M| steps."""
     if M.size == 1:
         return ModuleType(e.Q, ())
     pi = uniformizer_matrix(M, e)
@@ -395,7 +400,7 @@ def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
     P = [[x % o for x in row] for row, o in zip(pi, M.orders)]
     while True:
         sizes.append(subgroup_size(M.orders, list(zip(*P))))
-        if len(sizes) > 64:
+        if sizes[-1] == sizes[-2]:
             raise ValueError("module is not annihilated by a power of the maximal ideal")
         if sizes[-1] == 1:
             break
@@ -676,19 +681,48 @@ def enumerate_extensions(H: ExplicitModule, refine=True):
     EXT_MODULE_CAP = 256); any other module (H.blocks is None) takes its
     generators from `module_automorphisms(H)`, which refuses modules with
     |End_Γ(H)| > HOM_ENUM_CAP = 2^22.
+
+    H keeps its classes for each value of refine, as the cochain vectors
+    of `_extension_classes`, so H² and its orbits are solved once per
+    module; a refused module keeps nothing.  The groups are built, and
+    each cocycle validated, afresh on every call.
     """
-    Gamma = H.group
-    if Gamma.order > EXT_GAMMA_CAP or H.size > EXT_MODULE_CAP:
+    if H.group.order > EXT_GAMMA_CAP or H.size > EXT_MODULE_CAP:
         raise ValueError(EXT_CAP_MESSAGE)
-    k = len(H.orders)
-    if k == 0:
+    if not H.orders:
         return [ExplicitGroup.split(H)]
-    # a normalized 2-cochain f is the vector y over Z/L whose slot
-    # idx[a, b] + i holds s_i·f(a, b)_i, for a, b ≠ 1 and s_i = L/|h_i|
+    if refine not in H._extension_classes:
+        H._extension_classes[refine] = _extension_classes(H, refine)
+    _, s, _, idx = _cochain_slots(H)
+
+    def cocycle(y):
+        coc = dict.fromkeys(itertools.product(H.group.elements(), repeat=2), H.zero())
+        for ab, t in idx.items():
+            assert all(y[t + i] % si == 0 for i, si in enumerate(s))
+            coc[ab] = tuple(y[t + i] // si for i, si in enumerate(s))
+        return coc
+
+    return [ExplicitGroup(H, cocycle(y)) for y in H._extension_classes[refine]]
+
+
+def _cochain_slots(H: ExplicitModule):
+    """(L, s, Gs, idx): a normalized 2-cochain f is the vector y over Z/L
+    whose slot idx[a, b] + i holds s_i·f(a, b)_i, for a, b in Gs, the
+    elements ≠ 1 of Γ, and s_i = L/|h_i|."""
     L = max(H.orders)
     s = [L // o for o in H.orders]
-    Gs = [g for g in Gamma.elements() if any(g)]
-    idx = {ab: t * k for t, ab in enumerate(itertools.product(Gs, Gs))}
+    Gs = [g for g in H.group.elements() if any(g)]
+    return L, s, Gs, {ab: t * len(s) for t, ab in enumerate(itertools.product(Gs, Gs))}
+
+
+def _extension_classes(H: ExplicitModule, refine):
+    """The classes `enumerate_extensions(H, refine)` returns, as tuples of
+    cochain vectors y (see `_cochain_slots`), the split class (y = 0)
+    first: H² from one solve of the cocycle system, then with refine one
+    least class per orbit of `automorphism_generators(H)`."""
+    Gamma = H.group
+    k = len(H.orders)
+    L, s, Gs, idx = _cochain_slots(H)
     nvar = len(idx) * k
 
     def scaled(T):
@@ -745,13 +779,6 @@ def enumerate_extensions(H: ExplicitModule, refine=True):
                 y = [(a + cj * b) % L for a, b in zip(y, g)]
         return y
 
-    def cocycle(y):
-        coc = dict.fromkeys(itertools.product(Gamma.elements(), repeat=2), H.zero())
-        for ab, t in idx.items():
-            assert all(y[t + i] % si == 0 for i, si in enumerate(s))
-            coc[ab] = tuple(y[t + i] // si for i, si in enumerate(s))
-        return coc
-
     classes = list(itertools.product(*(range(o) for o in h2_orders)))
     if refine and len(classes) > 1:
         # Aut_Γ(H) acts linearly on H², so a generator acts through its
@@ -769,7 +796,7 @@ def enumerate_extensions(H: ExplicitModule, refine=True):
 
         classes = [min(orbit) for orbit in orbits(classes, step)]
     # the split extension (y = 0) first
-    return [ExplicitGroup(H, cocycle(y)) for y in sorted(map(rep_of, classes), key=any)]
+    return [tuple(y) for y in sorted(map(rep_of, classes), key=any)]
 
 
 def module_automorphisms(H: ExplicitModule):

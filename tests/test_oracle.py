@@ -1036,6 +1036,54 @@ def test_extension_classes_match_refinement_by_every_automorphism():
     assert refined > 0
 
 
+def test_extension_classes_kept_per_module(monkeypatch):
+    # a realized module keeps its classes for each value of refine; a
+    # second call solves no cocycle system and lists no automorphism, and
+    # builds and validates fresh groups from what was kept
+    e = next(e for e in _idems((2,), 2) if e.is_trivial)
+    M = ModuleType(2, (2, 1))
+    fine = oracle.enumerate_extensions(oracle.realize(e, M), refine=False)
+    coarse = oracle.enumerate_extensions(oracle.realize(e, M))
+    assert (len(fine), len(coarse)) == (4, 3)
+
+    def unsolved(*args):
+        pytest.fail("extension classes solved again")
+
+    validated = []
+    validate = oracle.ExplicitGroup._validate
+    monkeypatch.setattr(linalg, "kernel_mod", unsolved)
+    monkeypatch.setattr(oracle, "automorphism_generators", unsolved)
+    monkeypatch.setattr(oracle.ExplicitGroup, "_validate", lambda G: validated.append(G) or validate(G))
+    for refine, first in [(False, fine), (True, coarse)]:
+        again = oracle.enumerate_extensions(oracle.realize(e, M), refine)
+        assert [G.cocycle for G in again] == [G.cocycle for G in first]
+        assert not {id(G) for G in again} & {id(G) for G in first}
+    assert len(validated) == len(fine) + len(coarse)
+    # a returned group's cocycle is its own
+    H = oracle.realize(e, M)
+    want = dict(coarse[-1].cocycle)
+    for G in coarse + oracle.enumerate_extensions(H):
+        G.cocycle.update(dict.fromkeys(G.cocycle, H.zero()))
+    assert oracle.enumerate_extensions(H)[-1].cocycle == want
+    monkeypatch.undo()
+    # a capped module keeps nothing
+    for capped in [oracle.realize(e, ModuleType(2, (9,))),
+                   oracle.realize(_idems((16,), 2)[0], ModuleType(2, (1,)))]:
+        with pytest.raises(ValueError, match=oracle.EXT_CAP_MESSAGE):
+            oracle.enumerate_extensions(capped)
+        assert capped._extension_classes == {}
+
+
+def test_realize_round_trips_parts_past_64():
+    # the 𝔪-filtration of O/π^64 has 64 steps, and iso_type follows it to
+    # the end: unramified (Z/2 at p = 2, both idempotents) and ramified
+    # (Z/3 at p = 3, e_ram = 2)
+    for facs, p in [((2,), 2), ((3,), 3)]:
+        for e in _idems(facs, p):
+            M = ModuleType(e.Q, (64,))
+            assert oracle.iso_type(oracle.realize(e, M), e) == M
+
+
 def test_module_automorphisms_cap_refuses_before_listing(monkeypatch):
     e = next(e for e in _idems((2,), 2) if e.is_trivial)
     H = oracle.realize(e, ModuleType(2, (1,) * 5))  # |End_Γ(H)| = 2^25 > HOM_ENUM_CAP
