@@ -1,6 +1,7 @@
 """Exact integer linear algebra: Smith normal form with column transforms,
-linear congruence solving, and structure of subgroups/quotients of
-finite abelian groups given by generator matrices.
+the structure of subgroups/quotients of finite abelian groups given by
+generator matrices, and, over moduli that are powers of one prime, a
+reduced echelon form with the linear congruences solved on it.
 
 All matrices are lists of lists of Python ints; nothing here knows
 about modules or group actions.
@@ -187,47 +188,75 @@ def quotient_structure(mods, gens):
     return orders, proj, lift
 
 
-def congruence_kernel(A, mods, n):
-    """The system A w ≡ b (row i mod mods[i]) for an m x n matrix A and
-    moduli >= 1, from one Smith normal form of [A | diag(mods)].
+def p_echelon(gens, mods):
+    """Reduced echelon form (a Howell form) of the subgroup S of
+    ⊕ Z/mods generated by gens, for moduli that are powers of one prime.
 
-    Returns (basis, solve, coords): basis is a list of n length-n
-    columns, a Z-basis of the lattice Λ of integer w with A w ≡ 0;
-    solve(b) returns one w with A w ≡ b, or None if there is none; and
-    coords(w) returns the c with w = Σ_j c_j·basis_j (ValueError when w
-    is not in Λ).  A w + diag(mods) z = 0 fixes z, and c is V⁻¹·(w, z)
-    past its first m entries, which are 0.
+    Returns (steps, rows): the elements of S that vanish before
+    coordinate v have v-th coordinates steps[v]·Z/mods[v], and rows[v]
+    (None when steps[v] = mods[v]) is the one among them with x_v =
+    steps[v] and each later x_w in range(steps[w]); the rows at or past
+    v generate them, and |S| = ∏ mods[v] / steps[v].
+    """
+    gens = [[x % m for x, m in zip(g, mods)] for g in gens]
+    steps, rows = [], []
+    for v, m in enumerate(mods):
+        # every generator vanishes before v; the pivot has the least gcd
+        # with m at v, which divides every other entry there
+        live = [t for t, g in enumerate(gens) if g[v]]
+        if not live:
+            steps.append(m)
+            rows.append(None)
+            continue
+        piv = gens.pop(min(live, key=lambda t: math.gcd(gens[t][v], m)))
+        d = math.gcd(piv[v], m)
+        u = pow(piv[v] // d, -1, m)  # prime to p, so a unit mod every modulus
+        piv = [x * u % o for x, o in zip(piv, mods)]
+        gens = [[(x - g[v] // d * y) % o for x, y, o in zip(g, piv, mods)] if g[v] else g
+                for g in gens]
+        gens.append([m // d * y % o for y, o in zip(piv, mods)])  # in S, 0 at v
+        gens = [g for g in gens if any(g)]
+        steps.append(d)
+        rows.append(piv)
+    for v, row in enumerate(rows):
+        for w in range(v + 1, len(mods)):
+            c = row[w] // steps[w] if row is not None else 0
+            if c:
+                row[:] = [(x - c * y) % o for x, y, o in zip(row, rows[w], mods)]
+    return steps, rows
+
+
+def congruence_kernel(A, mods, wmods):
+    """The system A w ≡ b (row i mod mods[i]) for w in ⊕ Z/wmods, with A
+    well defined there (wmods[j]·A[i][j] ≡ 0 mod mods[i]) and every
+    modulus a power of one prime.
+
+    Returns (kernel, solve): kernel lists echelon rows that generate the
+    solutions of A w ≡ 0; solve(b) returns one w with A w ≡ b, or None
+    if there is none.  Both come from one `p_echelon` of the graph
+    {(A w, w)}, generated by the (A e_j, e_j): its rows that pivot in the
+    w block are the (0, w) with A w ≡ 0, and reducing (b, 0) against its
+    rows that pivot in the A block leaves (0, −w) exactly when A w ≡ b.
     """
     m = len(mods)
-    big = [list(A[i]) + [mods[i] if i == j else 0 for j in range(m)] for i in range(m)]
-    D, V, Vinv = smith_normal_form(big, m=m, n=n + m)
-    # diag(mods) gives [A | diag(mods)] full row rank: D[t][t] != 0 exactly
-    # for t < m, so the last n columns of V span its kernel, and w
-    # determines z
-    basis = [[V[i][j] for i in range(n)] for j in range(m, n + m)]
-    # rows of U, read off U @ big = D @ Vinv at the diag(mods) columns
-    U = [[D[t][t] * Vinv[t][n + j] // mods[j] for j in range(m)] for t in range(m)]
-    # the closures keep only what they read, not D, V and Vinv whole
-    diag = [D[t][t] for t in range(m)]
-    V_top = [V[i][:m] for i in range(n)]
-    Vinv_low = Vinv[m:]
+    allmods = [*mods, *wmods]
+    graph = [[row[j] for row in A] + [int(i == j) for i in range(len(wmods))] for j in range(len(wmods))]
+    steps, rows = p_echelon(graph, allmods)
+    kernel = [row[m:] for row in rows[m:] if row is not None]
+    # the closure keeps only the rows it reads
+    steps, rows = steps[:m], rows[:m]
 
     def solve(b):
-        y = []
-        for c, d in zip(mat_vec(U, b), diag):
-            q, r = divmod(c, d)
+        x = [c % o for c, o in zip(b, mods)] + [0] * len(wmods)
+        for v, (d, row) in enumerate(zip(steps, rows)):
+            q, r = divmod(x[v], d)
             if r:
                 return None
-            y.append(q)
-        return mat_vec(V_top, y)
+            if q:
+                x = [(a - q * c) % o for a, c, o in zip(x, row, allmods)]
+        return [-c % o for c, o in zip(x[m:], wmods)]
 
-    def coords(w):
-        zr = [divmod(-sum(a * x for a, x in zip(row, w)), md) for row, md in zip(A, mods)]
-        if any(r for _, r in zr):
-            raise ValueError("vector not in the kernel lattice")
-        return mat_vec(Vinv_low, [*w, *(z for z, _ in zr)])
-
-    return basis, solve, coords
+    return kernel, solve
 
 
 def kernel_mod(B, L, ncols):

@@ -6,9 +6,12 @@ submodules of 1−γ and the norm, conjugacy statistics in extensions,
 Everything here favours transparency over speed; the closed formulas in
 dvrmod are validated against these computations.  The oracle still
 lists every object it counts, but finds them by exact linear algebra,
-not by testing candidates: Γ-homs, the fiber-product lifts among them
+not by testing candidates.  Its modules are abelian p-groups, so every
+kernel, coset and submodule is solved on one reduced p-power echelon
+form (`linalg.p_echelon`): Γ-homs, the fiber-product lifts among them
 (`_hom_solver`) and the order cosets c_γ (`_order_coset`) are the
-solutions of one congruence system each, listed from an echelon form.
+solutions of one congruence system each, listed from that form, and
+fiber products and submodules share one constructor (`_submodule`).
 """
 
 import itertools
@@ -67,43 +70,16 @@ def _coset_elements(offset, gens, mods):
     subgroup generated by gens, for moduli that are powers of one prime;
     elements is a lazy iterator in lexicographic order.
 
-    S is put in reduced echelon form first: the elements of S that
-    vanish before coordinate v have v-th coordinates steps[v]·Z/mods[v],
-    and rows[v] (None when steps[v] = mods[v]) is the one among them with
-    x_v = steps[v] and each later x_w in range(steps[w]).  So |S| =
-    ∏ mods[v] / steps[v], and with x_u fixed for u < v the coset's values
-    at v are the residues of x_v mod steps[v], each reached by one
-    multiple of rows[v].  Past the last row with an entry beyond its
-    pivot the coordinates are independent and one itertools.product
-    lists them; when S is a product of cyclic groups on the coordinates,
-    that product is the whole listing.
+    It walks the reduced echelon form of S (`linalg.p_echelon`): with
+    x_u fixed for u < v, the coset's values at v are the residues of
+    x_v mod steps[v], each reached by one multiple of rows[v].  Past the
+    last row with an entry beyond its pivot the coordinates are
+    independent and one itertools.product lists them; when S is a
+    product of cyclic groups on the coordinates, that product is the
+    whole listing.
     """
     n = len(mods)
-    gens = [[x % m for x, m in zip(g, mods)] for g in gens]
-    steps, rows = [], []
-    for v, m in enumerate(mods):
-        # every generator vanishes before v; the pivot has the least gcd
-        # with m at v, which divides every other entry there
-        live = [t for t, g in enumerate(gens) if g[v]]
-        if not live:
-            steps.append(m)
-            rows.append(None)
-            continue
-        piv = gens.pop(min(live, key=lambda t: math.gcd(gens[t][v], m)))
-        d = math.gcd(piv[v], m)
-        u = pow(piv[v] // d, -1, m)  # prime to p, so a unit mod every modulus
-        piv = [x * u % o for x, o in zip(piv, mods)]
-        gens = [[(x - g[v] // d * y) % o for x, y, o in zip(g, piv, mods)] if g[v] else g
-                for g in gens]
-        gens.append([m // d * y % o for y, o in zip(piv, mods)])
-        gens = [g for g in gens if any(g)]
-        steps.append(d)
-        rows.append(piv)
-    for v, row in enumerate(rows):
-        for w in range(v + 1, n):
-            c = row[w] // steps[w] if row is not None and rows[w] is not None else 0
-            if c:
-                row[:] = [(x - c * y) % o for x, y, o in zip(row, rows[w], mods)]
+    steps, rows = linalg.p_echelon(gens, mods)
     tail = n
     while tail and (rows[tail - 1] is None or not any(rows[tail - 1][tail:])):
         tail -= 1
@@ -245,14 +221,19 @@ def direct_sum(M1: ExplicitModule, *rest: ExplicitModule):
         if M1.group != M.group:
             raise ValueError("summands carry actions of different groups")
     orders = sum((M.orders for M in rest), M1.orders)
+    return ExplicitModule(M1.p, orders, M1.group, _block_actions(M1, *rest))
+
+
+def _block_actions(*summands):
+    """The action matrices of ⊕ summands, block-diagonal."""
+    n = sum(len(M.orders) for M in summands)
     actions = []
-    for blocks in zip(M1.actions, *(M.actions for M in rest)):
-        C, a = [], 0
-        for B in blocks:
-            C += [[0] * a + list(row) + [0] * (len(orders) - a - len(row)) for row in B]
-            a += len(B)
+    for blocks in zip(*(M.actions for M in summands)):
+        C = []
+        for B in blocks:  # B's first row and column are len(C)
+            C += [[0] * len(C) + list(row) + [0] * (n - len(C) - len(row)) for row in B]
         actions.append(C)
-    return ExplicitModule(M1.p, orders, M1.group, actions)
+    return actions
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +363,8 @@ def uniformizer_matrix(M: ExplicitModule, e: PrimitiveIdempotent):
 def subgroup_size(orders, gens):
     """Size of the subgroup of ⊕ Z/orders generated by the given vectors,
     for orders that are powers of one prime: ∏ orders[v] / steps[v],
-    read off the echelon form that `_coset_elements` builds."""
-    return _coset_elements((0,) * len(orders), gens, orders)[0]
+    read off its `linalg.p_echelon`."""
+    return math.prod(o // d for o, d in zip(orders, linalg.p_echelon(gens, orders)[0]))
 
 
 def iso_type(M: ExplicitModule, e: PrimitiveIdempotent) -> ModuleType:
@@ -475,39 +456,41 @@ def gamma_orbit_count_on_quotient(H: ExplicitModule, num, den):
 def module_from_subgroup(H: ExplicitModule, subset):
     """The Γ-stable subgroup generated by `subset` as an ExplicitModule.
 
-    `subset` may be the whole subgroup or any generating set of it; the
-    SNFs here are sized by the number of generators, so a small
-    generating set is much cheaper than all the elements.
-
+    `subset` may be the whole subgroup or any generating set of it.
     Returns (module, coords_of): coords_of maps an ambient element of
     the subgroup to its coordinates in the new module.
     """
-    elems = sorted(subset)
-    k = len(H.orders)
-    Gmat = [[el[i] for el in elems] for i in range(k)]
-    g = len(elems)
-    # kernel lattice of w ↦ G w in ⊕ Z/orders, and preimages from the same SNF
-    K0, solve, _ = linalg.congruence_kernel(Gmat, H.orders, g)
-    # orders are powers of p, so max(orders)·e_j lies in K0 and
-    # Z^g / K0 = (Z/max(orders))^g / K0
-    orders_s, proj_s, lift_s = linalg.quotient_structure([max(H.orders, default=1)] * g, K0)
-    gens_amb = []
-    for t in range(len(orders_s)):
-        w = [lift_s[i][t] for i in range(g)]
-        gens_amb.append(tuple(sum(Gmat[i][j] * w[j] for j in range(g)) % H.orders[i] for i in range(k)))
+    return _submodule(H.p, H.group, H.orders, H.actions, subset)
+
+
+def _submodule(p, group, orders, actions, subset):
+    """`module_from_subgroup` on ⊕ Z/orders with Γ acting by `actions`,
+    which must keep the subgroup S generated by `subset`.
+
+    `subset` is cut to the at most k rows of its `linalg.p_echelon`
+    first.  With G the matrix of those g rows as columns, S is
+    (Z/L)^g / ker G for L = max(orders): one `congruence_kernel` gives
+    ker G and preimages under G, and one `quotient_structure` presents
+    the quotient.
+    """
+    gens = [row for row in linalg.p_echelon(list(subset), orders)[1] if row is not None]
+    Gmat = [[x[i] for x in gens] for i in range(len(orders))]
+    wmods = [max(orders, default=1)] * len(gens)
+    kernel, solve = linalg.congruence_kernel(Gmat, orders, wmods)
+    orders_s, proj_s, lift_s = linalg.quotient_structure(wmods, kernel)
+    gens_amb = [_mat_apply(Gmat, col, orders) for col in zip(*lift_s)]
 
     def coords_of(x):
         w = solve(x)
         if w is None:
             raise ValueError(f"element {tuple(x)} not in the subgroup")
-        return tuple(sum(proj_s[t][j] * w[j] for j in range(g)) % orders_s[t] for t in range(len(orders_s)))
+        return _mat_apply(proj_s, w, orders_s)
 
-    actions = []
-    for A in H.actions:
-        cols = [coords_of(_mat_apply(A, ga, H.orders)) for ga in gens_amb]
-        actions.append([[cols[j][i2] for j in range(len(orders_s))] for i2 in range(len(orders_s))])
-    sub = ExplicitModule(H.p, orders_s, H.group, actions)
-    return sub, coords_of
+    sub_actions = []
+    for A in actions:
+        cols = [coords_of(_mat_apply(A, ga, orders)) for ga in gens_amb]
+        sub_actions.append([list(row) for row in zip(*cols)])
+    return ExplicitModule(p, orders_s, group, sub_actions), coords_of
 
 
 def module_quotient(H: ExplicitModule, subgroup):
@@ -637,7 +620,7 @@ def _order_coset(G: ExplicitGroup, gamma):
     H = G.H
     c = G.power((H.zero(), gamma), G.G.element_order(gamma))[0]
     if gamma not in H._norm_kernels:
-        H._norm_kernels[gamma] = linalg.congruence_kernel(H.endo_norm(gamma), H.orders, len(H.orders))[:2]
+        H._norm_kernels[gamma] = linalg.congruence_kernel(H.endo_norm(gamma), H.orders, H.orders)
     kernel, solve = H._norm_kernels[gamma]
     h0 = solve(H.neg(c))
     coset = frozenset() if h0 is None else frozenset(
@@ -857,6 +840,9 @@ def automorphism_generators(H: ExplicitModule):
 
 def _rank_mod_p(rows, p):
     """Rank over F_p of an integer matrix given by its rows."""
+    # kept beside `linalg.p_echelon`, which takes 3 to 4 times as long at
+    # modulus p (random k × k matrices, k ≤ 6, p ≤ 5), because
+    # `module_automorphisms` rank-tests every element of End_Γ(H)
     M = [[x % p for x in row] for row in rows]
     n = len(M)
     rank = 0
@@ -962,15 +948,16 @@ def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None):
 
 def _hom_solver(src: ExplicitModule, dst: ExplicitModule, g=None):
     """The Γ-homs T: src → dst with g·T = f (every Γ-hom when g is None),
-    from one `linalg.congruence_kernel` solve: returns homs(f, cap),
-    which lists them for any f.  Only the right-hand side depends on f,
-    so the lifts of many f through one g share the solve.
+    from one `linalg.congruence_kernel`, the p-power echelon of the
+    system: returns homs(f, cap), which lists them for any f.  Only the
+    right-hand side depends on f, so the lifts of many f through one g
+    share the echelon.
 
     The unknowns are the entries T[i][j] in column-major order, T[i][j]
     read mod dst.orders[i]; the rows are the order condition
     src.orders[j]·T[i][j] ≡ 0 and, for each generator of Γ with actions
     A and B, (T·A − B·T)[i][j] ≡ 0 (mod dst.orders[i]).  The solutions
-    form a subgroup of ⊕ Z/dst.orders[i], listed from its echelon form in
+    form a subgroup of ⊕ Z/dst.orders[i], listed by `_coset_elements` in
     lexicographic order of the column-major tuple, entries in
     range(dst.orders[i]): the order in which itertools.product over the
     admissible columns met them.
@@ -1010,7 +997,7 @@ def _hom_solver(src: ExplicitModule, dst: ExplicitModule, g=None):
                 row[j * kd:(j + 1) * kd] = g.matrix[r]
                 rows.append(row)
                 rmods.append(m)
-    basis, solve, _ = linalg.congruence_kernel(rows, rmods, n)
+    basis, solve = linalg.congruence_kernel(rows, rmods, mods)
     rows_of = [slice(i, None, kd) for i in range(kd)]  # row i of T is flat[i::kd]
 
     def homs(f=None, cap=None):
@@ -1095,33 +1082,16 @@ class FiberResult:
 
 def _fiber_submodule(f: ModuleHom, g: ModuleHom):
     """The fiber {(x, y) : f(x) = g(y)} ⊆ X ⊕ Y as a module, for X =
-    src(f) and Y = src(g).  Returns (module, gens): gens[t] is the
-    element of X ⊕ Y over the module's generator t.
-
-    The fiber is Λ/diag(orders) for the lattice Λ of w ∈ Z^n with
-    (f, −g)·w ≡ 0 mod Z.orders; Λ contains each o_j·e_j, o_j the
-    orders of X ⊕ Y, because (f, −g) is well defined.  One solve gives a
-    basis B of Λ and coordinates in it, so the fiber is Z^n modulo the
-    B-coordinates of the o_j·e_j: one `quotient_structure`, over Z/L
-    with L = max(o_j), as L·Λ ⊆ diag(orders).  Γ acts on X ⊕ Y block by
-    block and keeps Λ, so each action column is the quotient coordinates
-    of a generator's image.
+    src(f) and Y = src(g): the kernel of (f, −g) on X ⊕ Y, one
+    `linalg.congruence_kernel`, with X ⊕ Y's block-diagonal action,
+    through `module_from_subgroup`'s constructor.  Returns (module,
+    coords_of) as that does.
     """
     X, Y = f.src, g.src
     orders = X.orders + Y.orders
-    n, kx = len(orders), len(X.orders)
     h = [list(rf) + [-c for c in rg] for rf, rg in zip(f.matrix, g.matrix)]
-    B, _, coords = linalg.congruence_kernel(h, f.dst.orders, n)
-    rels = [coords([o * (i == j) for i in range(n)]) for j, o in enumerate(orders)]
-    orders_s, proj, lift = linalg.quotient_structure([max(orders, default=1)] * n, rels)
-    gens = [tuple(sum(lift[j][t] * b[i] for j, b in enumerate(B)) % o for i, o in enumerate(orders))
-            for t in range(len(orders_s))]
-    actions = []
-    for A1, A2 in zip(X.actions, Y.actions):
-        images = (_mat_apply(A1, x[:kx], X.orders) + _mat_apply(A2, x[kx:], Y.orders) for x in gens)
-        cols = [_mat_apply(proj, coords(y), orders_s) for y in images]
-        actions.append([list(row) for row in zip(*cols)])
-    return ExplicitModule(X.p, orders_s, X.group, actions), gens
+    kernel, _ = linalg.congruence_kernel(h, f.dst.orders, orders)
+    return _submodule(X.p, X.group, orders, _block_actions(X, Y), kernel)
 
 
 def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> FiberResult:

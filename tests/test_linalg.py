@@ -16,6 +16,7 @@ from dvrstat.linalg import (
     kernel_mod,
     mat_mul,
     mat_vec,
+    p_echelon,
     poly_add_scaled,
     poly_divmod,
     poly_ext_gcd_modp,
@@ -151,7 +152,7 @@ def test_smith_normal_form_matches_full_scan():
         m, n = rng.randint(1, 6), rng.randint(1, 8)
         lo = rng.choice([1, 2, 9])
         A = [[rng.randint(-lo, lo) * rng.choice([0, 1, 1, 2, 4]) for _ in range(n)] for _ in range(m)]
-        if trial % 2:  # the [A | diag(mods)] shape of congruence_kernel
+        if trial % 2:  # the [A | diag(mods)] shape of quotient_structure
             A = [row + [rng.choice([2, 4, 8, 9]) if i == j else 0 for j in range(m)] for i, row in enumerate(A)]
         assert smith_normal_form(A) == _full_scan_snf(A)
 
@@ -235,7 +236,7 @@ def test_smith_normal_form_column_pass_matches_per_column(monkeypatch):
     for trial in range(300):
         m, n = rng.randint(1, 7), rng.randint(1, 9)
         A = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
-        if trial % 2:  # [A | diag(mods)], as congruence_kernel and quotient_structure build it
+        if trial % 2:  # [A | diag(mods)], as quotient_structure builds it
             A = [row + [rng.choice([2, 3, 4, 8, 9, 27]) if i == j else 0 for j in range(m)]
                  for i, row in enumerate(A)]
             n += m
@@ -304,58 +305,66 @@ def test_kernel_mod_matches_brute_force():
             assert sorted(coords(y) for y in solutions) == list(it.product(*(range(o) for o in orders)))
 
 
-# (mods, n): m = len(mods) <= 3 rows mod 1, 2, 4, 8, 3 or 9, mixed rows
-# among them, and n <= 3 unknowns
-CONGRUENCE_SHAPES = [((), 2), ((1,), 2), ((8,), 3), ((9,), 2), ((2, 4), 3), ((3, 9), 2), ((8, 9), 2),
-                     ((4, 3), 3), ((2, 3, 1), 3), ((8, 4, 2), 3), ((9, 3, 8), 1), ((9, 9, 9), 2)]
+# (mods, wmods): rows mod mods and unknowns mod wmods, powers of one
+# prime p in {2, 3, 5}, with no rows, no unknowns, and the unknown
+# moduli the oracle passes: the rows' own (a norm kernel), the largest
+# one repeated (a submodule's generators), and the concatenation of two
+# modules' orders (a Γ-hom's entries, a fiber's X ⊕ Y)
+CONGRUENCE_SHAPES = [((), (4, 2)), ((8,), ()), ((4, 2), ()), ((1, 4), (2, 4)), ((8,), (8, 8)),
+                     ((9,), (3, 9)), ((2, 4), (4, 2, 8)), ((3, 9, 27), (9, 3)), ((25, 5), (5, 25)),
+                     ((5,), (5, 5, 5)), ((4, 2), (4, 2)), ((9, 3), (9, 3)), ((8, 2), (8, 8)),
+                     ((4, 2, 4), (4, 2, 4, 2)), ((2,), (4, 2, 2))]
 
 
 def test_congruence_kernel_matches_brute_force():
     rng = random.Random(0)
-    for mods, n in CONGRUENCE_SHAPES:
-        M = math.lcm(*mods)
+    for mods, wmods in CONGRUENCE_SHAPES:
         for _ in range(4):
-            A = [[rng.randrange(-9, 10) for _ in range(n)] for _ in mods]
+            # A w is well defined on ⊕ Z/wmods
+            A = [[rng.randrange(-9, 10) * (md // math.gcd(md, wm)) for wm in wmods] for md in mods]
 
             def image(w):
                 return tuple(sum(a * x for a, x in zip(row, w)) % md for row, md in zip(A, mods))
 
-            zero = image([0] * n)
+            zero = image([0] * len(wmods))
             preimages = {}
-            for w in it.product(range(M), repeat=n):
+            for w in it.product(*(range(wm) for wm in wmods)):
                 preimages.setdefault(image(w), set()).add(w)
-            basis, solve, _ = congruence_kernel(A, mods, n)
-            assert all(image(col) == zero for col in basis)
-            span = closure([(0,) * n], lambda w: [tuple((x + c) % M for x, c in zip(w, col)) for col in basis])
+            kernel, solve = congruence_kernel(A, mods, wmods)
+            assert len(kernel) <= len(wmods)
+            assert all(image(row) == zero for row in kernel)
+            span = closure([(0,) * len(wmods)],
+                           lambda w: [tuple((x + c) % wm for x, c, wm in zip(w, row, wmods)) for row in kernel])
             assert span == preimages[zero]
             for b in it.product(*(range(md) for md in mods)):
                 w = solve(b)
                 assert (w is None) == (b not in preimages)
-                assert w is None or image(w) == b
+                assert w is None or tuple(w) in preimages[b]
 
 
-def test_congruence_kernel_coords_express_lattice_vectors():
-    # coords(w) are the coefficients of w in the kernel lattice's basis,
-    # on random systems with moduli mixing primes; off the lattice
-    # (some row of A w is not ≡ 0) it raises ValueError
-    rng = random.Random(3)
-    off = 0
-    for trial in range(200):
-        m, n = rng.randint(0, 4), rng.randint(1, 5)
-        mods = [rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 25, 27]) for _ in range(m)]
-        A = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-        basis, _, coords = congruence_kernel(A, mods, n)
-        assert len(basis) == n
-        for _ in range(6):
-            c = [rng.randint(-5, 5) for _ in range(n)]
-            w = [sum(cj * b[i] for cj, b in zip(c, basis)) for i in range(n)]
-            assert coords(w) == c
-            y = [rng.randint(-40, 40) for _ in range(n)]
-            if all(sum(a * x for a, x in zip(row, y)) % md == 0 for row, md in zip(A, mods)):
-                got = coords(y)
-                assert [sum(cj * b[i] for cj, b in zip(got, basis)) for i in range(n)] == y
-            else:
-                off += 1
-                with pytest.raises(ValueError, match="not in the kernel lattice"):
-                    coords(y)
-    assert off > 100
+def test_p_echelon_is_a_reduced_howell_form():
+    # the rows at or past v generate the elements of <gens> that vanish
+    # before v, each row is reduced below the later pivots, and the form
+    # is the same for any generating set of the same subgroup
+    rng = random.Random(1)
+    for mods in [(4,), (8, 2), (2, 8), (4, 4), (9, 3, 27), (2, 4, 8), (5, 25), (4, 2, 4), (2, 2, 2, 2)]:
+        for _ in range(8):
+            gens = [[rng.randrange(-20, 20) for _ in mods] for _ in range(rng.randint(0, 4))]
+
+            def span(vectors):
+                return closure([(0,) * len(mods)],
+                               lambda x: [tuple((a + b) % m for a, b, m in zip(x, g, mods)) for g in vectors])
+
+            S = span(gens)
+            steps, rows = p_echelon(gens, mods)
+            assert math.prod(m // d for m, d in zip(mods, steps)) == len(S)
+            for v in range(len(mods)):
+                tail = [row for row in rows[v:] if row is not None]
+                assert span(tail) == {x for x in S if not any(x[:v])}
+                if rows[v] is None:
+                    assert steps[v] == mods[v]
+                else:
+                    assert rows[v][v] == steps[v] < mods[v] and not any(rows[v][:v])
+                    assert all(rows[v][w] < steps[w] for w in range(v + 1, len(mods)))
+            shuffled = rng.sample(sorted(S), len(S))
+            assert p_echelon(shuffled, mods) == (steps, rows)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -343,20 +344,29 @@ def _span(D, gens):
 
 
 def _assert_fiber_matches_sweep(f, g, e, got=None):
-    """The fiber module's generators, as elements of X ⊕ Y, span exactly
-    the swept fiber, Γ moves them as the module's action columns say, and
-    the module has the size and type of the one built from the sweep."""
-    sub, gens = oracle._fiber_submodule(f, g)
+    """coords_of maps the swept fiber one to one onto the fiber module,
+    additively and as Γ acts on both, and refuses elements of X ⊕ Y off
+    the fiber; the module has the size and type of the one built from
+    the sweep."""
+    sub, coords_of = oracle._fiber_submodule(f, g)
     D = oracle.direct_sum(f.src, g.src)
     ref = _fiber_sweep(f, g)
-    assert len(gens) == len(sub.orders) <= len(D.orders)
-    assert _span(D, gens) == ref
-    for A, B in zip(D.actions, sub.actions):
-        for t, x in enumerate(gens):
-            image = D.zero()
-            for r, y in enumerate(gens):
-                image = D.add(image, D.smul(B[r][t], y))
-            assert oracle._mat_apply(A, x, D.orders) == image
+    assert len(sub.orders) <= len(D.orders)
+    coords = {x: coords_of(x) for x in ref}
+    assert len(set(coords.values())) == sub.size == len(ref)
+    assert coords[D.zero()] == sub.zero()
+    # additive along the elements over the module's generators, which
+    # then generate the fiber, as coords is one to one
+    over = {c: x for x, c in coords.items()}
+    units = [tuple(int(r == t) for r in range(len(sub.orders))) for t in range(len(sub.orders))]
+    for x in ref:
+        for u in units:
+            assert coords[D.add(x, over[u])] == sub.add(coords[x], u)
+        for A, B in zip(D.actions, sub.actions):
+            assert coords[oracle._mat_apply(A, x, D.orders)] == oracle._mat_apply(B, coords[x], sub.orders)
+    for x in itertools.islice((x for x in D.elements() if x not in ref), 50):
+        with pytest.raises(ValueError, match="not in the subgroup"):
+            coords_of(x)
     swept, _ = oracle.module_from_subgroup(D, ref)
     got = sub if got is None else got
     assert got.size == swept.size == len(ref)
@@ -500,6 +510,34 @@ def test_coords_of_runs_no_smith_normal_form(monkeypatch):
     monkeypatch.setattr(linalg, "smith_normal_form", lambda *a, **k: calls.append(a) or snf(*a, **k))
     assert len({coords_of(x) for x in S}) == sub.size == len(S)
     assert calls == []
+
+
+def test_oracle_kernels_leave_smith_normal_form_to_quotient_structure(monkeypatch):
+    # a Γ-hom listing and an order coset are solved on the p-power echelon
+    # alone; a fiber product and the submodule of a whole subgroup each run
+    # one Smith normal form, the one inside quotient_structure
+    e = next(e for e in _idems((2,), 2) if not e.is_trivial)
+    N1 = oracle.realize(e, ModuleType(2, (2, 1)))
+    N3 = oracle.realize(e, ModuleType(2, (2,)))
+    # a fresh module, with no norm kernel kept from other requests
+    H = oracle.ExplicitModule(N1.p, N1.orders, N1.group, N1.actions)
+    G = oracle.ExplicitGroup.split(H)
+    callers = []
+    snf = linalg.smith_normal_form
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    surs = [f for f in oracle.enumerate_module_homs(N1, N3) if f.is_surjective()]
+    assert surs and oracle._order_coset(G, (1,))
+    assert callers == []
+    oracle._fiber_submodule(surs[0], surs[-1])
+    assert callers == ["quotient_structure"]
+    callers.clear()
+    oracle.module_from_subgroup(H, frozenset(H.elements()))
+    assert callers == ["quotient_structure"]
 
 
 def test_enumeration_caps_raise_value_error():
