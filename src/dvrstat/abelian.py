@@ -376,10 +376,6 @@ def small_abelian_groups(max_order):
     return out
 
 
-def serialize_group(G: FiniteAbelianGroup) -> str:
-    return ",".join(str(d) for d in G.invariant_factors)
-
-
 def parse_group(s: str) -> FiniteAbelianGroup:
     s = s.strip()
     if not s or s == "1":

@@ -231,18 +231,18 @@ def congruence_kernel(A, mods, wmods):
     well defined there (wmods[j]·A[i][j] ≡ 0 mod mods[i]) and every
     modulus a power of one prime.
 
-    Returns (kernel, solve): kernel lists echelon rows that generate the
-    solutions of A w ≡ 0; solve(b) returns one w with A w ≡ b, or None
-    if there is none.  Both come from one `p_echelon` of the graph
-    {(A w, w)}, generated by the (A e_j, e_j): its rows that pivot in the
-    w block are the (0, w) with A w ≡ 0, and reducing (b, 0) against its
-    rows that pivot in the A block leaves (0, −w) exactly when A w ≡ b.
+    Returns (kernel, solve): kernel is the reduced echelon (steps, rows)
+    of the solutions of A w ≡ 0; solve(b) returns one w with A w ≡ b, or
+    None if there is none.  Both come from one `p_echelon` of the graph
+    {(A w, w)}, generated by the (A e_j, e_j): its part in the w block is
+    the echelon of the (0, w) with A w ≡ 0, and reducing (b, 0) against
+    its rows that pivot in the A block leaves (0, −w) exactly when A w ≡ b.
     """
     m = len(mods)
     allmods = [*mods, *wmods]
     graph = [[row[j] for row in A] + [int(i == j) for i in range(len(wmods))] for j in range(len(wmods))]
     steps, rows = p_echelon(graph, allmods)
-    kernel = [row[m:] for row in rows[m:] if row is not None]
+    kernel = steps[m:], [None if row is None else row[m:] for row in rows[m:]]
     # the closure keeps only the rows it reads
     steps, rows = steps[:m], rows[:m]
 

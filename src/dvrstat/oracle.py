@@ -12,6 +12,8 @@ form (`linalg.p_echelon`): Γ-homs, the fiber-product lifts among them
 (`_hom_solver`) and the order cosets c_γ (`_order_coset`) are the
 solutions of one congruence system each, listed from that form, and
 fiber products and submodules share one constructor (`_submodule`).
+Every Hom/Sur count, the action-free `brute_counts_plain` included,
+lists its maps through that one Γ-hom solver.
 """
 
 import itertools
@@ -20,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .abelian import FiniteAbelianGroup, closure, int_log, orbits, subgroup_lattice, tuple_order, val_p
+from .abelian import FiniteAbelianGroup, closure, int_log, orbits, require_prime, subgroup_lattice, tuple_order, val_p
 from .dvrmod import ModuleType
 from .idempotents import PrimitiveIdempotent
 from . import linalg
@@ -65,21 +67,20 @@ def _mat_eq(A, B, orders):
     )
 
 
-def _coset_elements(offset, gens, mods):
-    """(size, elements) of the coset offset + S in ⊕ Z/mods, S the
-    subgroup generated by gens, for moduli that are powers of one prime;
-    elements is a lazy iterator in lexicographic order.
+def _coset_elements(offset, echelon, mods):
+    """(size, elements) of the coset offset + S in ⊕ Z/mods, for moduli
+    that are powers of one prime and S given by its reduced echelon form
+    (steps, rows); elements is a lazy iterator in lexicographic order.
 
-    It walks the reduced echelon form of S (`linalg.p_echelon`): with
-    x_u fixed for u < v, the coset's values at v are the residues of
-    x_v mod steps[v], each reached by one multiple of rows[v].  Past the
-    last row with an entry beyond its pivot the coordinates are
-    independent and one itertools.product lists them; when S is a
-    product of cyclic groups on the coordinates, that product is the
-    whole listing.
+    It walks that form: with x_u fixed for u < v, the coset's values at
+    v are the residues of x_v mod steps[v], each reached by one multiple
+    of rows[v].  Past the last row with an entry beyond its pivot the
+    coordinates are independent and one itertools.product lists them;
+    when S is a product of cyclic groups on the coordinates, that product
+    is the whole listing.
     """
     n = len(mods)
-    steps, rows = linalg.p_echelon(gens, mods)
+    steps, rows = echelon
     tail = n
     while tail and (rows[tail - 1] is None or not any(rows[tail - 1][tail:])):
         tail -= 1
@@ -120,7 +121,7 @@ class ExplicitModule:
         self._action_cache = {}
         self._residue_ranks = {}  # flattened T mod p -> rank over F_p, for maps onto self
         self._residue_rank_by_idempotent = {}  # idempotent e -> dim M/𝔪M over F_Q
-        self._norm_kernels = {}  # γ -> (basis, solve) of N_γ·h ≡ b, for `_order_coset`
+        self._norm_kernels = {}  # γ -> (echelon, solve) of N_γ·h ≡ b, for `_order_coset`
         self._extension_classes = {}  # refine -> cochain vectors y, for `enumerate_extensions`
         self.blocks = None
         self._validate()
@@ -476,8 +477,8 @@ def _submodule(p, group, orders, actions, subset):
     gens = [row for row in linalg.p_echelon(list(subset), orders)[1] if row is not None]
     Gmat = [[x[i] for x in gens] for i in range(len(orders))]
     wmods = [max(orders, default=1)] * len(gens)
-    kernel, solve = linalg.congruence_kernel(Gmat, orders, wmods)
-    orders_s, proj_s, lift_s = linalg.quotient_structure(wmods, kernel)
+    (_, kernel), solve = linalg.congruence_kernel(Gmat, orders, wmods)
+    orders_s, proj_s, lift_s = linalg.quotient_structure(wmods, [row for row in kernel if row is not None])
     gens_amb = [_mat_apply(Gmat, col, orders) for col in zip(*lift_s)]
 
     def coords_of(x):
@@ -935,9 +936,12 @@ class ModuleHom:
 
 
 def brute_module_counts(M: ExplicitModule, N: ExplicitModule):
-    """(#Hom_Γ, #Sur_Γ) by enumeration of generator images."""
-    homs = enumerate_module_homs(M, N)
-    return len(homs), sum(f.is_surjective() for f in homs)
+    """(#Hom_Γ, #Sur_Γ), counted while `_hom_matrices` lists the Γ-homs."""
+    hom = sur = 0
+    for T in _hom_matrices(M, N):
+        hom += 1
+        sur += ModuleHom(M, N, T).is_surjective()
+    return hom, sur
 
 
 def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None):
@@ -997,7 +1001,7 @@ def _hom_solver(src: ExplicitModule, dst: ExplicitModule, g=None):
                 row[j * kd:(j + 1) * kd] = g.matrix[r]
                 rows.append(row)
                 rmods.append(m)
-    basis, solve = linalg.congruence_kernel(rows, rmods, mods)
+    kernel, solve = linalg.congruence_kernel(rows, rmods, mods)
     rows_of = [slice(i, None, kd) for i in range(kd)]  # row i of T is flat[i::kd]
 
     def homs(f=None, cap=None):
@@ -1006,7 +1010,7 @@ def _hom_solver(src: ExplicitModule, dst: ExplicitModule, g=None):
         offset = solve(rhs)
         if offset is None:
             return iter(())
-        size, flats = _coset_elements(offset, basis, mods)
+        size, flats = _coset_elements(offset, kernel, mods)
         if cap is not None and size > cap:
             raise ValueError("Γ-hom enumeration too large")
         return (tuple(map(flat.__getitem__, rows_of)) for flat in flats)
@@ -1019,53 +1023,25 @@ def enumerate_module_homs(M: ExplicitModule, N: ExplicitModule):
     return [ModuleHom(M, N, T) for T in _hom_matrices(M, N)]
 
 
-# fast action-free counts used by the exhaustive oracle sweep
-
-def _cyclic_set(y, mods):
-    return {tuple((t * c) % m for c, m in zip(y, mods)) for t in range(tuple_order(y, mods))}
-
-
-@lru_cache(maxsize=None)
-def _divisors(n):
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
-
-
 def brute_counts_plain(q, lam, mu):
-    """(#Hom, #Sur) for ⊕ Z/q^λ → ⊕ Z/q^μ with no group action, counted
-    by enumerating generator images (rank of λ at most 2, |⊕ Z/q^μ| at
-    most MODULE_ENUM_CAP)."""
-    r = len(lam)
-    if r > 2:
+    """(#Hom, #Sur) for M = ⊕ Z/q^λ → N = ⊕ Z/q^μ with no group action.
+
+    Every hom into N kills q^{max μ}·M, so M → M/q^{max μ}M induces a
+    bijection on Hom and on Sur, and λ's parts are cut to min(λ_i, max μ)
+    to keep the source's orders at most |N|.  The two refusals, tested
+    from the partitions before any module is built and with no power of
+    q past the cap's bit length, bound the request's work: #Hom ≤ |N|^2.
+    """
+    require_prime(q)
+    if len(lam) > 2:
         raise ValueError("plain brute-force counts support rank <= 2")
-    mods = [q**b for b in mu]
-    total = math.prod(mods)
-    if total > MODULE_ENUM_CAP:
+    if q ** min(sum(mu), MODULE_ENUM_CAP.bit_length()) > MODULE_ENUM_CAP:
         raise ValueError("module too large to enumerate")
-    elems = list(itertools.product(*(range(m) for m in mods)))
-    cand = {}
-    for a in set(lam):
-        cand[a] = [y for y in elems if all((q**a * c) % m == 0 for c, m in zip(y, mods))]
-    hom = 1
-    for a in lam:
-        hom *= len(cand[a])
-    if r == 0:
-        return 1, (1 if total == 1 else 0)
-    if r == 1:
-        return hom, sum(tuple_order(y, mods) == total for y in cand[lam[0]])
-    seconds = []
-    for y2 in cand[lam[1]]:
-        multiples = [(t, tuple((t * c) % m for c, m in zip(y2, mods)))
-                     for t in _divisors(tuple_order(y2, mods))]
-        seconds.append(multiples)
-    sur = 0
-    for y1 in cand[lam[0]]:
-        S1 = _cyclic_set(y1, mods)
-        s1 = len(S1)
-        for multiples in seconds:
-            tmin = next(t for t, x in multiples if x in S1)
-            if s1 * tmin == total:
-                sur += 1
-    return hom, sur
+    top = max(mu, default=0)
+    trivial = FiniteAbelianGroup(())
+    M = ExplicitModule(q, [q**min(a, top) for a in lam if min(a, top)], trivial, [])
+    N = ExplicitModule(q, [q**b for b in mu], trivial, [])
+    return brute_module_counts(M, N)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,8 +1066,8 @@ def _fiber_submodule(f: ModuleHom, g: ModuleHom):
     X, Y = f.src, g.src
     orders = X.orders + Y.orders
     h = [list(rf) + [-c for c in rg] for rf, rg in zip(f.matrix, g.matrix)]
-    kernel, _ = linalg.congruence_kernel(h, f.dst.orders, orders)
-    return _submodule(X.p, X.group, orders, _block_actions(X, Y), kernel)
+    (_, kernel), _ = linalg.congruence_kernel(h, f.dst.orders, orders)
+    return _submodule(X.p, X.group, orders, _block_actions(X, Y), [row for row in kernel if row is not None])
 
 
 def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> FiberResult:

@@ -330,8 +330,10 @@ def test_congruence_kernel_matches_brute_force():
             preimages = {}
             for w in it.product(*(range(wm) for wm in wmods)):
                 preimages.setdefault(image(w), set()).add(w)
-            kernel, solve = congruence_kernel(A, mods, wmods)
-            assert len(kernel) <= len(wmods)
+            echelon, solve = congruence_kernel(A, mods, wmods)
+            kernel = [row for row in echelon[1] if row is not None]
+            # the graph's echelon, cut to the w block, is the kernel's own
+            assert echelon == p_echelon(kernel, wmods)
             assert all(image(row) == zero for row in kernel)
             span = closure([(0,) * len(wmods)],
                            lambda w: [tuple((x + c) % wm for x, c, wm in zip(w, row, wmods)) for row in kernel])

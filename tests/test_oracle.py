@@ -78,7 +78,7 @@ def test_realize_trivial_idempotent():
         assert M.act(g, (1, 1)) == (1, 1)
 
 
-def test_brute_counts_match_formulas_on_realizations():
+def test_brute_counts_match_formulas_on_realizations(monkeypatch):
     e_sgn = next(e for e in _idems((2,), 2) if not e.is_trivial)
     for lam in [(1,), (2,), (1, 1)]:
         for mu in [(1,), (2,), (1, 1)]:
@@ -87,6 +87,25 @@ def test_brute_counts_match_formulas_on_realizations():
             h, s = oracle.brute_module_counts(M, N)
             assert h == hom_count(ModuleType(2, lam), ModuleType(2, mu))
             assert s == sur_count(ModuleType(2, lam), ModuleType(2, mu))
+    # the action-free counts list their homs through the one Γ-hom
+    # solver: λ of rank <= 2 and |λ| <= 5, zero modules included, and
+    # every μ of size <= 5 at Q = 2, <= 3 at Q = 3 and 5
+    hom_solver, solved = oracle._hom_solver, []
+
+    def counting_solver(*args):
+        solved.append(args)
+        return hom_solver(*args)
+
+    monkeypatch.setattr(oracle, "_hom_solver", counting_solver)
+    cases = 0
+    for Q, top in [(2, 5), (3, 3), (5, 3)]:
+        for lam in [l for l in partitions_upto(5) if len(l) <= 2]:
+            for mu in partitions_upto(top):
+                M, N = ModuleType(Q, lam), ModuleType(Q, mu)
+                assert oracle.brute_counts_plain(Q, lam, mu) == (hom_count(M, N), sur_count(M, N)), (Q, lam, mu)
+                cases += 1
+                assert len(solved) == cases
+    assert cases == 396
 
 
 def test_brute_counts_f4_module():
@@ -97,12 +116,25 @@ def test_brute_counts_f4_module():
     assert (h, s) == (4, 3)
 
 
-def test_brute_counts_plain_rank_guard():
-    # both are refused before the target's elements are listed
+def test_brute_counts_plain_rank_guard(monkeypatch):
+    # every refusal comes before any module is built or any hom listed,
+    # and the rank refusal before the size one; μ = (10^12,) is refused
+    # from the partition, without taking 2^(10^12)
+    def unreached(*args):
+        pytest.fail("reached past the refusals")
+
+    monkeypatch.setattr(oracle, "_hom_solver", unreached)
+    monkeypatch.setattr(oracle, "ExplicitModule", unreached)
+    for q in (0, 1, 4, 6):
+        with pytest.raises(ValueError, match="not prime"):
+            oracle.brute_counts_plain(q, (1,), (1,))
     with pytest.raises(ValueError, match="rank <= 2"):
         oracle.brute_counts_plain(2, (1, 1, 1), (1,))
-    with pytest.raises(ValueError, match="module too large to enumerate"):
-        oracle.brute_counts_plain(2, (1,), (13,))
+    with pytest.raises(ValueError, match="rank <= 2"):
+        oracle.brute_counts_plain(2, (1, 1, 1), (10**12,))
+    for q, mu in [(2, (13,)), (2, (10**12,)), (2, (1,) * 13), (3, (4, 4)), (4099, (1,))]:
+        with pytest.raises(ValueError, match="module too large to enumerate"):
+            oracle.brute_counts_plain(q, (1,), mu)
 
 
 def test_ab_sets_inversion_on_z4():
@@ -1161,7 +1193,7 @@ def test_coset_elements_match_sorted_span():
                 return tuple((a + b) % m for a, b, m in zip(x, g, mods))
 
             span = closure([zero], lambda x: [shift(x, g) for g in gens])
-            size, elements = oracle._coset_elements(offset, gens, mods)
+            size, elements = oracle._coset_elements(offset, linalg.p_echelon(gens, mods), mods)
             assert size == len(span)
             assert list(elements) == sorted(shift(offset, x) for x in span)
 

@@ -70,6 +70,11 @@ PROBES = (
     "ie --gamma 2 --p 1",
     "oracle --Q 4 --lam 1 --mu 1",
     "oracle --Q 2 --lam 1,1,1 --mu 1",
+    "oracle --Q 2 --lam 1 --mu 13",
+    # action-free counts with a zero module, and at a Q outside the exact grid
+    "oracle --Q 2 --lam= --mu 1",
+    "oracle --Q 3 --lam 2,1 --mu=",
+    "oracle --Q 5 --lam 2,2 --mu 2,1",
     "counts --Q 6 --lam 1 --mu 1",
     "counts --Q 2 --lam 15000 --mu 15000",
     "measure --Q 103 --parts 1",
