@@ -35,6 +35,12 @@ def _digits(n):
                          "too many to print") from None
 
 
+def _refuse_unprintable(Q, e):
+    """Raise `_digits`' error early if Q^e, a lower bound for a value to print, is
+    unprintable; as 2^(10/3) > 10, no power of Q past ⌈10·limit/3/(bitlen Q − 1)⌉ is needed."""
+    _digits(Q ** min(e, -(-10 * sys.get_int_max_str_digits() // (3 * (Q.bit_length() - 1)))))
+
+
 def _enc(n):
     """Decimal string for integers beyond 64 bits, plain int otherwise."""
     return n if -INT64_MAX <= n <= INT64_MAX else _digits(n)
@@ -127,6 +133,8 @@ def cmd_counts(args, out):
     lam = _parse_partition(args.lam)
     mu = _parse_partition(args.mu)
     M, N = ModuleType(args.Q, lam), ModuleType(args.Q, mu)
+    # |Aut X| >= Q^(Σparts − rank): each factor Q^r − Q^j of sur_count is >= Q^(r − 1)
+    _refuse_unprintable(args.Q, max(sum(lam) - len(lam), sum(mu) - len(mu)))
     _emit(
         {
             "hom": _enc(hom_count(M, N)),
@@ -220,7 +228,10 @@ def cmd_ratio(args, out):
 
 
 def cmd_measure(args, out):
-    lo, hi = measure_fn(ModuleType(args.Q, _parse_partition(args.parts)))
+    M = ModuleType(args.Q, _parse_partition(args.parts))
+    # Z(Q)'s bracket has numerators prime to Q, so |M| divides both reduced denominators
+    _refuse_unprintable(M.Q, sum(M.parts))
+    lo, hi = measure_fn(M)
     _emit({"mu_lower": _frac(lo), "mu_upper": _frac(hi)}, out)
     return 0
 

@@ -267,9 +267,6 @@ def kernel_mod(B, L, ncols):
     y in ⊕ Z/orders[t] (ValueError if y is no solution).
     """
     m = len(B)
-    if m == 0:
-        B = [[0] * ncols]
-        m = 1
     D, V, Vinv = smith_normal_form(B, m=m, n=ncols)
     svec, orders, keep = [], [], []
     for t in range(ncols):

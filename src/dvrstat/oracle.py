@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .abelian import FiniteAbelianGroup, closure, int_log, orbits, require_prime, subgroup_lattice, tuple_order, val_p
 from .dvrmod import ModuleType
-from .idempotents import PrimitiveIdempotent
+from .idempotents import PrimitiveIdempotent, enumerate_idempotents
 from . import linalg
 
 MODULE_ENUM_CAP = 4096
@@ -122,7 +122,7 @@ class ExplicitModule:
         self._residue_ranks = {}  # flattened T mod p -> rank over F_p, for maps onto self
         self._residue_rank_by_idempotent = {}  # idempotent e -> dim M/𝔪M over F_Q
         self._norm_kernels = {}  # γ -> (echelon, solve) of N_γ·h ≡ b, for `_order_coset`
-        self._extension_classes = {}  # refine -> cochain vectors y, for `enumerate_extensions`
+        self._extension_classes = {}  # refine -> cocycle tables, for `enumerate_extensions`
         self.blocks = None
         self._validate()
 
@@ -666,47 +666,30 @@ def enumerate_extensions(H: ExplicitModule, refine=True):
     generators from `module_automorphisms(H)`, which refuses modules with
     |End_Γ(H)| > HOM_ENUM_CAP = 2^22.
 
-    H keeps its classes for each value of refine, as the cochain vectors
-    of `_extension_classes`, so H² and its orbits are solved once per
-    module; a refused module keeps nothing.  The groups are built, and
-    each cocycle validated, afresh on every call.
+    H keeps the cocycle tables of `_extension_classes` for each value of
+    refine, so H² and its orbits are solved once per module; a refused
+    module keeps nothing.  Each call builds and validates fresh groups.
     """
     if H.group.order > EXT_GAMMA_CAP or H.size > EXT_MODULE_CAP:
         raise ValueError(EXT_CAP_MESSAGE)
-    if not H.orders:
-        return [ExplicitGroup.split(H)]
     if refine not in H._extension_classes:
         H._extension_classes[refine] = _extension_classes(H, refine)
-    _, s, _, idx = _cochain_slots(H)
-
-    def cocycle(y):
-        coc = dict.fromkeys(itertools.product(H.group.elements(), repeat=2), H.zero())
-        for ab, t in idx.items():
-            assert all(y[t + i] % si == 0 for i, si in enumerate(s))
-            coc[ab] = tuple(y[t + i] // si for i, si in enumerate(s))
-        return coc
-
-    return [ExplicitGroup(H, cocycle(y)) for y in H._extension_classes[refine]]
-
-
-def _cochain_slots(H: ExplicitModule):
-    """(L, s, Gs, idx): a normalized 2-cochain f is the vector y over Z/L
-    whose slot idx[a, b] + i holds s_i·f(a, b)_i, for a, b in Gs, the
-    elements ≠ 1 of Γ, and s_i = L/|h_i|."""
-    L = max(H.orders)
-    s = [L // o for o in H.orders]
-    Gs = [g for g in H.group.elements() if any(g)]
-    return L, s, Gs, {ab: t * len(s) for t, ab in enumerate(itertools.product(Gs, Gs))}
+    return [ExplicitGroup(H, table) for table in H._extension_classes[refine]]
 
 
 def _extension_classes(H: ExplicitModule, refine):
-    """The classes `enumerate_extensions(H, refine)` returns, as tuples of
-    cochain vectors y (see `_cochain_slots`), the split class (y = 0)
-    first: H² from one solve of the cocycle system, then with refine one
-    least class per orbit of `automorphism_generators(H)`."""
+    """The classes `enumerate_extensions(H, refine)` returns, as normalized
+    cocycle tables (a, b) ↦ f(a, b), the split class first: H² from one
+    solve of the cocycle system, then with refine one least class per
+    orbit of `automorphism_generators(H)`.  The system's unknowns are the
+    slots y[idx[a, b] + i] = s_i·f(a, b)_i in Z/L, for a, b ≠ 1 in Γ,
+    L = max |h_i| (1 when H = 0) and s_i = L/|h_i|."""
     Gamma = H.group
     k = len(H.orders)
-    L, s, Gs, idx = _cochain_slots(H)
+    L = max(H.orders, default=1)
+    s = [L // o for o in H.orders]
+    Gs = [g for g in Gamma.elements() if any(g)]
+    idx = {ab: t * k for t, ab in enumerate(itertools.product(Gs, Gs))}
     nvar = len(idx) * k
 
     def scaled(T):
@@ -779,8 +762,16 @@ def _extension_classes(H: ExplicitModule, refine):
                     for images in acts]
 
         classes = [min(orbit) for orbit in orbits(classes, step)]
+
+    def table(y):
+        coc = dict.fromkeys(itertools.product(Gamma.elements(), repeat=2), H.zero())
+        for ab, t in idx.items():
+            assert all(y[t + i] % si == 0 for i, si in enumerate(s))
+            coc[ab] = tuple(y[t + i] // si for i, si in enumerate(s))
+        return coc
+
     # the split extension (y = 0) first
-    return [tuple(y) for y in sorted(map(rep_of, classes), key=any)]
+    return [table(y) for y in sorted(map(rep_of, classes), key=any)]
 
 
 def module_automorphisms(H: ExplicitModule):
@@ -1031,6 +1022,7 @@ def brute_counts_plain(q, lam, mu):
     to keep the source's orders at most |N|.  The two refusals, tested
     from the partitions before any module is built and with no power of
     q past the cap's bit length, bound the request's work: #Hom ≤ |N|^2.
+    M and N come from `realize`, so a repeated N keeps its residue ranks.
     """
     require_prime(q)
     if len(lam) > 2:
@@ -1038,10 +1030,9 @@ def brute_counts_plain(q, lam, mu):
     if q ** min(sum(mu), MODULE_ENUM_CAP.bit_length()) > MODULE_ENUM_CAP:
         raise ValueError("module too large to enumerate")
     top = max(mu, default=0)
-    trivial = FiniteAbelianGroup(())
-    M = ExplicitModule(q, [q**min(a, top) for a in lam if min(a, top)], trivial, [])
-    N = ExplicitModule(q, [q**b for b in mu], trivial, [])
-    return brute_module_counts(M, N)
+    e, = enumerate_idempotents(FiniteAbelianGroup(()), q)
+    M = realize(e, ModuleType(q, [min(a, top) for a in lam if top]))
+    return brute_module_counts(M, realize(e, ModuleType(q, mu)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dvrstat import cli
+from dvrstat import cli, dvrmod, measure as measure_mod
 from dvrstat.dvrmod import ModuleType
 from dvrstat.measure import measure
 
@@ -309,21 +309,44 @@ def test_large_prime_Q_and_p_exit_quickly():
         assert res.returncode == code, (args, res.stderr)
 
 
+# requests refused from their partition alone, before the value is computed
+UNPRINTABLE_FROM_PARTITION = [("measure --Q 2 --parts 100000000", 2), ("counts --Q 2 --lam 100000000 --mu 1", 2)]
+
+
 @pytest.mark.parametrize("request_args, want", [("measure --Q 101 --parts 1", 0),
                                                  ("measure --Q 103 --parts 1", 2),
                                                  ("moment --Q 127 --V 1 --B 2", 2),
                                                  ("idem --gamma 65536 --p 3", 2),
-                                                 ("counts --Q 2 --lam 15000 --mu 15000", 2)])
+                                                 ("counts --Q 2 --lam 15000 --mu 15000", 2),
+                                                 *UNPRINTABLE_FROM_PARTITION])
 def test_unprintable_exact_value_exit_2(request_args, want, capsys):
     # from Q = 103 the exact brackets outgrow Python's digit limit for printing
-    # an int, as do Q = 3^16384 of the last idempotent of Z/65536 at p = 3 and
-    # the hom count 2^(15000^2); an idem request writes no record before it
+    # an int, as do Q = 3^16384 of the last idempotent of Z/65536 at p = 3,
+    # the hom count 2^(15000^2), |Aut| >= 2^(10^8 - 1) and a measure's
+    # denominator, a multiple of 2^(10^8); an idem request writes no record
+    # before it
     code, out = run(request_args.split())
     assert code == want
     limit = sys.get_int_max_str_digits()
     refused = f"error: the exact value has more than {limit} digits" in capsys.readouterr().err
     assert refused == (want == 2)
     assert len(out.splitlines()) == (1 if refused else 2)  # the header, then the record
+
+
+@pytest.mark.parametrize("request_args, want", UNPRINTABLE_FROM_PARTITION)
+def test_unprintable_exact_value_refused_before_computing(request_args, want, capsys, monkeypatch):
+    # measure's bracket needs z_bracket, and both requests need an |Aut|
+    def unreached(*args):
+        pytest.fail("computed a value it then refused to print")
+
+    monkeypatch.setattr(measure_mod, "z_bracket", unreached)
+    for module in (dvrmod, measure_mod, cli):
+        monkeypatch.setattr(module, "aut_count", unreached)
+    code, out = run(request_args.split())
+    assert code == want
+    assert len(out.splitlines()) == 1  # the header only
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"error: the exact value has more than {limit} digits, too many to print\n"
 
 
 @pytest.mark.parametrize("request_args", ["ext --gamma 1048576 --p 2 --index 0 --parts 1",

@@ -288,8 +288,8 @@ def test_quotient_structure_matches_brute_force():
                 assert (image(x) == image(y)) == (reduce([a - b for a, b in zip(x, y)]) in S)
 
 
-# (rows, unknowns, L)
-KERNEL_SHAPES = [(0, 2, 4), (1, 1, 8), (1, 2, 4), (1, 3, 2), (2, 2, 9), (2, 3, 4), (3, 2, 8), (2, 2, 6)]
+# (rows, unknowns, L); (0, 0, 1) is the cocycle system of the zero module
+KERNEL_SHAPES = [(0, 0, 1), (0, 2, 4), (1, 1, 8), (1, 2, 4), (1, 3, 2), (2, 2, 9), (2, 3, 4), (3, 2, 8), (2, 2, 6)]
 
 
 def test_kernel_mod_matches_brute_force():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dvrstat import measure as measure_mod
 from dvrstat.abelian import prime_power_split
-from dvrstat.dvrmod import ModuleType
+from dvrstat.dvrmod import ModuleType, partitions_of
 from dvrstat.measure import (
     BATCH_ENTRIES,
     CHUNK,
@@ -100,6 +100,15 @@ def test_measure_ratios():
     lo2, _ = measure(ModuleType(2, (1, 1)))
     # aut((1,1)) = 6, size 4
     assert lo2 == lo0 / 24
+
+
+@pytest.mark.parametrize("Q", [2, 3, 4, 5, 9])
+def test_measure_denominators_divisible_by_size(Q):
+    # the bound `measure` refuses an unprintable bracket by: |M| = Q^Σλ
+    # divides both reduced denominators
+    for lam in [()] + [lam for m in range(1, 6) for lam in partitions_of(m)]:
+        M = ModuleType(Q, lam)
+        assert all(x.denominator % M.size == 0 for x in measure(M)), (Q, lam)
 
 
 def test_moment_bracket_contains_reciprocal_size():

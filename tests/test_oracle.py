@@ -125,6 +125,7 @@ def test_brute_counts_plain_rank_guard(monkeypatch):
 
     monkeypatch.setattr(oracle, "_hom_solver", unreached)
     monkeypatch.setattr(oracle, "ExplicitModule", unreached)
+    monkeypatch.setattr(oracle, "realize", unreached)
     for q in (0, 1, 4, 6):
         with pytest.raises(ValueError, match="not prime"):
             oracle.brute_counts_plain(q, (1,), (1,))
@@ -135,6 +136,18 @@ def test_brute_counts_plain_rank_guard(monkeypatch):
     for q, mu in [(2, (13,)), (2, (10**12,)), (2, (1,) * 13), (3, (4, 4)), (4099, (1,))]:
         with pytest.raises(ValueError, match="module too large to enumerate"):
             oracle.brute_counts_plain(q, (1,), mu)
+
+
+def test_brute_counts_plain_keeps_target_ranks(monkeypatch):
+    # N comes from `realize`, so a repeated request finds every residue
+    # rank of its maps onto N kept from the first one
+    first = oracle.brute_counts_plain(5, (1, 1), (1, 1))
+
+    def unranked(*args):
+        pytest.fail("residue rank computed again")
+
+    monkeypatch.setattr(oracle, "_rank_mod_p", unranked)
+    assert oracle.brute_counts_plain(5, (1, 1), (1, 1)) == first == (625, 480)
 
 
 def test_ab_sets_inversion_on_z4():
@@ -188,6 +201,18 @@ def test_extension_catalog_z2_by_z2():
     assert oracle.splitting_count(exts[1]) == 0
     orders = sorted(exts[1].element_order(x) for x in exts[1].elements())
     assert orders == [1, 2, 4, 4]
+
+
+def test_extensions_with_no_cocycle_unknowns():
+    # the zero module and a trivial Γ leave the cocycle system without
+    # unknowns; each has one class, the split one, with or without refine
+    z2 = next(e for e in _idems((2,), 2) if not e.is_trivial)
+    for e, lam in [(z2, ()), (_idems((), 3)[0], ()), (_idems((), 2)[0], (2, 1))]:
+        H = oracle.realize(e, ModuleType(e.Q, lam))
+        for refine in (False, True):
+            exts = oracle.enumerate_extensions(H, refine)
+            assert [G.cocycle for G in exts] == [oracle.ExplicitGroup.split(H).cocycle]
+            assert oracle.splitting_count(exts[0]) == H.size ** H.group.rank
 
 
 def test_extension_catalog_z2_by_z4_inversion():
@@ -1115,6 +1140,9 @@ def test_extension_classes_kept_per_module(monkeypatch):
     fine = oracle.enumerate_extensions(oracle.realize(e, M), refine=False)
     coarse = oracle.enumerate_extensions(oracle.realize(e, M))
     assert (len(fine), len(coarse)) == (4, 3)
+    # what is kept is each class's normalized cocycle table
+    kept = oracle.realize(e, M)._extension_classes
+    assert kept == {False: [G.cocycle for G in fine], True: [G.cocycle for G in coarse]}
 
     def unsolved(*args):
         pytest.fail("extension classes solved again")

@@ -63,6 +63,10 @@ PROBES = (
     "ext --gamma 2 --p 2 --parts 1",
     "ext --gamma 2 --p 2 --index 5 --parts 1",
     "ext --gamma 2 --p 2 --index 0 --parts 1,2",
+    # ext with no cocycle unknowns: a trivial Γ, and zero modules
+    "ext --gamma 1 --p 2 --index 0 --parts 2,1",
+    "ext --gamma 2 --p 2 --index 1 --parts=",
+    "ext --gamma 1 --p 3 --index 0 --parts=",
     # other refusals
     "idem --gamma 0 --p 2",
     "idem --gamma 4 --p 4",
@@ -77,6 +81,9 @@ PROBES = (
     "oracle --Q 5 --lam 2,2 --mu 2,1",
     "counts --Q 6 --lam 1 --mu 1",
     "counts --Q 2 --lam 15000 --mu 15000",
+    # values refused as unprintable from the partition alone
+    "measure --Q 2 --parts 100000000",
+    "counts --Q 2 --lam 100000000 --mu 1",
     "measure --Q 103 --parts 1",
     "b2 --H 3 --q 3 --n 2",
     "b2 --H 2 --q 4 --n 2",
