@@ -52,13 +52,12 @@ def suite_rings():
     r = _Recorder("rings")
     groups = small_abelian_groups(36)
     primes = (2, 3, 5)
-    idems = {(G, p): enumerate_idempotents(G, p) for G in groups for p in primes}
 
     ok = True
     bad = ""
     for G in groups:
         for p in primes:
-            es = idems[G, p]
+            es = enumerate_idempotents(G, p)
             if sum(e.dimension for e in es) != G.order:
                 ok, bad = False, f"{G} p={p}"
     r.check("dimension sum equals group order", ok, bad)
@@ -66,7 +65,7 @@ def suite_rings():
     ok = True
     for G in groups[:60]:
         for p in primes:
-            for e in idems[G, p]:
+            for e in enumerate_idempotents(G, p):
                 if len(e.orbit) != e.f * e.e_ram:
                     ok = False
     r.check("orbit size equals f * phi(p^k)", ok)
@@ -74,7 +73,7 @@ def suite_rings():
     ok = True
     for G in groups[:60]:
         for p in primes:
-            es = idems[G, p]
+            es = enumerate_idempotents(G, p)
             seen = set()
             for e in es:
                 seen |= set(e.orbit)
@@ -91,7 +90,7 @@ def suite_rings():
     ok = True
     for G in groups:
         for p in primes:
-            for e in idems[G, p]:
+            for e in enumerate_idempotents(G, p):
                 whole = threshold_ideal(e).is_whole_ring
                 if whole != (G.order % p != 0):
                     ok = False
@@ -102,7 +101,7 @@ def suite_rings():
         for p in primes:
             if G.order % p:
                 continue
-            for e in idems[G, p]:
+            for e in enumerate_idempotents(G, p):
                 if e.is_trivial and threshold_ideal(e).d != val_p(G.exponent, p):
                     ok = False
     r.check("trivial idempotent threshold is the exponent of the p-part", ok)
@@ -110,7 +109,7 @@ def suite_rings():
     ok = True
     for G in groups[:60]:
         for p in primes:
-            es = idems[G, p]
+            es = enumerate_idempotents(G, p)
             by_key = {}
             for e in es:
                 by_key.setdefault(residue_module_key(e), []).append(e)
@@ -123,7 +122,7 @@ def suite_rings():
     ok = True
     for G in groups[:40]:
         for p in primes:
-            for e in idems[G, p]:
+            for e in enumerate_idempotents(G, p):
                 for g in G.elements():
                     if not any(g):
                         continue
@@ -155,7 +154,7 @@ def suite_rings():
     ok = True
     for G in groups[:40]:
         for p in primes:
-            for e in idems[G, p]:
+            for e in enumerate_idempotents(G, p):
                 d_thr = threshold_ideal(e).d
                 over = IdealPower(d_thr + 1)
                 nontrivial = [g for g in G.elements() if any(g)]

@@ -123,14 +123,6 @@ def gaussian_binomial(a: int, b: int, Q: int) -> int:
     return num // den
 
 
-def partitions_upto(total):
-    """All partitions (weakly decreasing tuples) with sum <= total, including ()."""
-    out = [()]
-    for m in range(1, total + 1):
-        out.extend(partitions_of(m))
-    return out
-
-
 def partitions_of(m, cap=None):
     if cap is None:
         cap = m

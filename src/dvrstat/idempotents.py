@@ -139,14 +139,23 @@ class PrimitiveIdempotent:
 
 def enumerate_idempotents(G: FiniteAbelianGroup, p):
     """One primitive idempotent per Galois orbit of characters; the trivial
-    idempotent comes first.  ValueError if |Γ| exceeds CHARACTER_ENUM_CAP."""
+    idempotent comes first.  ValueError if p is not prime or |Γ| exceeds
+    CHARACTER_ENUM_CAP, before anything is listed.
+
+    The orbits are listed once per (Γ, p) for the life of the process;
+    each call returns a fresh list of the same idempotents."""
     require_prime(p)
     if G.order > CHARACTER_ENUM_CAP:
         raise ValueError(f"Γ has order {G.order}; its characters are listed only up to "
                          f"order {CHARACTER_ENUM_CAP}")
+    return list(_idempotents_cached(G, p))
+
+
+@lru_cache(maxsize=None)
+def _idempotents_cached(G: FiniteAbelianGroup, p):
     out = [PrimitiveIdempotent(G, p, orbit) for orbit in frobenius_orbits(G, p)]
     out.sort(key=lambda e: (not e.is_trivial, e.char_order, e.rep))
-    return out
+    return tuple(out)
 
 
 def gamma_annihilation(e: PrimitiveIdempotent, g):

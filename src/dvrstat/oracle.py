@@ -122,7 +122,7 @@ class ExplicitModule:
         self._residue_ranks = {}  # flattened T mod p -> rank over F_p, for maps onto self
         self._residue_rank_by_idempotent = {}  # idempotent e -> dim M/𝔪M over F_Q
         self._norm_kernels = {}  # γ -> (echelon, solve) of N_γ·h ≡ b, for `_order_coset`
-        self._extension_classes = {}  # refine -> cocycle tables, for `enumerate_extensions`
+        self._extension_classes = {}  # refine -> [(cocycle table, answers)], for `enumerate_extensions`
         self.blocks = None
         self._validate()
 
@@ -527,12 +527,17 @@ class ExplicitGroup:
     Elements are pairs (h, γ); (h1, γ1)(h2, γ2) = (h1 + γ1·h2 + f(γ1, γ2), γ1γ2).
     Γ's law is kept as a table (γ1, γ2) ↦ (γ1γ2, f(γ1, γ2)), and each
     product is one pass over H's coordinates.
+
+    `answers` holds what `conjugacy_stats` (γ ↦ (|c_γ|, d_γ)) and
+    `splitting_count` ("sections") computed for this cocycle; the groups
+    `enumerate_extensions` builds from one kept class share H's dict.
     """
 
-    def __init__(self, H: ExplicitModule, cocycle):
+    def __init__(self, H: ExplicitModule, cocycle, answers=None):
         self.H = H
         self.G = H.group
         self.cocycle = dict(cocycle)
+        self.answers = {} if answers is None else answers
         els = list(self.G.elements())
         self._act = {g: H.action_of(g) for g in els}
         self._law = {(a, b): (self.G.add(a, b), self.cocycle[(a, b)]) for a in els for b in els}
@@ -638,7 +643,13 @@ def conjugacy_stats(G: ExplicitGroup, gamma):
     Classes are orbit closures under conjugation by a generating set
     (basis vectors of H plus lifts of the Γ-generators), which agree with
     conjugacy under the full group.
+
+    The pair is kept in `G.answers`, so a group of a class that H keeps
+    (`enumerate_extensions`) computes it once per γ for the life of H.
     """
+    hit = G.answers.get(gamma)
+    if hit is not None:
+        return hit
     H = G.H
     c = _order_coset(G, gamma)
     k = len(H.orders)
@@ -648,7 +659,8 @@ def conjugacy_stats(G: ExplicitGroup, gamma):
     pairs = [(g, G.inv(g)) for g in gens]
     classes = orbits(sorted(c), lambda y: [G.mul(G.mul(g, y), ginv) for g, ginv in pairs])
     assert all(cl <= c for cl in classes), "a conjugacy class leaves c_γ"
-    return len(c), len(classes)
+    G.answers[gamma] = len(c), len(classes)
+    return G.answers[gamma]
 
 
 def enumerate_extensions(H: ExplicitModule, refine=True):
@@ -668,13 +680,17 @@ def enumerate_extensions(H: ExplicitModule, refine=True):
 
     H keeps the cocycle tables of `_extension_classes` for each value of
     refine, so H² and its orbits are solved once per module; a refused
-    module keeps nothing.  Each call builds and validates fresh groups.
+    module keeps nothing.  Next to each table H keeps that class's
+    answers, (|c_γ|, d_γ) per γ and the splitting count, filled by the
+    first `conjugacy_stats` or `splitting_count` call that asks and kept
+    as long as H.  Each call builds and validates fresh groups, each
+    handed its class's answers.
     """
     if H.group.order > EXT_GAMMA_CAP or H.size > EXT_MODULE_CAP:
         raise ValueError(EXT_CAP_MESSAGE)
     if refine not in H._extension_classes:
-        H._extension_classes[refine] = _extension_classes(H, refine)
-    return [ExplicitGroup(H, table) for table in H._extension_classes[refine]]
+        H._extension_classes[refine] = [(table, {}) for table in _extension_classes(H, refine)]
+    return [ExplicitGroup(H, table, answers) for table, answers in H._extension_classes[refine]]
 
 
 def _extension_classes(H: ExplicitModule, refine):
@@ -863,13 +879,17 @@ def splitting_count(G: ExplicitGroup) -> int:
     A section sends the basis element e_i of order d_i to a lift s_i with
     s_i^{d_i} = 1, that is to an element of the coset c_{e_i} of
     `_order_coset` (shared with `conjugacy_stats`), and the lifts must
-    commute pairwise.
+    commute pairwise.  The count is kept in `G.answers`, like the pairs of
+    `conjugacy_stats`.
     """
+    if "sections" in G.answers:
+        return G.answers["sections"]
     d = G.G.rank
     basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     cosets = [_order_coset(G, b) for b in basis]
-    return sum(all(G.mul(a, b) == G.mul(b, a) for a, b in itertools.combinations(lifts, 2))
-               for lifts in itertools.product(*cosets))
+    G.answers["sections"] = sum(all(G.mul(a, b) == G.mul(b, a) for a, b in itertools.combinations(lifts, 2))
+                                for lifts in itertools.product(*cosets))
+    return G.answers["sections"]
 
 
 def aut_extension_count(H: ExplicitModule) -> int:

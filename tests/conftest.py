@@ -3,6 +3,12 @@ import sys
 import pytest
 
 from dvrstat import oracle
+from dvrstat.dvrmod import partitions_of
+
+
+def partitions_upto(total):
+    """All partitions (weakly decreasing tuples) with sum <= total, () first."""
+    return [lam for m in range(total + 1) for lam in partitions_of(m)]
 
 
 @pytest.fixture(autouse=True)

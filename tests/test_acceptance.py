@@ -21,13 +21,14 @@ from dvrstat.dvrmod import (
     aut_count,
     hom_count,
     ideal_ops,
-    partitions_upto,
     sur_count,
     weight,
 )
 from dvrstat.idempotents import enumerate_idempotents, threshold_ideal
 from dvrstat.measure import measure, moment_truncated, sample_many
 from fractions import Fraction
+
+from conftest import partitions_upto
 
 
 # one line per criterion, echoed after the run by the conftest summary

@@ -555,8 +555,9 @@ def test_numpy_is_loaded_only_by_sampling():
 
 
 def test_replay_of_the_working_tree_matches_itself(tmp_path):
-    # two replays of the first two requests of each set agree, and a
-    # changed record is listed by --diff
+    # two replays of the first two requests of each set agree, the
+    # `oracle` pool's repeated under its own keys, and a changed record is
+    # listed by --diff
     tool = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for path in (a, b):
@@ -565,9 +566,11 @@ def test_replay_of_the_working_tree_matches_itself(tmp_path):
         assert res.returncode == 0, res.stderr
     records = [json.loads(line) for line in b.read_text().splitlines()]
     assert [r["set"] for r in records] == ["exact"] * 2 + ["oracle"] * 2 + ["verify"] + \
-        [s for s in ("warmup", "left_out", "golden", "probes") for _ in range(2)]
+        [s for s in ("warmup", "left_out", "golden", "probes", "again") for _ in range(2)]
     assert records[4] == {"set": "verify", "request": "verify --suite all", "exit": 0,
                           "stdout_sha256": records[4]["stdout_sha256"], "stderr": ""}
+    assert [dict(r, set="oracle", request=r["request"].removeprefix("again: ")) for r in records[-2:]] \
+        == records[2:4]
     same = subprocess.run([sys.executable, str(tool), "--diff", str(a), str(b)],
                           capture_output=True, text=True, timeout=60)
     assert (same.returncode, same.stdout) == (0, f"0 of {len(records)} requests differ\n")

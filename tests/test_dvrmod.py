@@ -10,10 +10,11 @@ from dvrstat.dvrmod import (
     ideal_ops,
     module_types,
     partitions_of,
-    partitions_upto,
     sur_count,
     weight,
 )
+
+from conftest import partitions_upto
 
 partition = st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True))

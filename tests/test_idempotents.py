@@ -180,3 +180,25 @@ def test_ramtype_noncyclic_inertia_rejected():
     gens = [(1, 0), (0, 1)]
     with pytest.raises(ValueError):
         ramtype_qualifies(e, IdealPower(1), gens, gens)
+
+
+def test_idempotents_listed_once_per_group_and_prime(monkeypatch):
+    # a second call lists no orbit and returns an equal, new list; the
+    # refusals of a non-prime p and of a Γ past the cap still come first
+    from dvrstat import idempotents
+
+    G = FiniteAbelianGroup((2, 6))
+    first = enumerate_idempotents(G, 3)
+
+    def unlisted(*args):
+        pytest.fail("orbits listed again")
+
+    monkeypatch.setattr(idempotents, "frobenius_orbits", unlisted)
+    again = enumerate_idempotents(G, 3)
+    assert again == first and again is not first
+    again.reverse()
+    assert enumerate_idempotents(G, 3) == first
+    with pytest.raises(ValueError, match="is not prime"):
+        enumerate_idempotents(G, 4)
+    with pytest.raises(ValueError, match="listed only up to order"):
+        enumerate_idempotents(FiniteAbelianGroup((idempotents.CHARACTER_ENUM_CAP * 2,)), 3)

@@ -12,8 +12,10 @@ import pytest
 import sympy
 
 from dvrstat.abelian import FiniteAbelianGroup, closure, int_log, mult_order, orbits
-from dvrstat.dvrmod import ModuleType, aut_count, hom_count, partitions_of, partitions_upto, sur_count
+from dvrstat.dvrmod import ModuleType, aut_count, hom_count, partitions_of, sur_count
 from dvrstat import linalg, oracle
+
+from conftest import partitions_upto
 
 
 def _idems(facs, p):
@@ -1140,9 +1142,11 @@ def test_extension_classes_kept_per_module(monkeypatch):
     fine = oracle.enumerate_extensions(oracle.realize(e, M), refine=False)
     coarse = oracle.enumerate_extensions(oracle.realize(e, M))
     assert (len(fine), len(coarse)) == (4, 3)
-    # what is kept is each class's normalized cocycle table
+    # what is kept is each class's normalized cocycle table, next to the
+    # answers its groups share, none asked for yet
     kept = oracle.realize(e, M)._extension_classes
-    assert kept == {False: [G.cocycle for G in fine], True: [G.cocycle for G in coarse]}
+    assert kept == {False: [(G.cocycle, {}) for G in fine], True: [(G.cocycle, {}) for G in coarse]}
+    assert all(G.answers is answers for G, (_, answers) in zip(fine + coarse, kept[False] + kept[True]))
 
     def unsolved(*args):
         pytest.fail("extension classes solved again")
@@ -1400,3 +1404,48 @@ def test_ext_solves_each_order_coset_once(monkeypatch):
     assert len(asks) == 8 * 5
     assert len(solves) == len({gamma for _, gamma in solves}) == 3
     assert {gamma for _, gamma in solves} == {gamma for _, gamma in asks}
+
+
+def test_repeated_ext_is_answered_from_kept_classes(monkeypatch):
+    # a second `ext` on the same module reads each class's (|c_γ|, d_γ)
+    # and splitting count from what H kept: no order coset, no orbit
+    from dvrstat import cli
+
+    requests = [["ext", "--gamma", g, "--p", "2", "--index", i, "--parts", parts]
+                for g, i, parts in [("2,2", "0", "1"), ("4", "2", "2,1"), ("2", "1", "2")]]
+
+    def stdout(argv):
+        buf = io.StringIO()
+        assert cli.main(argv, out=buf) == 0
+        return buf.getvalue()
+
+    first = [stdout(argv) for argv in requests]
+
+    def asked(*args):
+        pytest.fail("a kept answer computed again")
+
+    monkeypatch.setattr(oracle, "orbits", asked)
+    monkeypatch.setattr(oracle, "_order_coset", asked)
+    assert [stdout(argv) for argv in requests] == first
+
+
+def test_kept_answers_match_fresh_computation_on_catalog():
+    # for both values of refine, each kept class's answers equal those of
+    # a group built afresh from its table, on a copy of H with no memos
+    differ = 0
+    for _, _, H in _catalog_modules():
+        nontriv = [g for g in H.group.elements() if any(g)]
+        for refine in (False, True):
+            for G in oracle.enumerate_extensions(H, refine):
+                for g in nontriv:
+                    oracle.conjugacy_stats(G, g)
+                oracle.splitting_count(G)
+            kept = [answers for _, answers in H._extension_classes[refine]]
+            for table, answers in H._extension_classes[refine]:
+                fresh = oracle.ExplicitGroup(oracle.ExplicitModule(H.p, H.orders, H.group, H.actions), table)
+                want = {g: oracle.conjugacy_stats(fresh, g) for g in nontriv}
+                want["sections"] = oracle.splitting_count(fresh)
+                assert answers == want
+            differ += any(answers != kept[0] for answers in kept)
+    # classes of one module with different answers occur
+    assert differ > 0

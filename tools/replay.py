@@ -24,7 +24,10 @@ The sets, in order:
   rank-4 fiber requests;
 - `golden`: the requests of `tests/exact_golden.json`,
   `tests/ext_golden.json` and `tests/sample_golden.json`;
-- `probes`: PROBES, requests at and past the edges of the CLI.
+- `probes`: PROBES, requests at and past the edges of the CLI;
+- `again`: the `oracle` pool once more, keyed `again: <request>`, so
+  its answers come from the memos (kept modules, extension classes and
+  their answers, idempotent lists) that the sets before it left.
 
 `--limit N` keeps the first N requests of each set.  `--diff A B`
 prints each request whose record differs between the two files, or that
@@ -121,6 +124,7 @@ def request_sets():
                      for item in reqs] + list(FIBER_RANK4),
         "golden": _golden_requests(),
         "probes": [_cli(r) for r in PROBES],
+        "again": workloads.grid("oracle"),
     }
 
 
@@ -136,6 +140,8 @@ def replay(checkout, limit, out):
     for name, reqs in request_sets().items():
         for req in reqs[:limit]:
             key = workloads.key(req)
+            if name == "again":
+                key = "again: " + key
             if key in seen:
                 continue
             seen.add(key)
