@@ -16,11 +16,12 @@ Every Hom/Sur count, the action-free `brute_counts_plain` included,
 lists its maps through that one Γ-hom solver.
 """
 
+import copy
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .abelian import FiniteAbelianGroup, closure, int_log, orbits, require_prime, subgroup_lattice, tuple_order, val_p
 from .dvrmod import ModuleType
@@ -123,6 +124,8 @@ class ExplicitModule:
         self._residue_rank_by_idempotent = {}  # idempotent e -> dim M/𝔪M over F_Q
         self._norm_kernels = {}  # γ -> (echelon, solve) of N_γ·h ≡ b, for `_order_coset`
         self._extension_classes = {}  # refine -> [(cocycle table, answers)], for `enumerate_extensions`
+        self._extension_groups = {}  # refine -> one validated group per kept class, for `enumerate_extensions`
+        self._hom_solvers = {}  # dst -> `_hom_solver(self, dst)`, for `_hom_matrices`
         self.blocks = None
         self._validate()
 
@@ -525,22 +528,22 @@ class ExplicitGroup:
     """Extension of Γ by H given by a normalized 2-cocycle table.
 
     Elements are pairs (h, γ); (h1, γ1)(h2, γ2) = (h1 + γ1·h2 + f(γ1, γ2), γ1γ2).
-    Γ's law is kept as a table (γ1, γ2) ↦ (γ1γ2, f(γ1, γ2)), and each
-    product is one pass over H's coordinates.
+    Γ's law is kept as a table (γ1, γ2) ↦ (γ1γ2, f(γ1, γ2)), built with
+    the action matrices when `mul`, `inv` or `power` first runs, and each
+    product is one pass over H's coordinates.  The cocycle is validated
+    when the group is built; `copy` does not validate again.
 
     `answers` holds what `conjugacy_stats` (γ ↦ (|c_γ|, d_γ)) and
     `splitting_count` ("sections") computed for this cocycle; the groups
-    `enumerate_extensions` builds from one kept class share H's dict.
+    `enumerate_extensions` returns for one kept class are copies of one
+    validated group (`copy`) and share its dict.
     """
 
-    def __init__(self, H: ExplicitModule, cocycle, answers=None):
+    def __init__(self, H: ExplicitModule, cocycle):
         self.H = H
         self.G = H.group
         self.cocycle = dict(cocycle)
-        self.answers = {} if answers is None else answers
-        els = list(self.G.elements())
-        self._act = {g: H.action_of(g) for g in els}
-        self._law = {(a, b): (self.G.add(a, b), self.cocycle[(a, b)]) for a in els for b in els}
+        self.answers = {}
         self._coset_cache = {}
         self._validate()
 
@@ -550,19 +553,36 @@ class ExplicitGroup:
         coc = {(a, b): z for a in H.group.elements() for b in H.group.elements()}
         return cls(H, coc)
 
+    def copy(self):
+        """This group again, not validated again: its own cocycle dict, no
+        order cosets yet, and the same H and `answers`."""
+        G = copy.copy(self)
+        G.cocycle, G._coset_cache = dict(self.cocycle), {}
+        return G
+
+    @cached_property
+    def _act(self):
+        return {g: self.H.action_of(g) for g in self.G.elements()}
+
+    @cached_property
+    def _law(self):
+        return _group_law(self.G, self.cocycle)
+
     def _validate(self):
-        G, H, law = self.G, self.H, self._law
+        G, H, coc = self.G, self.H, self.cocycle
         idg = G.identity()
         for a in G.elements():
-            if self.cocycle[(idg, a)] != H.zero() or self.cocycle[(a, idg)] != H.zero():
+            if coc[(idg, a)] != H.zero() or coc[(a, idg)] != H.zero():
                 raise ValueError("cocycle is not normalized")
-        # f(a, b) + f(ab, c) = a·f(b, c) + f(a, bc) for all a, b, c
+        # f(a, b) + f(ab, c) = a·f(b, c) + f(a, bc) for all a, b, c, on a
+        # law that is not kept: a group that never multiplies holds none
+        law = _group_law(G, coc)
         for (a, b), (ab, fab) in law.items():
+            act = H.action_of(a)
             for c in G.elements():
                 bc, fbc = law[b, c]
                 if any((x + y - sum(map(operator.mul, row, fbc)) - w) % o
-                       for x, y, row, w, o in zip(fab, law[ab, c][1], self._act[a],
-                                                  law[a, bc][1], H.orders)):
+                       for x, y, row, w, o in zip(fab, law[ab, c][1], act, law[a, bc][1], H.orders)):
                     raise ValueError("cocycle identity fails")
 
     @property
@@ -610,6 +630,12 @@ class ExplicitGroup:
     def conjugate(self, g, x):
         # g x g^{-1}
         return self.mul(self.mul(g, x), self.inv(g))
+
+
+def _group_law(Gamma, cocycle):
+    """Γ's law with the cocycle: (γ1, γ2) ↦ (γ1γ2, f(γ1, γ2))."""
+    els = list(Gamma.elements())
+    return {(a, b): (Gamma.add(a, b), cocycle[(a, b)]) for a in els for b in els}
 
 
 def _order_coset(G: ExplicitGroup, gamma):
@@ -683,14 +709,18 @@ def enumerate_extensions(H: ExplicitModule, refine=True):
     module keeps nothing.  Next to each table H keeps that class's
     answers, (|c_γ|, d_γ) per γ and the splitting count, filled by the
     first `conjugacy_stats` or `splitting_count` call that asks and kept
-    as long as H.  Each call builds and validates fresh groups, each
-    handed its class's answers.
+    as long as H.  Each table is validated once, when it is solved, as
+    the one group H keeps for its class; every call returns a
+    `ExplicitGroup.copy` of each, which shares the class's answers and
+    builds Γ's law only if it multiplies.
     """
     if H.group.order > EXT_GAMMA_CAP or H.size > EXT_MODULE_CAP:
         raise ValueError(EXT_CAP_MESSAGE)
-    if refine not in H._extension_classes:
-        H._extension_classes[refine] = [(table, {}) for table in _extension_classes(H, refine)]
-    return [ExplicitGroup(H, table, answers) for table, answers in H._extension_classes[refine]]
+    if refine not in H._extension_groups:
+        groups = [ExplicitGroup(H, table) for table in _extension_classes(H, refine)]
+        H._extension_classes[refine] = [(G.cocycle, G.answers) for G in groups]
+        H._extension_groups[refine] = groups
+    return [G.copy() for G in H._extension_groups[refine]]
 
 
 def _extension_classes(H: ExplicitModule, refine):
@@ -957,8 +987,12 @@ def brute_module_counts(M: ExplicitModule, N: ExplicitModule):
 
 def _hom_matrices(src: ExplicitModule, dst: ExplicitModule, cap=None):
     """Matrices T (rows indexed by dst coords) of all Γ-homs src → dst,
-    listed by `_hom_solver(src, dst)`."""
-    return _hom_solver(src, dst)(None, cap)
+    listed by `_hom_solver(src, dst)`.  src keeps that solver, keyed by
+    dst, for as long as it lives, so each (src, dst) is solved once; the
+    cap is tested on every call."""
+    if dst not in src._hom_solvers:
+        src._hom_solvers[dst] = _hom_solver(src, dst)
+    return src._hom_solvers[dst](None, cap)
 
 
 def _hom_solver(src: ExplicitModule, dst: ExplicitModule, g=None):
@@ -966,7 +1000,8 @@ def _hom_solver(src: ExplicitModule, dst: ExplicitModule, g=None):
     from one `linalg.congruence_kernel`, the p-power echelon of the
     system: returns homs(f, cap), which lists them for any f.  Only the
     right-hand side depends on f, so the lifts of many f through one g
-    share the echelon.
+    share the echelon.  `_hom_matrices` keeps the solver of g = None on
+    src, and `fiber_tools` keeps those of its maps P on π₂.
 
     The unknowns are the entries T[i][j] in column-major order, T[i][j]
     read mod dst.orders[i]; the rows are the order condition

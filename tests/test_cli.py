@@ -557,8 +557,15 @@ def test_numpy_is_loaded_only_by_sampling():
 def test_replay_of_the_working_tree_matches_itself(tmp_path):
     # two replays of the first two requests of each set agree, the
     # `oracle` pool's repeated under its own keys, and a changed record is
-    # listed by --diff
+    # listed by --diff; the `again` set repeats the `oracle` pool, then
+    # the `exact` grid's `oracle` requests
     tool = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+    code = ("import json, runpy, sys\n"
+            "sets = runpy.run_path(sys.argv[1])['request_sets']()\n"
+            "calls = [r for r in sets['exact'] if r[1][0] == 'oracle']\n"
+            "print(json.dumps([len(calls), sets['again'] == sets['oracle'] + calls]))")
+    res = subprocess.run([sys.executable, "-c", code, str(tool)], capture_output=True, text=True, timeout=60)
+    assert json.loads(res.stdout) == [59, True], res.stderr
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for path in (a, b):
         res = subprocess.run([sys.executable, str(tool), "--out", str(path), "--limit", "2"],

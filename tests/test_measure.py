@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from dvrstat import measure as measure_mod
 from dvrstat.abelian import prime_power_split
-from dvrstat.dvrmod import ModuleType, partitions_of
+from dvrstat.dvrmod import ModuleType, aut_count, partitions_of, sur_count
 from dvrstat.measure import (
     BATCH_ENTRIES,
     CHUNK,
+    Z_TRUNC,
     SampleOutcome,
     _coker_valuations,
     _irreducible_poly,
@@ -155,6 +156,38 @@ def test_total_mass_monotone_bounded():
 def test_moment_truncation_too_small():
     with pytest.raises(ValueError):
         moment_truncated(ModuleType(2, (2, 1)), 2)
+
+
+def _closed_increment(Q, k):
+    # c_k = Q^{−2k}/∏_{j=1..k}(1 − Q^{−j})
+    return Fraction(1, Q**(2 * k)) / math.prod(1 - Fraction(1, Q**j) for j in range(1, k + 1))
+
+
+@pytest.mark.parametrize("Q", [2, 3, 4, 5])
+def test_moment_increments_match_closed_form(Q):
+    # the size-b increment `moment_truncated` sums over partitions of b,
+    # Σ Sur(λ, V)/(|Aut λ|·|λ|), is c_k/|V| with k = b − Σ V.parts, and
+    # 0 when k < 0 (ROADMAP item 3's closed form, pinned before it
+    # replaces the sweep)
+    for lam in [(), (1,), (2,), (1, 1), (2, 1)]:
+        V = ModuleType(Q, lam)
+        for b in range(9):
+            sweep = sum(Fraction(sur_count(M, V), aut_count(M) * M.size)
+                        for M in (ModuleType(Q, mu) for mu in partitions_of(b)))
+            k = b - sum(lam)
+            assert sweep == (_closed_increment(Q, k) / V.size if k >= 0 else 0), (lam, b)
+
+
+@pytest.mark.parametrize("Q", [2, 3, 4, 5, 7, 8, 9])
+def test_closed_increments_sum_to_reciprocal_z(Q):
+    # Σ_k c_k = 1/Z(Q): every partial sum up to Z_TRUNC stays below
+    # 1/zlo, and from K = 32 on each lies inside z_bracket's reciprocal
+    zlo, zhi = z_bracket(Q)
+    total = Fraction(0)
+    for K in range(Z_TRUNC + 1):
+        total += _closed_increment(Q, K)
+        assert total <= 1 / zlo, K
+        assert K < 32 or total >= 1 / zhi, K
 
 
 def test_coker_valuations_exhaustive_1x2():

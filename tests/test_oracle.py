@@ -91,7 +91,9 @@ def test_brute_counts_match_formulas_on_realizations(monkeypatch):
             assert s == sur_count(ModuleType(2, lam), ModuleType(2, mu))
     # the action-free counts list their homs through the one Γ-hom
     # solver: λ of rank <= 2 and |λ| <= 5, zero modules included, and
-    # every μ of size <= 5 at Q = 2, <= 3 at Q = 3 and 5
+    # every μ of size <= 5 at Q = 2, <= 3 at Q = 3 and 5.  Each realized
+    # pair (λ cut to max μ, μ) is solved once, on its first request; the
+    # realize memo starts empty, so no earlier test has solved one
     hom_solver, solved = oracle._hom_solver, []
 
     def counting_solver(*args):
@@ -99,15 +101,17 @@ def test_brute_counts_match_formulas_on_realizations(monkeypatch):
         return hom_solver(*args)
 
     monkeypatch.setattr(oracle, "_hom_solver", counting_solver)
-    cases = 0
+    oracle._realize_cached.cache_clear()
+    cases, pairs = 0, set()
     for Q, top in [(2, 5), (3, 3), (5, 3)]:
         for lam in [l for l in partitions_upto(5) if len(l) <= 2]:
             for mu in partitions_upto(top):
                 M, N = ModuleType(Q, lam), ModuleType(Q, mu)
                 assert oracle.brute_counts_plain(Q, lam, mu) == (hom_count(M, N), sur_count(M, N)), (Q, lam, mu)
                 cases += 1
-                assert len(solved) == cases
-    assert cases == 396
+                pairs.add((Q, tuple(min(a, max(mu)) for a in lam if mu), mu))
+                assert len(solved) == len(pairs)
+    assert (cases, len(pairs)) == (396, 184)
 
 
 def test_brute_counts_f4_module():
@@ -1135,8 +1139,8 @@ def test_extension_classes_match_refinement_by_every_automorphism():
 
 def test_extension_classes_kept_per_module(monkeypatch):
     # a realized module keeps its classes for each value of refine; a
-    # second call solves no cocycle system and lists no automorphism, and
-    # builds and validates fresh groups from what was kept
+    # second call solves no cocycle system, lists no automorphism and
+    # validates no table again: it copies the groups it kept
     e = next(e for e in _idems((2,), 2) if e.is_trivial)
     M = ModuleType(2, (2, 1))
     fine = oracle.enumerate_extensions(oracle.realize(e, M), refine=False)
@@ -1160,7 +1164,7 @@ def test_extension_classes_kept_per_module(monkeypatch):
         again = oracle.enumerate_extensions(oracle.realize(e, M), refine)
         assert [G.cocycle for G in again] == [G.cocycle for G in first]
         assert not {id(G) for G in again} & {id(G) for G in first}
-    assert len(validated) == len(fine) + len(coarse)
+    assert validated == []
     # a returned group's cocycle is its own
     H = oracle.realize(e, M)
     want = dict(coarse[-1].cocycle)
@@ -1408,7 +1412,8 @@ def test_ext_solves_each_order_coset_once(monkeypatch):
 
 def test_repeated_ext_is_answered_from_kept_classes(monkeypatch):
     # a second `ext` on the same module reads each class's (|c_γ|, d_γ)
-    # and splitting count from what H kept: no order coset, no orbit
+    # and splitting count from what H kept: no order coset, no orbit, and
+    # no group validated or multiplied in
     from dvrstat import cli
 
     requests = [["ext", "--gamma", g, "--p", "2", "--index", i, "--parts", parts]
@@ -1426,6 +1431,8 @@ def test_repeated_ext_is_answered_from_kept_classes(monkeypatch):
 
     monkeypatch.setattr(oracle, "orbits", asked)
     monkeypatch.setattr(oracle, "_order_coset", asked)
+    monkeypatch.setattr(oracle.ExplicitGroup, "_validate", asked)
+    monkeypatch.setattr(oracle, "_group_law", asked)
     assert [stdout(argv) for argv in requests] == first
 
 
@@ -1449,3 +1456,54 @@ def test_kept_answers_match_fresh_computation_on_catalog():
             differ += any(answers != kept[0] for answers in kept)
     # classes of one module with different answers occur
     assert differ > 0
+
+
+def test_realized_pairs_keep_their_hom_solver(monkeypatch):
+    # a second listing of Hom_Γ(M, N) between realized modules, as the
+    # fiber requests and CLI `oracle` make, solves no system again
+    pairs = [(oracle.realize(e, ModuleType(2, a)), oracle.realize(e, ModuleType(2, b)))
+             for e in _idems((2,), 2) for a, b in [((2, 1), (1, 1)), ((1, 1), (1, 1)), ((2,), (2, 1))]]
+    first = [oracle.enumerate_module_homs(M, N) for M, N in pairs]
+    counts = [oracle.brute_module_counts(M, N) for M, N in pairs]
+
+    def solved(*args):
+        pytest.fail("a kept Γ-hom system solved again")
+
+    monkeypatch.setattr(linalg, "congruence_kernel", solved)
+    assert [oracle.enumerate_module_homs(M, N) for M, N in pairs] == first
+    assert [oracle.brute_module_counts(M, N) for M, N in pairs] == counts
+
+
+def test_kept_hom_solvers_match_fresh_ones_on_catalog(monkeypatch):
+    # on every pair of catalog modules over one Γ and p, the solver the
+    # source keeps for the target, solved on a first listing that the cap
+    # refuses, lists what a fresh solver lists, and still tests the cap
+    by_group = {}
+    for e, _, H in _catalog_modules(max_size=16):
+        by_group.setdefault((e.group.invariant_factors, e.p), []).append(H)
+    pairs = [pair for mods in by_group.values() for pair in itertools.product(mods, repeat=2)]
+    for M, N in pairs:
+        with pytest.raises(ValueError, match="Γ-hom enumeration too large"):
+            oracle._hom_matrices(M, N, cap=0)
+    fresh = oracle._hom_solver
+
+    def solved(*args):
+        pytest.fail("a kept Γ-hom system solved again")
+
+    monkeypatch.setattr(oracle, "_hom_solver", solved)
+    listed = capped = 0
+    for M, N in pairs:
+        try:
+            want = list(fresh(M, N)(None, 2**12))
+        except ValueError:
+            # (Z/2)^4 → (Z/2)^4 and the like: refused before listing
+            with pytest.raises(ValueError, match="Γ-hom enumeration too large"):
+                oracle._hom_matrices(M, N, cap=2**12)
+            capped += 1
+            continue
+        assert list(oracle._hom_matrices(M, N)) == want
+        assert list(oracle._hom_matrices(M, N, cap=len(want))) == want
+        with pytest.raises(ValueError, match="Γ-hom enumeration too large"):
+            oracle._hom_matrices(M, N, cap=len(want) - 1)
+        listed += 1
+    assert listed > 300 and capped > 0

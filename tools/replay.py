@@ -25,9 +25,10 @@ The sets, in order:
 - `golden`: the requests of `tests/exact_golden.json`,
   `tests/ext_golden.json` and `tests/sample_golden.json`;
 - `probes`: PROBES, requests at and past the edges of the CLI;
-- `again`: the `oracle` pool once more, keyed `again: <request>`, so
-  its answers come from the memos (kept modules, extension classes and
-  their answers, idempotent lists) that the sets before it left.
+- `again`: the `oracle` pool and the `exact` grid's `oracle` requests
+  once more, keyed `again: <request>`, so their answers come from the
+  memos (kept modules, extension classes and their answers, Γ-hom
+  solvers, idempotent lists) that the sets before it left.
 
 `--limit N` keeps the first N requests of each set.  `--diff A B`
 prints each request whose record differs between the two files, or that
@@ -115,16 +116,17 @@ def _golden_requests():
 def request_sets():
     """{set name: requests}, each request as the benchmark writes it."""
     left_out = json.loads((ROOT / "dvrbench" / "left_out.json").read_text())
+    exact, oracle = workloads.grid("exact"), workloads.grid("oracle")
     return {
-        "exact": workloads.grid("exact"),
-        "oracle": workloads.grid("oracle"),
+        "exact": exact,
+        "oracle": oracle,
         "verify": [_cli("verify --suite all")],
         "warmup": [r for w in workloads.WORKLOADS for r in workloads.WARMUP[w]],
         "left_out": [_cli(item["request"]) for reqs in left_out.values() if isinstance(reqs, list)
                      for item in reqs] + list(FIBER_RANK4),
         "golden": _golden_requests(),
         "probes": [_cli(r) for r in PROBES],
-        "again": workloads.grid("oracle"),
+        "again": oracle + [r for r in exact if r[0] == "cli" and r[1][0] == "oracle"],
     }
 
 
