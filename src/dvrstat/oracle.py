@@ -16,12 +16,11 @@ Every Hom/Sur count, the action-free `brute_counts_plain` included,
 lists its maps through that one Γ-hom solver.
 """
 
-import copy
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .abelian import FiniteAbelianGroup, closure, int_log, orbits, require_prime, subgroup_lattice, tuple_order, val_p
 from .dvrmod import ModuleType
@@ -123,7 +122,6 @@ class ExplicitModule:
         self._residue_ranks = {}  # flattened T mod p -> rank over F_p, for maps onto self
         self._residue_rank_by_idempotent = {}  # idempotent e -> dim M/𝔪M over F_Q
         self._norm_kernels = {}  # γ -> (echelon, solve) of N_γ·h ≡ b, for `_order_coset`
-        self._extension_classes = {}  # refine -> [(cocycle table, answers)], for `enumerate_extensions`
         self._extension_groups = {}  # refine -> one validated group per kept class, for `enumerate_extensions`
         self._hom_solvers = {}  # dst -> `_hom_solver(self, dst)`, for `_hom_matrices`
         self.blocks = None
@@ -458,26 +456,27 @@ def gamma_orbit_count_on_quotient(H: ExplicitModule, num, den):
 # submodules and quotients as modules in their own right
 
 def module_from_subgroup(H: ExplicitModule, subset):
-    """The Γ-stable subgroup generated by `subset` as an ExplicitModule.
-
-    `subset` may be the whole subgroup or any generating set of it.
-    Returns (module, coords_of): coords_of maps an ambient element of
-    the subgroup to its coordinates in the new module.
+    """The Γ-stable subgroup generated by `subset` as an ExplicitModule,
+    built by `_submodule` from the at most k rows of the one
+    `linalg.p_echelon` of `subset`, which may be the whole subgroup or
+    any generating set of it.  Returns (module, coords_of): coords_of
+    maps an ambient element of the subgroup to its coordinates in the
+    new module.
     """
-    return _submodule(H.p, H.group, H.orders, H.actions, subset)
+    return _submodule(H.p, H.group, H.orders, H.actions, linalg.p_echelon(list(subset), H.orders)[1])
 
 
-def _submodule(p, group, orders, actions, subset):
+def _submodule(p, group, orders, actions, rows):
     """`module_from_subgroup` on ⊕ Z/orders with Γ acting by `actions`,
-    which must keep the subgroup S generated by `subset`.
+    which must keep the subgroup S with reduced echelon rows `rows`, as
+    `linalg.p_echelon` gives them (None at an empty step).
 
-    `subset` is cut to the at most k rows of its `linalg.p_echelon`
-    first.  With G the matrix of those g rows as columns, S is
+    With G the matrix of the g rows that are not None as columns, S is
     (Z/L)^g / ker G for L = max(orders): one `congruence_kernel` gives
     ker G and preimages under G, and one `quotient_structure` presents
     the quotient.
     """
-    gens = [row for row in linalg.p_echelon(list(subset), orders)[1] if row is not None]
+    gens = [row for row in rows if row is not None]
     Gmat = [[x[i] for x in gens] for i in range(len(orders))]
     wmods = [max(orders, default=1)] * len(gens)
     (_, kernel), solve = linalg.congruence_kernel(Gmat, orders, wmods)
@@ -528,15 +527,14 @@ class ExplicitGroup:
     """Extension of Γ by H given by a normalized 2-cocycle table.
 
     Elements are pairs (h, γ); (h1, γ1)(h2, γ2) = (h1 + γ1·h2 + f(γ1, γ2), γ1γ2).
-    Γ's law is kept as a table (γ1, γ2) ↦ (γ1γ2, f(γ1, γ2)), built with
-    the action matrices when `mul`, `inv` or `power` first runs, and each
+    A group is just H, the cocycle and its answers: γ1γ2 comes from the
+    sum table `_sums(Γ)` that every extension of Γ shares, f(γ1, γ2) from
+    `cocycle` and γ1's matrix from `H.action_of`, which H caches, so each
     product is one pass over H's coordinates.  The cocycle is validated
-    when the group is built; `copy` does not validate again.
+    when the group is built.
 
     `answers` holds what `conjugacy_stats` (γ ↦ (|c_γ|, d_γ)) and
-    `splitting_count` ("sections") computed for this cocycle; the groups
-    `enumerate_extensions` returns for one kept class are copies of one
-    validated group (`copy`) and share its dict.
+    `splitting_count` ("sections") computed for this cocycle.
     """
 
     def __init__(self, H: ExplicitModule, cocycle):
@@ -544,29 +542,12 @@ class ExplicitGroup:
         self.G = H.group
         self.cocycle = dict(cocycle)
         self.answers = {}
-        self._coset_cache = {}
+        self._sum = _sums(H.group)
         self._validate()
 
     @classmethod
     def split(cls, H: ExplicitModule):
-        z = H.zero()
-        coc = {(a, b): z for a in H.group.elements() for b in H.group.elements()}
-        return cls(H, coc)
-
-    def copy(self):
-        """This group again, not validated again: its own cocycle dict, no
-        order cosets yet, and the same H and `answers`."""
-        G = copy.copy(self)
-        G.cocycle, G._coset_cache = dict(self.cocycle), {}
-        return G
-
-    @cached_property
-    def _act(self):
-        return {g: self.H.action_of(g) for g in self.G.elements()}
-
-    @cached_property
-    def _law(self):
-        return _group_law(self.G, self.cocycle)
+        return cls(H, dict.fromkeys(itertools.product(H.group.elements(), repeat=2), H.zero()))
 
     def _validate(self):
         G, H, coc = self.G, self.H, self.cocycle
@@ -574,15 +555,13 @@ class ExplicitGroup:
         for a in G.elements():
             if coc[(idg, a)] != H.zero() or coc[(a, idg)] != H.zero():
                 raise ValueError("cocycle is not normalized")
-        # f(a, b) + f(ab, c) = a·f(b, c) + f(a, bc) for all a, b, c, on a
-        # law that is not kept: a group that never multiplies holds none
-        law = _group_law(G, coc)
-        for (a, b), (ab, fab) in law.items():
-            act = H.action_of(a)
+        # f(a, b) + f(ab, c) = a·f(b, c) + f(a, bc) for all a, b, c
+        for (a, b), ab in self._sum.items():
+            act, fab = H.action_of(a), coc[a, b]
             for c in G.elements():
-                bc, fbc = law[b, c]
+                fbc = coc[b, c]
                 if any((x + y - sum(map(operator.mul, row, fbc)) - w) % o
-                       for x, y, row, w, o in zip(fab, law[ab, c][1], act, law[a, bc][1], H.orders)):
+                       for x, y, row, w, o in zip(fab, coc[ab, c], act, coc[a, self._sum[b, c]], H.orders)):
                     raise ValueError("cocycle identity fails")
 
     @property
@@ -600,18 +579,17 @@ class ExplicitGroup:
     def mul(self, x, y):
         h1, g1 = x
         h2, g2 = y
-        g, f = self._law[g1, g2]
         return (tuple((a + sum(map(operator.mul, row, h2)) + c) % o
-                      for a, row, c, o in zip(h1, self._act[g1], f, self.H.orders)), g)
+                      for a, row, c, o in zip(h1, self.H.action_of(g1), self.cocycle[g1, g2], self.H.orders)),
+                self._sum[g1, g2])
 
     def inv(self, x):
         # (h, γ)^{-1} = (−γ^{-1}·(h + f(γ, γ^{-1})), γ^{-1}); γ^{-1}·
         # is well defined on H, so h + f needs no reduction first
         h, g = x
         gi = self.G.neg(g)
-        f = self._law[g, gi][1]
-        return (tuple(-sum(r * (a + c) for r, a, c in zip(row, h, f)) % o
-                      for row, o in zip(self._act[gi], self.H.orders)), gi)
+        return (tuple(-sum(r * (a + c) for r, a, c in zip(row, h, self.cocycle[g, gi])) % o
+                      for row, o in zip(self.H.action_of(gi), self.H.orders)), gi)
 
     def element_order(self, x):
         # x^{|γ|} lies in H, where the group law is addition
@@ -632,33 +610,29 @@ class ExplicitGroup:
         return self.mul(self.mul(g, x), self.inv(g))
 
 
-def _group_law(Gamma, cocycle):
-    """Γ's law with the cocycle: (γ1, γ2) ↦ (γ1γ2, f(γ1, γ2))."""
+@lru_cache(maxsize=None)
+def _sums(Gamma):
+    """Γ's sum table (γ1, γ2) ↦ γ1γ2, built once per Γ for all its extensions."""
     els = list(Gamma.elements())
-    return {(a, b): (Gamma.add(a, b), cocycle[(a, b)]) for a in els for b in els}
+    return {(a, b): Gamma.add(a, b) for a in els for b in els}
 
 
 def _order_coset(G: ExplicitGroup, gamma):
-    """c_γ: the elements (h, γ) of G with the same order as γ, as a
-    frozenset built once per (G, γ).
+    """c_γ: the elements (h, γ) of G with the same order as γ, as a frozenset.
 
     (h, γ)^{|γ|} = (N_γ·h + c, 1) with N_γ the norm and c = (0, γ)^{|γ|},
     so c_γ is the coset {h : N_γ·h = −c} of ker N_γ.  N_γ depends on H
-    alone, so H keeps its solve for every extension of H.
+    alone, so H keeps its solve for every extension of H; the coset
+    itself is not kept, as the answers built from it are.
     """
-    hit = G._coset_cache.get(gamma)
-    if hit is not None:
-        return hit
     H = G.H
     c = G.power((H.zero(), gamma), G.G.element_order(gamma))[0]
     if gamma not in H._norm_kernels:
         H._norm_kernels[gamma] = linalg.congruence_kernel(H.endo_norm(gamma), H.orders, H.orders)
     kernel, solve = H._norm_kernels[gamma]
     h0 = solve(H.neg(c))
-    coset = frozenset() if h0 is None else frozenset(
+    return frozenset() if h0 is None else frozenset(
         (h, gamma) for h in _coset_elements(h0, kernel, H.orders)[1])
-    G._coset_cache[gamma] = coset
-    return coset
 
 
 def conjugacy_stats(G: ExplicitGroup, gamma):
@@ -670,8 +644,9 @@ def conjugacy_stats(G: ExplicitGroup, gamma):
     (basis vectors of H plus lifts of the Γ-generators), which agree with
     conjugacy under the full group.
 
-    The pair is kept in `G.answers`, so a group of a class that H keeps
-    (`enumerate_extensions`) computes it once per γ for the life of H.
+    The pair is kept in `G.answers`, so a group that H keeps for its
+    class (`enumerate_extensions`) computes it, and c_γ, once per γ for
+    the life of H.
     """
     hit = G.answers.get(gamma)
     if hit is not None:
@@ -704,23 +679,20 @@ def enumerate_extensions(H: ExplicitModule, refine=True):
     generators from `module_automorphisms(H)`, which refuses modules with
     |End_Γ(H)| > HOM_ENUM_CAP = 2^22.
 
-    H keeps the cocycle tables of `_extension_classes` for each value of
-    refine, so H² and its orbits are solved once per module; a refused
-    module keeps nothing.  Next to each table H keeps that class's
-    answers, (|c_γ|, d_γ) per γ and the splitting count, filled by the
-    first `conjugacy_stats` or `splitting_count` call that asks and kept
-    as long as H.  Each table is validated once, when it is solved, as
-    the one group H keeps for its class; every call returns a
-    `ExplicitGroup.copy` of each, which shares the class's answers and
-    builds Γ's law only if it multiplies.
+    H keeps one group per class of `_extension_classes` for each value
+    of refine, validated once, when its table is solved, so H² and its
+    orbits are solved once per module; a refused module keeps nothing.
+    A group's answers, (|c_γ|, d_γ) per γ and the splitting count, are
+    filled by the first `conjugacy_stats` or `splitting_count` call that
+    asks and kept as long as H.  Every call returns those same groups in
+    a new list: like the modules of `realize`, they are shared, and no
+    caller may assign to them.
     """
     if H.group.order > EXT_GAMMA_CAP or H.size > EXT_MODULE_CAP:
         raise ValueError(EXT_CAP_MESSAGE)
     if refine not in H._extension_groups:
-        groups = [ExplicitGroup(H, table) for table in _extension_classes(H, refine)]
-        H._extension_classes[refine] = [(G.cocycle, G.answers) for G in groups]
-        H._extension_groups[refine] = groups
-    return [G.copy() for G in H._extension_groups[refine]]
+        H._extension_groups[refine] = [ExplicitGroup(H, table) for table in _extension_classes(H, refine)]
+    return list(H._extension_groups[refine])
 
 
 def _extension_classes(H: ExplicitModule, refine):
@@ -1106,14 +1078,15 @@ def _fiber_submodule(f: ModuleHom, g: ModuleHom):
     """The fiber {(x, y) : f(x) = g(y)} ⊆ X ⊕ Y as a module, for X =
     src(f) and Y = src(g): the kernel of (f, −g) on X ⊕ Y, one
     `linalg.congruence_kernel`, with X ⊕ Y's block-diagonal action,
-    through `module_from_subgroup`'s constructor.  Returns (module,
-    coords_of) as that does.
+    through `module_from_subgroup`'s constructor, which takes the
+    kernel's echelon rows as they are.  Returns (module, coords_of) as
+    that does.
     """
     X, Y = f.src, g.src
     orders = X.orders + Y.orders
     h = [list(rf) + [-c for c in rg] for rf, rg in zip(f.matrix, g.matrix)]
     (_, kernel), _ = linalg.congruence_kernel(h, f.dst.orders, orders)
-    return _submodule(X.p, X.group, orders, _block_actions(X, Y), [row for row in kernel if row is not None])
+    return _submodule(X.p, X.group, orders, _block_actions(X, Y), kernel)
 
 
 def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> FiberResult:

@@ -197,6 +197,12 @@ def b_exact(ds, q, n):
     return sum(cnt * nr_pow(cover, q, w) for w, cnt in fibers.items())
 
 
+def _pair_torsion(cover, v):
+    """#(∧²2H)[2^{v-1}] = ∏ min(2^{v-1}, mod) over the pair moduli; each
+    is a power of 2, so the exponent is capped before the power is built."""
+    return math.prod(2 ** min(v - 1, mod.bit_length() - 1) for mod in cover.pair_mods)
+
+
 def b_closed(ds, v, n):
     """The large-n lattice sum as a formula, sharing no code with b_exact:
     #(∧²2H)[2^{v-1}] times the lattice-kernel count's character sum."""
@@ -204,8 +210,7 @@ def b_closed(ds, v, n):
         raise ValueError("v must be >= 1")
     _check_n(n)
     cover = NilClass2Cover(ds)
-    tors = math.prod(min(2 ** (v - 1), mod) for mod in cover.pair_mods)
-    return tors * lattice_kernel_count(cover, n)
+    return _pair_torsion(cover, v) * lattice_kernel_count(cover, n)
 
 
 def w_image_multiset(ds, q, n):
@@ -256,6 +261,4 @@ def moment_ratio(ds, v):
     if v < 1:
         raise ValueError("v must be >= 1")
     cover = NilClass2Cover(ds)
-    num = math.prod(min(2 ** (v - 1), mod) for mod in cover.pair_mods)
-    den = math.prod(2 ** (d - 1) for d in ds)
-    return Fraction(num, den)
+    return Fraction(_pair_torsion(cover, v), math.prod(2 ** (d - 1) for d in ds))

@@ -1138,19 +1138,17 @@ def test_extension_classes_match_refinement_by_every_automorphism():
 
 
 def test_extension_classes_kept_per_module(monkeypatch):
-    # a realized module keeps its classes for each value of refine; a
-    # second call solves no cocycle system, lists no automorphism and
-    # validates no table again: it copies the groups it kept
+    # a realized module keeps one validated group per class for each
+    # value of refine; a second call solves no cocycle system, lists no
+    # automorphism and validates no table again: it returns the same
+    # groups in a new list
     e = next(e for e in _idems((2,), 2) if e.is_trivial)
     M = ModuleType(2, (2, 1))
     fine = oracle.enumerate_extensions(oracle.realize(e, M), refine=False)
     coarse = oracle.enumerate_extensions(oracle.realize(e, M))
     assert (len(fine), len(coarse)) == (4, 3)
-    # what is kept is each class's normalized cocycle table, next to the
-    # answers its groups share, none asked for yet
-    kept = oracle.realize(e, M)._extension_classes
-    assert kept == {False: [(G.cocycle, {}) for G in fine], True: [(G.cocycle, {}) for G in coarse]}
-    assert all(G.answers is answers for G, (_, answers) in zip(fine + coarse, kept[False] + kept[True]))
+    assert oracle.realize(e, M)._extension_groups == {False: fine, True: coarse}
+    assert all(G.answers == {} for G in fine + coarse)
 
     def unsolved(*args):
         pytest.fail("extension classes solved again")
@@ -1162,22 +1160,16 @@ def test_extension_classes_kept_per_module(monkeypatch):
     monkeypatch.setattr(oracle.ExplicitGroup, "_validate", lambda G: validated.append(G) or validate(G))
     for refine, first in [(False, fine), (True, coarse)]:
         again = oracle.enumerate_extensions(oracle.realize(e, M), refine)
-        assert [G.cocycle for G in again] == [G.cocycle for G in first]
-        assert not {id(G) for G in again} & {id(G) for G in first}
+        # groups compare by identity, so == checks each is the same object
+        assert again == first and again is not oracle.realize(e, M)._extension_groups[refine]
     assert validated == []
-    # a returned group's cocycle is its own
-    H = oracle.realize(e, M)
-    want = dict(coarse[-1].cocycle)
-    for G in coarse + oracle.enumerate_extensions(H):
-        G.cocycle.update(dict.fromkeys(G.cocycle, H.zero()))
-    assert oracle.enumerate_extensions(H)[-1].cocycle == want
     monkeypatch.undo()
     # a capped module keeps nothing
     for capped in [oracle.realize(e, ModuleType(2, (9,))),
                    oracle.realize(_idems((16,), 2)[0], ModuleType(2, (1,)))]:
         with pytest.raises(ValueError, match=oracle.EXT_CAP_MESSAGE):
             oracle.enumerate_extensions(capped)
-        assert capped._extension_classes == {}
+        assert capped._extension_groups == {}
 
 
 def test_realize_round_trips_parts_past_64():
@@ -1432,13 +1424,15 @@ def test_repeated_ext_is_answered_from_kept_classes(monkeypatch):
     monkeypatch.setattr(oracle, "orbits", asked)
     monkeypatch.setattr(oracle, "_order_coset", asked)
     monkeypatch.setattr(oracle.ExplicitGroup, "_validate", asked)
-    monkeypatch.setattr(oracle, "_group_law", asked)
+    monkeypatch.setattr(oracle.ExplicitGroup, "mul", asked)
     assert [stdout(argv) for argv in requests] == first
 
 
 def test_kept_answers_match_fresh_computation_on_catalog():
     # for both values of refine, each kept class's answers equal those of
-    # a group built afresh from its table, on a copy of H with no memos
+    # a group built afresh from its table, on a copy of H with no memos;
+    # a kept group holds no table of its own beyond its cocycle and
+    # answers, only the sum table that every extension of Γ shares
     differ = 0
     for _, _, H in _catalog_modules():
         nontriv = [g for g in H.group.elements() if any(g)]
@@ -1447,13 +1441,15 @@ def test_kept_answers_match_fresh_computation_on_catalog():
                 for g in nontriv:
                     oracle.conjugacy_stats(G, g)
                 oracle.splitting_count(G)
-            kept = [answers for _, answers in H._extension_classes[refine]]
-            for table, answers in H._extension_classes[refine]:
-                fresh = oracle.ExplicitGroup(oracle.ExplicitModule(H.p, H.orders, H.group, H.actions), table)
+            kept = H._extension_groups[refine]
+            for G in kept:
+                assert set(vars(G)) == {"H", "G", "cocycle", "answers", "_sum"}
+                assert G.H is H and G.G is H.group and G._sum is oracle._sums(H.group)
+                fresh = oracle.ExplicitGroup(oracle.ExplicitModule(H.p, H.orders, H.group, H.actions), G.cocycle)
                 want = {g: oracle.conjugacy_stats(fresh, g) for g in nontriv}
                 want["sections"] = oracle.splitting_count(fresh)
-                assert answers == want
-            differ += any(answers != kept[0] for answers in kept)
+                assert G.answers == want
+            differ += any(G.answers != kept[0].answers for G in kept)
     # classes of one module with different answers occur
     assert differ > 0
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -201,6 +202,20 @@ def test_moment_ratio():
     assert schur2.moment_ratio((2,), 1) == Fraction(1, 2)
     assert schur2.moment_ratio((3,), 2) == Fraction(1, 4)
     assert schur2.moment_ratio((3, 2), 2) == Fraction(1, 4)
+
+
+def test_huge_v_is_capped_by_the_pair_moduli():
+    # past v − 1 = log2 of every pair modulus, 2^{v−1} kills all of ∧²2H,
+    # so a huge v gives the v = 3 answer without building 2^{v−1}
+    for fn, args in ((schur2.moment_ratio, ()), (schur2.b_closed, (4,))):
+        want = fn((3, 3), 3, *args)
+        tracemalloc.start()
+        try:
+            assert fn((3, 3), 10**8, *args) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_cover_requires_sorted_exponents():

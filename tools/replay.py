@@ -93,6 +93,8 @@ PROBES = (
     "b2 --H 2 --q 4 --n 2",
     "b2 --H 2 --q 1 --n 2",
     "b2 --H 2 --q 3 --n -1",
+    # a huge v, where |(∧²2H)[2^{v-1}]| is capped by the pair moduli
+    "ratio --H 4,4 --v 1000000000",
     "sample --Q 9 --n 2 --prec 3 --trials 20 --seed 7",
     "sample --Q 25 --n 3 --prec 3 --trials 20 --seed 11",
     "verify --suite nosuch",
