@@ -377,14 +377,12 @@ def small_abelian_groups(max_order):
 
 
 def parse_group(s: str) -> FiniteAbelianGroup:
-    s = s.strip()
-    if not s or s == "1":
-        return FiniteAbelianGroup(())
-    return FiniteAbelianGroup.from_orders([int(t) for t in s.split(",")])
+    return FiniteAbelianGroup.from_orders(parse_tuple(s))
 
 
 def parse_tuple(s: str):
     s = s.strip()
-    if not s:
-        return ()
-    return tuple(int(t) for t in s.split(","))
+    try:
+        return tuple(int(t) for t in s.split(",")) if s else ()
+    except ValueError:
+        raise ValueError(f"not a comma-separated list of integers: {s!r}") from None

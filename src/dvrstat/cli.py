@@ -5,7 +5,10 @@ request echo, seed) followed by the payload: JSON records one per line,
 or an RFC-4180 CSV table for `sample`.  Exit codes: 2 on parse errors,
 1 on verify-suite failures and when the reader closes stdout early
 (with no traceback), 0 otherwise.  Integers that do not fit in
-64 bits are serialized as decimal strings.
+64 bits are serialized as decimal strings.  One table, COMMANDS, drives
+two parsers: a canonical argv is read straight off it, and argparse, built
+from it only when needed, parses any other argv and gives help and every
+usage error.
 """
 
 import argparse
@@ -15,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__, checks, schur2
 from .abelian import _is_prime, parse_group, parse_tuple, prime_power_split, val_p
@@ -271,98 +275,94 @@ def cmd_verify(args, out):
     return 1 if failed else 0
 
 
+REQUIRED = object()
+
+
+class Flag(NamedTuple):
+    """One `--name value` flag of a subcommand, required unless given a default."""
+    name: str
+    type: type = str
+    default: object = REQUIRED
+    help: str = None
+    choices: tuple = None
+
+
+GROUP_FLAGS = (Flag("gamma", help="invariant factors, e.g. 2,4"), Flag("p", int), Flag("index", int, None))
+
+# subcommand: (handler, help, flags), the one source of both parsers
+COMMANDS = {
+    "idem": (cmd_idem, "list primitive idempotents", GROUP_FLAGS),
+    "ie": (cmd_ie, "threshold ideals of idempotents", GROUP_FLAGS),
+    "ramtype": (cmd_ramtype, "classify a ramification type", GROUP_FLAGS + (
+        Flag("d", int, help="ideal exponent"), Flag("inertia", str, "", "generators, e.g. 1,0;0,2"),
+        Flag("decomposition", str, ""))),
+    "counts": (cmd_counts, "hom/sur/aut counts from partitions", (
+        Flag("Q", int), Flag("lam", help="source partition, e.g. 3,1"), Flag("mu", help="target partition"))),
+    "weight": (cmd_weight, "weight factor at an ideal", (
+        Flag("Q", int), Flag("lam"), Flag("mu", help="target partition (an ideal closure)"), Flag("d", int))),
+    "oracle": (cmd_oracle, "brute-force hom/sur counts", (Flag("Q", int), Flag("lam"), Flag("mu"))),
+    "ext": (cmd_ext, "enumerate extension classes with conjugacy tables",
+            GROUP_FLAGS + (Flag("parts", help="module type of H over the idempotent"),)),
+    "b2": (cmd_b2, "exact vs closed lattice sum", (
+        Flag("H", help="orders of the 2-group, e.g. 4,4"), Flag("q", int), Flag("n", int))),
+    "ratio": (cmd_ratio, "weighted-moment ratio", (Flag("H"), Flag("v", int))),
+    "measure": (cmd_measure, "measure bracket of a module type", (Flag("Q", int), Flag("parts"))),
+    "moment": (cmd_moment, "truncated surjection-moment bracket", (
+        Flag("Q", int), Flag("V", help="target partition"), Flag("B", int, help="truncation size"))),
+    "sample": (cmd_sample, "cokernel sampler frequency table (CSV)",
+               tuple(Flag(name, int) for name in ("Q", "n", "prec", "trials", "seed"))),
+    "verify": (cmd_verify, "run verification suites",
+               (Flag("suite", choices=(*sorted(checks.SUITES), "all")),)),
+}
+
+
+def table_args(argv):
+    """argparse's namespace for a canonical argv, read straight off COMMANDS; None for any other.
+
+    Canonical: the subcommand, then exact `--flag value` pairs, no flag repeated, no value
+    starting with '-', each value of its flag's type and choices, every required flag given."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    func, _, flags = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2:
+        return None
+    args = argparse.Namespace(subcommand=argv[0], func=func)
+    for f in flags:
+        raw = given.pop("--" + f.name, None)
+        if raw is None and f.default is not REQUIRED:
+            value = f.default
+        elif raw is None or raw.startswith("-"):
+            return None
+        else:
+            try:
+                value = f.type(raw)
+            except ValueError:
+                return None
+            if f.choices and value not in f.choices:
+                return None
+        setattr(args, f.name, value)
+    return None if given else args
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process and reused by `main`."""
+    """argparse's parser for COMMANDS: help, and every argv `table_args` refuses."""
     ap = argparse.ArgumentParser(prog="dvrstat", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def group_flags(p, index=True):
-        p.add_argument("--gamma", required=True, help="invariant factors, e.g. 2,4")
-        p.add_argument("--p", type=int, required=True)
-        if index:
-            p.add_argument("--index", type=int, default=None)
-
-    p = sub.add_parser("idem", help="list primitive idempotents")
-    group_flags(p)
-    p.set_defaults(func=cmd_idem)
-
-    p = sub.add_parser("ie", help="threshold ideals of idempotents")
-    group_flags(p)
-    p.set_defaults(func=cmd_ie)
-
-    p = sub.add_parser("ramtype", help="classify a ramification type")
-    group_flags(p)
-    p.add_argument("--d", type=int, required=True, help="ideal exponent")
-    p.add_argument("--inertia", default="", help="generators, e.g. 1,0;0,2")
-    p.add_argument("--decomposition", default="")
-    p.set_defaults(func=cmd_ramtype)
-
-    p = sub.add_parser("counts", help="hom/sur/aut counts from partitions")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--lam", required=True, help="source partition, e.g. 3,1")
-    p.add_argument("--mu", required=True, help="target partition")
-    p.set_defaults(func=cmd_counts)
-
-    p = sub.add_parser("weight", help="weight factor at an ideal")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--lam", required=True)
-    p.add_argument("--mu", required=True, help="target partition (an ideal closure)")
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_weight)
-
-    p = sub.add_parser("oracle", help="brute-force hom/sur counts")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("ext", help="enumerate extension classes with conjugacy tables")
-    group_flags(p)
-    p.add_argument("--parts", required=True, help="module type of H over the idempotent")
-    p.set_defaults(func=cmd_ext)
-
-    p = sub.add_parser("b2", help="exact vs closed lattice sum")
-    p.add_argument("--H", required=True, help="orders of the 2-group, e.g. 4,4")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_b2)
-
-    p = sub.add_parser("ratio", help="weighted-moment ratio")
-    p.add_argument("--H", required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.set_defaults(func=cmd_ratio)
-
-    p = sub.add_parser("measure", help="measure bracket of a module type")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--parts", required=True)
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("moment", help="truncated surjection-moment bracket")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--V", required=True, help="target partition")
-    p.add_argument("--B", type=int, required=True, help="truncation size")
-    p.set_defaults(func=cmd_moment)
-
-    p = sub.add_parser("sample", help="cokernel sampler frequency table (CSV)")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--prec", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", required=True, choices=sorted(checks.SUITES) + ["all"])
-    p.set_defaults(func=cmd_verify)
-
+    for name, (func, summary, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for f in flags:
+            required = {"required": True} if f.default is REQUIRED else {"default": f.default}
+            p.add_argument("--" + f.name, type=f.type, help=f.help, choices=f.choices, **required)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     try:
-        code = _run(argv, out)
+        code = _run(sys.argv[1:] if argv is None else argv, out)
         out.flush()
         return code
     except BrokenPipeError:
@@ -374,11 +374,12 @@ def main(argv=None, out=None):
 
 
 def _run(argv, out):
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as ex:
-        return 2 if ex.code not in (0, None) else 0
+    args = table_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as ex:
+            return 2 if ex.code not in (0, None) else 0
     try:
         _provenance(args, out)
         return args.func(args, out)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dvrstat import cli, dvrmod, measure as measure_mod
 from dvrstat.dvrmod import ModuleType
@@ -267,6 +269,98 @@ def test_parse_error_exit_2():
     assert code == 2  # 2^13 target elements: refused before any is listed
     code, _ = run(["counts", "--Q", "2", "--lam", "1,2", "--mu", "1"])
     assert code == 2  # not weakly decreasing
+
+
+def argparse_args(argv):
+    """argparse's namespace for argv, or None where it exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def table_matches_argparse(argv):
+    """`cli.table_args(argv)`, checked to be None or argparse's namespace."""
+    table, reference = cli.table_args(argv), argparse_args(argv)
+    assert table is None or (reference is not None and vars(table) == vars(reference)), argv
+    return table
+
+
+def replay_cli_requests():
+    """{set name: argv lists} of the CLI requests that tools/replay.py replays."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+    code = ("import json, runpy, sys\n"
+            "sets = runpy.run_path(sys.argv[1])['request_sets']()\n"
+            "print(json.dumps({k: [r[1] for r in v if r[0] == 'cli'] for k, v in sets.items()}))")
+    res = subprocess.run([sys.executable, "-c", code, str(tool)], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def test_table_parse_matches_argparse_on_every_replayed_request():
+    # the benchmark's grids and warm-ups and the goldens are canonical, so
+    # argparse never runs for them; the probes include argv it must parse
+    sets = replay_cli_requests()
+    assert {"exact", "oracle", "warmup", "golden", "probes"} <= set(sets)
+    for name, requests in sets.items():
+        for argv in requests:
+            table = table_matches_argparse(argv)
+            assert table is not None or name == "probes", (name, argv)
+
+
+FLAG_NAMES = sorted({f.name for _, _, flags in cli.COMMANDS.values() for f in flags})
+VALUES = ("0", "1", "2", "3", "12", " 4", "2,1", "", "x", "2,,2", "-1", "-", "--", "rings", "all", "nosuch")
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand (or not) and its flags, each kept or dropped, in any order,
+    with repeats, foreign flags, `=` forms, abbreviations and odd values."""
+    sub = draw(st.sampled_from([*cli.COMMANDS, "nosuch", "-h"]))
+    own = [f.name for f in cli.COMMANDS[sub][2]] if sub in cli.COMMANDS else []
+    names = [n for n in own if draw(st.integers(0, 7))]
+    names += draw(st.lists(st.sampled_from(own or FLAG_NAMES), max_size=1))
+    if not draw(st.integers(0, 3)):
+        names.append(draw(st.sampled_from(FLAG_NAMES)))
+    argv = [sub]
+    for name in draw(st.permutations(names)):
+        form = draw(st.sampled_from(("pair",) * 16 + ("=", "abbreviated", "bare", "help")))
+        value = draw(st.sampled_from(VALUES[:7] * 4 + VALUES))
+        if form == "pair":
+            argv += ["--" + name, value]
+        elif form == "=":
+            argv.append(f"--{name}={value}")
+        elif form == "abbreviated":
+            argv += ["--" + name[:draw(st.integers(1, len(name)))], value]
+        else:
+            argv.append("--" + name if form == "bare" else "-h")
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+def test_table_parse_is_argparse_or_none(argv):
+    table_matches_argparse(argv)
+
+
+def test_main_without_argv_parses_sys_argv_through_the_table(monkeypatch):
+    argv = ["counts", "--Q", "2", "--lam", "2,1", "--mu", "1"]
+    want = run(argv)
+    monkeypatch.setattr(sys, "argv", ["dvrstat", "counts", "--Q=2", "--la", "2,1", "--mu", "1"])
+    assert run(None) == want
+    monkeypatch.setattr(sys, "argv", ["dvrstat", *argv])
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("argparse built for a canonical argv"))
+    assert run(None) == want
+
+
+@pytest.mark.parametrize("request_args, bad", [("idem --gamma 2,,2 --p 2", "2,,2"),
+                                              ("counts --Q 2 --lam 1, --mu 1", "1,"),
+                                              ("ramtype --gamma 4 --p 2 --index 0 --d 1 --inertia 1,,2", "1,,2")])
+def test_malformed_integer_list_exit_2(request_args, bad, capsys):
+    code, _ = run(request_args.split())
+    assert code == 2
+    assert capsys.readouterr().err == f"error: not a comma-separated list of integers: {bad!r}\n"
 
 
 @pytest.mark.parametrize("error", [AssertionError, KeyError, IndexError])

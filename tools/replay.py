@@ -99,6 +99,20 @@ PROBES = (
     "sample --Q 25 --n 3 --prec 3 --trials 20 --seed 11",
     "verify --suite nosuch",
     "nosuch",
+    # argv that is not canonical `--flag value` pairs, so argparse parses it
+    "counts --Q=2 --lam 1 --mu 1",
+    "counts --Q 2 --la 1 --mu 1",
+    "counts --Q 2 --Q 3 --lam 1 --mu 1",
+    "counts --Q x --Q 3 --lam 1 --mu 1",
+    "moment --Q 2 --V 1 --B -1",
+    "counts --Q 2 --lam 1 --mu",
+    "counts --Q 2 --lam 1",
+    "counts --Q 2 --lam 1 --mu 1 extra",
+    "counts --Q x --lam 1 --mu 1",
+    # malformed integer lists
+    "idem --gamma 2,,2 --p 2",
+    "counts --Q 2 --lam 1, --mu 1",
+    "ramtype --gamma 4 --p 2 --index 0 --d 1 --inertia 1,,2",
 )
 
 
