@@ -59,6 +59,25 @@ def measure(M: ModuleType):
     return zlo / den, zhi / den
 
 
+def coker_law(G: ModuleType, n: int) -> Fraction:
+    """P_n(coker ≅ G) for a uniform n x (n+1) matrix over the DVR, Q = G.Q:
+    #Sur(O^n, G)·∏_{j=2}^{n+1}(1 − Q^{−j}) / (#Aut(G)·|G|^{n+1}).
+
+    The kernels K ⊆ O^n with O^n/K ≅ G number #Sur(O^n, G)/#Aut(G); all
+    n+1 columns lie in one with probability |G|^{−(n+1)}, and then span
+    it (K ≅ O^n) with probability ∏_{j=2}^{n+1}(1 − Q^{−j}).  O^n may be
+    cut to (O/𝔪^k)^n for any k >= max(G).  As n → ∞ this tends to μ(G);
+    the sampler at precision prec draws it exactly for every G with all
+    parts below prec (Friedman–Washington 1989).
+    """
+    Q = G.Q
+    spans = Fraction(1)
+    for j in range(2, n + 2):
+        spans *= 1 - Fraction(1, Q**j)
+    sur = sur_count(ModuleType(Q, (max(G.parts, default=1),) * n), G)
+    return sur * spans / (aut_count(G) * G.size ** (n + 1))
+
+
 @dataclass(frozen=True)
 class MomentBracket:
     lower: Fraction

@@ -19,7 +19,7 @@ lists its maps through that one Γ-hom solver.
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .abelian import FiniteAbelianGroup, closure, int_log, orbits, require_prime, subgroup_lattice, tuple_order, val_p
@@ -124,6 +124,7 @@ class ExplicitModule:
         self._norm_kernels = {}  # γ -> (echelon, solve) of N_γ·h ≡ b, for `_order_coset`
         self._extension_groups = {}  # refine -> one validated group per kept class, for `enumerate_extensions`
         self._hom_solvers = {}  # dst -> `_hom_solver(self, dst)`, for `_hom_matrices`
+        self._fiber_towers = {}  # (π₂.dst, π₂'s matrix) -> [(U, q₂, P, ψ by (N₁, π₁'s matrix))], for `fiber_tools`
         self.blocks = None
         self._validate()
 
@@ -926,8 +927,6 @@ class ModuleHom:
     src: ExplicitModule
     dst: ExplicitModule
     matrix: tuple  # rows indexed by dst coords
-    # fiber_tools' work on the kernel side of this map, kept while it lives
-    _quotients: list = field(default=None, init=False, repr=False, compare=False)
 
     def apply(self, v):
         return _mat_apply(self.matrix, v, self.dst.orders)
@@ -973,7 +972,8 @@ def _hom_solver(src: ExplicitModule, dst: ExplicitModule, g=None):
     system: returns homs(f, cap), which lists them for any f.  Only the
     right-hand side depends on f, so the lifts of many f through one g
     share the echelon.  `_hom_matrices` keeps the solver of g = None on
-    src, and `fiber_tools` keeps those of its maps P on π₂.
+    src; `fiber_tools` builds the solver of a map P only for a π₁ whose
+    lift it has not kept, and keeps the lift, not the solver.
 
     The unknowns are the entries T[i][j] in column-major order, T[i][j]
     read mod dst.orders[i]; the rows are the order condition
@@ -1099,9 +1099,11 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     surjective lift of π₁ in `enumerate_module_homs` order: the homs T
     with P·T = π₁, P the map N₂/U → N₃ induced by π₂, come from one
     `_hom_solver` system.  The quotients N₂/U, their projections q₂ and
-    the maps P depend on π₂ alone, so π₂ keeps them for every π₁ it is
-    paired with, and with each the system's solve for every source N₁:
-    π₁ changes only its right-hand side.
+    the maps P depend on π₂ alone, so N₂ keeps this tower for as long as
+    it lives, keyed by π₂'s target and matrix, not by the map object:
+    every listing of Hom(N₂, N₃) builds new maps.  Each step of the
+    tower keeps ψ (or None) for every (N₁, π₁'s matrix) it has been
+    asked; a new π₁ builds its lift system and drops it after use.
     """
     N1, N2 = pi1.src, pi2.src
     N3 = pi1.dst
@@ -1113,20 +1115,24 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     if not (residue_rank(N1, e) == residue_rank(N2, e) == r3):
         raise ValueError("equal-rank hypothesis violated")
 
-    if pi2._quotients is None:
-        quotients = []
+    # matrices may come as lists of lists; keys need tuples of row tuples
+    key = (pi2.dst, tuple(map(tuple, pi2.matrix)))
+    tower = N2._fiber_towers.get(key)
+    if tower is None:
+        tower = []
         for U in gamma_submodules(N2, pi2.kernel()):
             quo, proj, lift = module_quotient(N2, U)
             # P: column t is π₂ of the lift of quotient generator t
             P = ModuleHom(quo, pi2.dst, _mat_mat(pi2.matrix, lift, pi2.dst.orders))
-            quotients.append((U, ModuleHom(N2, quo, proj), P, {}))
-        pi2._quotients = quotients
+            tower.append((U, ModuleHom(N2, quo, proj), P, {}))
+        N2._fiber_towers[key] = tower
+    asked = (N1, tuple(map(tuple, pi1.matrix)))
     factoring = []
-    for U, q2, P, solvers in pi2._quotients:
-        if N1 not in solvers:
-            solvers[N1] = _hom_solver(N1, q2.dst, P)
-        lifts = (ModuleHom(N1, q2.dst, T) for T in solvers[N1](pi1))
-        psi = next((h for h in lifts if h.is_surjective()), None)
+    for U, q2, P, lifted in tower:
+        if asked not in lifted:
+            lifts = (ModuleHom(N1, q2.dst, T) for T in _hom_solver(N1, q2.dst, P)(pi1))
+            lifted[asked] = next((h for h in lifts if h.is_surjective()), None)
+        psi = lifted[asked]
         if psi is not None:
             factoring.append((U, q2, psi))
     assert factoring, "the common target itself must factor"

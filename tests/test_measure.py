@@ -23,6 +23,7 @@ from dvrstat.measure import (
     _sampler_ring,
     _tally,
     _valuations,
+    coker_law,
     make_rng,
     measure,
     moment_truncated,
@@ -415,6 +416,84 @@ def test_tally_counts_sorted_rows_by_first_occurrence(monkeypatch, source):
         want[out] = want.get(out, 0) + 1
     assert list(freq.items()) == list(want.items())
     assert len(want) > (1 if source == "kernel" else 8)
+
+
+def _law_types(Q, n, prec):
+    """Every cokernel type below precision prec: all parts < prec, at
+    most n of them (a longer G has P_n(G) = 0)."""
+    return [ModuleType(Q, lam) for b in range(n * (prec - 1) + 1) for lam in partitions_of(b)
+            if len(lam) <= n and all(a < prec for a in lam)]
+
+
+def test_coker_law_small_values():
+    for Q in (2, 3, 4, 9):
+        # a 1 x 2 row is onto O unless both entries lie in 𝔪
+        assert coker_law(ModuleType(Q, ()), 1) == 1 - Fraction(1, Q**2)
+        # min valuation exactly v: Q^{−2v}·(1 − Q^{−2})
+        for v in (1, 2, 3):
+            assert coker_law(ModuleType(Q, (v,)), 1) == Fraction(1, Q ** (2 * v)) * (1 - Fraction(1, Q**2))
+    # rank above n is never a cokernel of n rows
+    assert coker_law(ModuleType(2, (1, 1)), 1) == 0
+    # P_n(G) tends to μ(G) = Z(Q)/(#Aut(G)·|G|) as n grows
+    for Q, lam in it.product((2, 3), [(), (1,), (2, 1)]):
+        G = ModuleType(Q, lam)
+        lo, hi = measure(G)
+        gaps = [abs(coker_law(G, n) - lo) for n in (4, 10, 40)]
+        assert gaps == sorted(gaps, reverse=True) and gaps[-1] < Fraction(1, 10**9)
+
+
+@pytest.mark.parametrize("p,f,n,prec", [(2, 1, 2, 2), (3, 1, 1, 3), (2, 2, 1, 2)])
+def test_coker_valuations_every_matrix_follows_finite_n_law(p, f, n, prec):
+    # every n x (n+1) matrix over (Z/p^prec)[z]/u once: the share of each
+    # type with all parts below prec is P_n exactly; the rest overflow
+    Q = p**f
+    mod = p**prec
+    A = np.array(list(it.product(range(mod), repeat=n * (n + 1) * f))).reshape(-1, n, n + 1, f)
+    vals = _coker_valuations(A, p, prec, _irreducible_poly(p, f))
+    counts = {}
+    for row in vals.tolist():
+        parts = tuple(sorted((v for v in row if v), reverse=True))
+        counts[parts] = counts.get(parts, 0) + 1
+    total = len(A)
+    types = _law_types(Q, n, prec)
+    assert all(not parts or parts[0] >= prec or ModuleType(Q, parts) in types for parts in counts)
+    for G in types:
+        assert Fraction(counts.get(G.parts, 0), total) == coker_law(G, n), G
+    assert sum(coker_law(G, n) for G in types) < 1  # the overflow types carry the rest
+
+
+def _chi2(freq, law, types, trials):
+    """χ² of the sampled table against `law` on the types expected at
+    least 10 times each, with one more cell for everything else
+    (overflow included); returns (statistic, degrees of freedom)."""
+    seen = {}
+    for out, c in freq.items():
+        key = None if out.overflow else out.parts
+        seen[key] = seen.get(key, 0) + c
+    expect = {G.parts: float(law(G)) * trials for G in types}
+    cells = [lam for lam, x in expect.items() if x >= 10]
+    rest = trials - sum(expect[lam] for lam in cells), trials - sum(seen.get(lam, 0) for lam in cells)
+    stat = sum((seen.get(lam, 0) - expect[lam]) ** 2 / expect[lam] for lam in cells)
+    return stat + (rest[1] - rest[0]) ** 2 / rest[0], len(cells)
+
+
+def _chi2_bound(df, z=3.09):
+    """The χ² quantile at standard normal z (3.09: 0.999), by the
+    Wilson–Hilferty approximation."""
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize("Q,n,prec,seed", [(2, 2, 4, 21), (3, 3, 3, 22), (4, 3, 3, 23)])
+def test_sample_many_follows_finite_n_law(Q, n, prec, seed):
+    trials = 200000
+    freq = sample_many(Q, n, prec, trials, seed)
+    types = _law_types(Q, n, prec)
+    stat, df = _chi2(freq, lambda G: coker_law(G, n), types, trials)
+    assert df >= 3 and stat < _chi2_bound(df), (stat, df)
+    if (Q, n) == (2, 2):
+        # at n = 2 the n = ∞ measure μ is far off: the test can tell them apart
+        stat_mu, df_mu = _chi2(freq, lambda G: measure(G)[0], types, trials)
+        assert stat_mu > 10 * _chi2_bound(df_mu)
 
 
 def test_sampler_reproducibility():

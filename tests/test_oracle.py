@@ -911,13 +911,18 @@ def _fiber_key(res):
 
 def test_fiber_tools_memos_compute_once_per_module_and_per_pi2(monkeypatch):
     # a criterion-9 shaped request: fiber_tools on the first 2 x 2 pairs
-    # of surjections onto N3, then the residue rank of each ⊠
+    # of surjections onto N3, then the residue rank of each ⊠; then the
+    # same request again on a new listing of the maps
     e = _idems((2,), 2)[1]
     N1, N2, N3 = (oracle.realize(e, ModuleType(2, lam)) for lam in [(2, 1), (2, 2), (1, 1)])
-    surs1, surs2 = ([f for f in oracle.enumerate_module_homs(N, N3) if f.is_surjective()][:2]
-                    for N in (N1, N2))
+
+    def listing():
+        return ([f for f in oracle.enumerate_module_homs(N, N3) if f.is_surjective()][:2]
+                for N in (N1, N2))
+
+    surs1, surs2 = listing()
     assert len(surs1) == len(surs2) == 2
-    assert N1._residue_rank_by_idempotent == {} and all(f._quotients is None for f in surs1 + surs2)
+    assert N1._residue_rank_by_idempotent == {} and N2._fiber_towers == {}
     asks, sized, inside, submodules, quotients = [], [], [], [], []
     residue_rank, subgroup_size = oracle.residue_rank, oracle.subgroup_size
     gamma_submodules, module_quotient = oracle.gamma_submodules, oracle.module_quotient
@@ -949,15 +954,17 @@ def test_fiber_tools_memos_compute_once_per_module_and_per_pi2(monkeypatch):
         systems.append((src, dst))
         return hom_solver(src, dst, g)
 
+    def run(pairs):
+        results = [oracle.fiber_tools(e, pi1, pi2) for pi1, pi2 in pairs]
+        return results, [oracle.residue_rank(res.boxtimes, e) for res in results]
+
     monkeypatch.setattr(oracle, "residue_rank", counting_rank)
     monkeypatch.setattr(oracle, "subgroup_size", counting_size)
     monkeypatch.setattr(oracle, "gamma_submodules", counting_submodules)
     monkeypatch.setattr(oracle, "module_quotient", counting_quotient)
     monkeypatch.setattr(oracle, "_hom_solver", counting_solver)
     pairs = list(itertools.product(surs1, surs2))
-    results = [oracle.fiber_tools(e, pi1, pi2) for pi1, pi2 in pairs]
-    ranks = [oracle.residue_rank(res.boxtimes, e) for res in results]
-    monkeypatch.undo()
+    results, ranks = run(pairs)
     # N1, N2 and N3 are asked 4 times each and every ⊠ once: one
     # subgroup_size per (module, idempotent)
     assert len(asks) == 16
@@ -965,18 +972,88 @@ def test_fiber_tools_memos_compute_once_per_module_and_per_pi2(monkeypatch):
     # ker π₂'s submodules and their quotients are built once per π₂
     assert len(submodules) == len(surs2)
     assert quotients == [U for subs in submodules for U in subs]
-    # and each N₂/U solves its lift system once for N₁, for both π₁
-    assert len(systems) == len(quotients) and all(src is N1 for src, _ in systems)
-    # the same answers as a fresh copy of π₂, which starts with no memo
-    for (pi1, pi2), res, rank in zip(pairs, results, ranks):
-        fresh = dataclasses.replace(pi2)
-        assert fresh._quotients is None and fresh == pi2
-        again = oracle.fiber_tools(e, pi1, fresh)
-        assert _fiber_key(again) == _fiber_key(res)
-        assert oracle.residue_rank(again.boxtimes, e) == rank
+    # and each N₂/U solves its lift system once for each π₁ from N₁
+    assert len(systems) == len(surs1) * len(quotients) and all(src is N1 for src, _ in systems)
+
+    # a new listing: new map objects with the same matrices find N₂'s
+    # towers and their lifts, and build no quotient and no lift system
+    surs1_again, surs2_again = listing()
+    assert all(f is not g and f == g for f, g in zip(surs1 + surs2, surs1_again + surs2_again))
+    asks.clear(), sized.clear(), submodules.clear(), quotients.clear(), systems.clear()
+    again, ranks_again = run(itertools.product(surs1_again, surs2_again))
+    assert submodules == quotients == systems == []
+    # only the four new ⊠ are ranked; N1, N2 and N3 kept theirs
+    assert len(asks) == 16 and len(sized) == len(set(sized)) == 4
+    assert ranks_again == ranks
+    for res, res_again in zip(results, again):
+        assert _fiber_key(res_again) == _fiber_key(res)
+        assert res_again.to_common_1 is res.to_common_1 and res_again.to_common_2 is res.to_common_2
+    assert [dst for dst, _ in N2._fiber_towers] == [N3, N3]
+
+    # the kept answers equal fresh ones: with N₂'s towers emptied, the
+    # same pairs build every quotient and lift system again
+    N2._fiber_towers.clear()
+    submodules.clear(), quotients.clear(), systems.clear()
+    fresh, ranks_fresh = run(pairs)
+    monkeypatch.undo()
+    assert len(submodules) == len(surs2) and len(systems) == len(surs1) * len(quotients)
+    assert ranks_fresh == ranks
+    for res, res_fresh in zip(results, fresh):
+        assert res_fresh.to_common_2 is not res.to_common_2
+        assert _fiber_key(res_fresh) == _fiber_key(res)
     # the memos live on their module, which `realize` keeps
     assert N3._residue_rank_by_idempotent == {e: 2}
     assert oracle.realize(e, ModuleType(2, (1, 1))) is N3
+
+
+def _fiber_answers(e, pi1, pi2):
+    """The sizes of N₂/U*, the fiber product and ⊠, ⊠'s type and residue
+    rank, and `_fiber_key`: the three modules and the matrices of ψ and q₂."""
+    res = oracle.fiber_tools(e, pi1, pi2)
+    return ([M.size for M in (res.common_quotient, res.fiber_product, res.boxtimes)],
+            oracle.iso_type(res.boxtimes, e), oracle.residue_rank(res.boxtimes, e), _fiber_key(res))
+
+
+def test_fiber_tools_takes_maps_whose_matrix_is_a_list():
+    # the same answers for list-of-lists copies of π₁ and π₂, whose
+    # matrices key N₂'s towers and their lifts as tuples of row tuples
+    e = _idems((2,), 2)[1]
+    N1, N2, N3 = (oracle.realize(e, ModuleType(2, lam)) for lam in [(2, 1), (2, 2), (1, 1)])
+    surs1, surs2 = ([f for f in oracle.enumerate_module_homs(N, N3) if f.is_surjective()][:2]
+                    for N in (N1, N2))
+
+    def as_lists(f):
+        return oracle.ModuleHom(f.src, f.dst, [list(row) for row in f.matrix])
+
+    for pi1, pi2 in itertools.product(surs1, surs2):
+        expect = _fiber_answers(e, pi1, pi2)
+        assert _fiber_answers(e, as_lists(pi1), as_lists(pi2)) == expect
+        assert _fiber_answers(e, as_lists(pi1), pi2) == expect
+        N2._fiber_towers.clear()  # list maps that build the tower themselves
+        assert _fiber_answers(e, as_lists(pi1), as_lists(pi2)) == expect
+
+
+def test_kept_fiber_towers_match_fresh_ones():
+    # every fiber shape of the benchmark pool, on the first 2 x 2
+    # surjections onto N3: answers through N₂'s kept towers equal those
+    # computed after its towers are emptied
+    pool = json.loads((Path(__file__).resolve().parents[1] / "dvrbench" / "catalog.json").read_text())["pool"]
+    idems = _idems((2,), 2)
+    compared = 0
+    for ei, l1, l2, l3 in (e for kind, e in pool if kind == "fiber"):
+        e = idems[ei]
+        N1, N2, N3 = (oracle.realize(e, ModuleType(2, tuple(lam))) for lam in (l1, l2, l3))
+        surs1, surs2 = ([f for f in oracle.enumerate_module_homs(N, N3) if f.is_surjective()][:2]
+                        for N in (N1, N2))
+        for pi1, pi2 in itertools.product(surs1, surs2):
+            _fiber_answers(e, pi1, pi2)  # builds or finds the tower and this π₁'s lifts
+            kept = _fiber_answers(e, pi1, pi2)
+            assert N2._fiber_towers
+            N2._fiber_towers.clear()
+            assert _fiber_answers(e, pi1, pi2) == kept, (ei, l1, l2, l3)
+            compared += 1
+    assert compared == 168  # the pairs of one pass over the pool's fiber requests
+
 
 def test_module_automorphisms_match_brute_force():
     for mods in _small_modules():

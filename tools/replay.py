@@ -28,7 +28,8 @@ The sets, in order:
 - `again`: the `oracle` pool and the `exact` grid's `oracle` requests
   once more, keyed `again: <request>`, so their answers come from the
   memos (kept modules, extension classes and their answers, Γ-hom
-  solvers, idempotent lists) that the sets before it left.
+  solvers, fiber towers with their lifts, idempotent lists) that the
+  sets before it left.
 
 `--limit N` keeps the first N requests of each set.  `--diff A B`
 prints each request whose record differs between the two files, or that
