@@ -61,7 +61,7 @@ def ideal_ops(M: ModuleType, d: int) -> IdealOps:
     lam = M.parts
     image = ModuleType(M.Q, tuple(a - d for a in lam if a > d))
     tor = ModuleType(M.Q, tuple(min(a, d) for a in lam if min(a, d) > 0))
-    rank = len(lam) if d == 0 else sum(1 for a in lam if a >= d)
+    rank = sum(1 for a in lam if a >= d)
     closure = ModuleType(M.Q, tuple(a + d for a in lam))
     return IdealOps(image=image, torsion=tor, rank=rank, closure=closure)
 

@@ -132,7 +132,7 @@ def smith_normal_form(A, m=None, n=None):
                 dirty = True
             if not dirty:
                 break
-        if t >= m or t >= n or D[t][t] == 0:
+        if D[t][t] == 0:
             break
 
     # enforce the divisibility chain d_t | d_{t+1}

@@ -59,25 +59,6 @@ def measure(M: ModuleType):
     return zlo / den, zhi / den
 
 
-def coker_law(G: ModuleType, n: int) -> Fraction:
-    """P_n(coker ≅ G) for a uniform n x (n+1) matrix over the DVR, Q = G.Q:
-    #Sur(O^n, G)·∏_{j=2}^{n+1}(1 − Q^{−j}) / (#Aut(G)·|G|^{n+1}).
-
-    The kernels K ⊆ O^n with O^n/K ≅ G number #Sur(O^n, G)/#Aut(G); all
-    n+1 columns lie in one with probability |G|^{−(n+1)}, and then span
-    it (K ≅ O^n) with probability ∏_{j=2}^{n+1}(1 − Q^{−j}).  O^n may be
-    cut to (O/𝔪^k)^n for any k >= max(G).  As n → ∞ this tends to μ(G);
-    the sampler at precision prec draws it exactly for every G with all
-    parts below prec (Friedman–Washington 1989).
-    """
-    Q = G.Q
-    spans = Fraction(1)
-    for j in range(2, n + 2):
-        spans *= 1 - Fraction(1, Q**j)
-    sur = sur_count(ModuleType(Q, (max(G.parts, default=1),) * n), G)
-    return sur * spans / (aut_count(G) * G.size ** (n + 1))
-
-
 @dataclass(frozen=True)
 class MomentBracket:
     lower: Fraction
@@ -92,39 +73,32 @@ class MomentBracket:
 def moment_truncated(V: ModuleType, B: int) -> MomentBracket:
     """Bracket for ∫ #Sur(X, V) dμ(X) from partitions of total size <= B.
 
-    The lower bound drops the tail entirely; the upper bound adds a
-    geometric tail after the last increment, with ratio r the largest of
-    1/Q and the last three increment ratios (1/Q alone at B = Σ V.parts,
-    where only the last increment is positive), and reports that tail
-    as the tail estimate.  The exact value of the full sum is 1/|V|.
-
-    The upper bound holds: with v = Σ V.parts, the size-(v + k) increment
-    is c_k/|V| with c_k = Q^{−2k}/∏_{j=1..k}(1 − Q^{−j}) (Cohen–Lenstra;
-    Macdonald, Symmetric Functions and Hall Polynomials, ch. II), and
-    the ratios c_{k+1}/c_k = Q^{−2}/(1 − Q^{−(k+1)}) fall with k and are
-    at most 1/(Q(Q − 1)) <= 1/Q <= r, so each later increment is at
-    most r times the one before it.
+    With v = Σ V.parts, the size-b increment is 0 for b < v, as no
+    smaller module maps onto V, and c_k/|V| for b = v + k, with
+    c_k = Q^{−2k}/∏_{j=1..k}(1 − Q^{−j}) (Cohen–Lenstra; Macdonald,
+    Symmetric Functions and Hall Polynomials, ch. II).  The ratios
+    c_{k+1}/c_k = Q^{−2}/(1 − Q^{−(k+1)}) are at most 1/(Q(Q − 1)) <= 1/Q,
+    so the increments after the last one, I, sum to at most the
+    geometric tail I/(Q − 1) of ratio 1/Q.  With S the sum of the
+    increments for b = v..B, the lower bound is zlo·S, the upper bound
+    zhi·(S + I/(Q − 1)), and the tail estimate zhi·I/(Q − 1).  The exact
+    value of the full sum is 1/|V|.
     """
-    if B < sum(V.parts):
+    v = sum(V.parts)
+    if B < v:
         raise ValueError("truncation below the target size")
     Q = V.Q
     zlo, zhi = z_bracket(Q)
-    increments = []
-    for b in range(B + 1):
-        s = Fraction(0)
+    S = Fraction(0)
+    for b in range(v, B + 1):
+        inc = Fraction(0)
         for lam in partitions_of(b):
             M = ModuleType(Q, lam)
             sc = sur_count(M, V)
             if sc:
-                s += Fraction(sc, aut_count(M) * M.size)
-        increments.append(s)
-    S = sum(increments)
-    positive = [x for x in increments if x > 0]
-    tail = Fraction(0)
-    if increments[-1] > 0:
-        ratios = [b / a for a, b in zip(positive, positive[1:])][-3:]
-        r = min(max(ratios + [Fraction(1, Q)]), Fraction(9, 10))
-        tail = increments[-1] * r / (1 - r)
+                inc += Fraction(sc, aut_count(M) * M.size)
+        S += inc
+    tail = inc / (Q - 1)
     return MomentBracket(lower=zlo * S, upper=zhi * (S + tail), tail_estimate=zhi * tail)
 
 

@@ -302,11 +302,7 @@ def _realize_cached(e: PrimitiveIdempotent, M: ModuleType) -> ExplicitModule:
     k, m_prime, f, e_ram = e.k, e.m_prime, e.f, e.e_ram
     D = e_ram * f
     # multiplication matrices for the ring on the basis y^a z^b
-    if k >= 1:
-        ram_red = _cyclotomic(p**k, mod)
-        Y1 = _mult_matrix(ram_red, mod, e_ram)
-    else:
-        Y1 = linalg.identity_matrix(1)
+    Y1 = _mult_matrix(_cyclotomic(p**k, mod), mod, e_ram)
     if m_prime > 1:
         un_red = _unramified_factor(p, m_prime, f, N)
         Z1 = _mult_matrix(un_red, mod, f)
@@ -329,14 +325,8 @@ def _realize_cached(e: PrimitiveIdempotent, M: ModuleType) -> ExplicitModule:
         t = e.value_exponent(gvec)
         assert t % (E // n) == 0
         gen_mats.append(_mat_pow(W, t // (E // n), ring_orders))
-    # uniformizer: p, or 1 - (generator)^{m'}
-    if k == 0:
-        pi_mat = [[p if i == j else 0 for j in range(D)] for i in range(D)]
-    else:
-        Wm = _mat_pow(W, m_prime, ring_orders)
-        pi_mat = [[(int(i == j) - Wm[i][j]) % mod for j in range(D)] for i in range(D)]
-
     ring = ExplicitModule(p, ring_orders, G, gen_mats)
+    pi_mat = uniformizer_matrix(ring, e)
     summands = []
     for L in lam:
         piL = _mat_pow(pi_mat, L, ring_orders)

@@ -23,7 +23,6 @@ from dvrstat.measure import (
     _sampler_ring,
     _tally,
     _valuations,
-    coker_law,
     make_rng,
     measure,
     moment_truncated,
@@ -124,14 +123,18 @@ def test_moment_bracket_contains_reciprocal_size():
 
 @pytest.mark.parametrize("Q", [2, 3, 4, 5])
 def test_moment_bracket_contains_reciprocal_size_from_b_equal_v(Q):
-    # from B = v = Σ V.parts, where only the last increment is positive
-    # and the tail's ratio is 1/Q alone, up to B = v + 7
+    # from B = v = Σ V.parts, where only one increment is positive, up to
+    # B = v + 7; the bounds are the closed-form increments c_k/|V| for
+    # k <= B − v and the geometric tail of ratio 1/Q after the last one
+    zlo, zhi = z_bracket(Q)
     for lam in [(), (1,), (2,), (1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1, 1)]:
         V = ModuleType(Q, lam)
         v = sum(lam)
         for B in range(v, v + 8):
             br = moment_truncated(V, B)
             assert br.lower <= Fraction(1, V.size) <= br.upper, (lam, B)
+            assert br.lower == zlo * sum(_closed_increment(Q, k) for k in range(B - v + 1)) / V.size, (lam, B)
+            assert br.tail_estimate == zhi * _closed_increment(Q, B - v) / (V.size * (Q - 1)), (lam, B)
 
 
 def test_moment_brackets_nested():
@@ -423,6 +426,25 @@ def _law_types(Q, n, prec):
     most n of them (a longer G has P_n(G) = 0)."""
     return [ModuleType(Q, lam) for b in range(n * (prec - 1) + 1) for lam in partitions_of(b)
             if len(lam) <= n and all(a < prec for a in lam)]
+
+
+def coker_law(G: ModuleType, n: int) -> Fraction:
+    """P_n(coker ≅ G) for a uniform n x (n+1) matrix over the DVR, Q = G.Q:
+    #Sur(O^n, G)·∏_{j=2}^{n+1}(1 − Q^{−j}) / (#Aut(G)·|G|^{n+1}).
+
+    The kernels K ⊆ O^n with O^n/K ≅ G number #Sur(O^n, G)/#Aut(G); all
+    n+1 columns lie in one with probability |G|^{−(n+1)}, and then span
+    it (K ≅ O^n) with probability ∏_{j=2}^{n+1}(1 − Q^{−j}).  O^n may be
+    cut to (O/𝔪^k)^n for any k >= max(G).  As n → ∞ this tends to μ(G);
+    the sampler at precision prec draws it exactly for every G with all
+    parts below prec (Friedman–Washington 1989).
+    """
+    Q = G.Q
+    spans = Fraction(1)
+    for j in range(2, n + 2):
+        spans *= 1 - Fraction(1, Q**j)
+    sur = sur_count(ModuleType(Q, (max(G.parts, default=1),) * n), G)
+    return sur * spans / (aut_count(G) * G.size ** (n + 1))
 
 
 def test_coker_law_small_values():

@@ -58,6 +58,11 @@ PROBES = (
     "moment --Q 5 --V 3,1,1 --B 5",
     "moment --Q 2 --V 2,1 --B 2",
     "moment --Q 6 --V 1 --B 4",
+    # moment past B = Σ V.parts at Q outside the exact grid's 2..5, where
+    # the tail's ratio 1/Q is smaller still
+    "moment --Q 7 --V 2,1 --B 6",
+    "moment --Q 8 --V 1,1 --B 5",
+    "moment --Q 9 --V 1 --B 4",
     # ext's size caps and the faults reported beside them
     "ext --gamma 2 --p 2 --index 0 --parts 65",
     "ext --gamma 2 --p 2 --index 0 --parts 9",
