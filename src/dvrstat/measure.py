@@ -298,7 +298,7 @@ def _sampler_ring(Q, n, prec):
         raise ValueError(f"matrix size n must be >= 1, got {n}")
     if prec < 1:
         raise ValueError(f"precision must be >= 1, got {prec}")
-    if p**prec >= 2**62:
+    if prec >= 62 or p**prec >= 2**62:  # p >= 2, so p^prec >= 2^62 from prec 62 on
         raise ValueError(f"p^prec = {p}^{prec} does not fit the sampler's 62-bit draws")
     if n * (n + 1) > 2**25:
         raise ValueError(f"matrix size n = {n} has more entries than the sampler's "

@@ -79,24 +79,26 @@ def _coset_elements(offset, echelon, mods):
     when S is a product of cyclic groups on the coordinates, that product
     is the whole listing.
     """
-    n = len(mods)
     steps, rows = echelon
-    tail = n
+    tail = len(mods)
     while tail and (rows[tail - 1] is None or not any(rows[tail - 1][tail:])):
         tail -= 1
-
-    def leaves(v, x, fixed):
-        if v == tail:
-            yield itertools.product(*fixed, *(range(x[w] % steps[w], mods[w], steps[w])
-                                              for w in range(tail, n)))
-            return
-        h, d = rows[v], steps[v]
-        for val in range(x[v] % d, mods[v], d):
-            y = x if h is None else [(a + (val - x[v]) // d * b) % o for a, b, o in zip(x, h, mods)]
-            yield from leaves(v + 1, y, fixed + (range(val, val + 1),))
-
     size = math.prod(m // d for m, d in zip(mods, steps))
-    return size, itertools.chain.from_iterable(leaves(0, [a % o for a, o in zip(offset, mods)], ()))
+    x = [a % o for a, o in zip(offset, mods)]
+    return size, itertools.chain.from_iterable(_coset_leaves(0, x, (), tail, steps, rows, mods))
+
+
+def _coset_leaves(v, x, fixed, tail, steps, rows, mods):
+    # `_coset_elements`' walk from coordinate v; a module-level generator,
+    # unlike a closure, leaves no reference cycle behind
+    if v == tail:
+        yield itertools.product(*fixed, *(range(x[w] % steps[w], mods[w], steps[w])
+                                          for w in range(tail, len(mods))))
+        return
+    h, d = rows[v], steps[v]
+    for val in range(x[v] % d, mods[v], d):
+        y = x if h is None else [(a + (val - x[v]) // d * b) % o for a, b, o in zip(x, h, mods)]
+        yield from _coset_leaves(v + 1, y, fixed + (range(val, val + 1),), tail, steps, rows, mods)
 
 
 class ExplicitModule:
@@ -121,10 +123,9 @@ class ExplicitModule:
         self._action_cache = {}
         self._residue_ranks = {}  # flattened T mod p -> rank over F_p, for maps onto self
         self._residue_rank_by_idempotent = {}  # idempotent e -> dim M/𝔪M over F_Q
-        self._norm_kernels = {}  # γ -> (echelon, solve) of N_γ·h ≡ b, for `_order_coset`
         self._extension_groups = {}  # refine -> one validated group per kept class, for `enumerate_extensions`
         self._hom_solvers = {}  # dst -> `_hom_solver(self, dst)`, for `_hom_matrices`
-        self._fiber_towers = {}  # (π₂.dst, π₂'s matrix) -> [(U, q₂, P, ψ by (N₁, π₁'s matrix))], for `fiber_tools`
+        self._fiber_towers = {}  # (π₂.dst, π₂'s matrix) -> ([(q₂, P)], (q₂, ψ) by (N₁, π₁'s matrix)), for `fiber_tools`
         self.blocks = None
         self._validate()
 
@@ -612,15 +613,13 @@ def _order_coset(G: ExplicitGroup, gamma):
     """c_γ: the elements (h, γ) of G with the same order as γ, as a frozenset.
 
     (h, γ)^{|γ|} = (N_γ·h + c, 1) with N_γ the norm and c = (0, γ)^{|γ|},
-    so c_γ is the coset {h : N_γ·h = −c} of ker N_γ.  N_γ depends on H
-    alone, so H keeps its solve for every extension of H; the coset
-    itself is not kept, as the answers built from it are.
+    so c_γ is the coset {h : N_γ·h = −c} of ker N_γ, solved on each call.
+    Neither the solve nor the coset is kept: the answers built from them
+    are (`G.answers`), so a kept group never asks again.
     """
     H = G.H
     c = G.power((H.zero(), gamma), G.G.element_order(gamma))[0]
-    if gamma not in H._norm_kernels:
-        H._norm_kernels[gamma] = linalg.congruence_kernel(H.endo_norm(gamma), H.orders, H.orders)
-    kernel, solve = H._norm_kernels[gamma]
+    kernel, solve = linalg.congruence_kernel(H.endo_norm(gamma), H.orders, H.orders)
     h0 = solve(H.neg(c))
     return frozenset() if h0 is None else frozenset(
         (h, gamma) for h in _coset_elements(h0, kernel, H.orders)[1])
@@ -1085,15 +1084,16 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
     Each fiber product of f: X → Z and g: Y → Z is the kernel of (f, −g)
     on X ⊕ Y, found by one integer linear system, not by a sweep of X × Y.
 
-    For each Γ-submodule U ⊆ ker π₂ the map N₁ → N₂/U is ψ, the first
-    surjective lift of π₁ in `enumerate_module_homs` order: the homs T
-    with P·T = π₁, P the map N₂/U → N₃ induced by π₂, come from one
-    `_hom_solver` system.  The quotients N₂/U, their projections q₂ and
-    the maps P depend on π₂ alone, so N₂ keeps this tower for as long as
-    it lives, keyed by π₂'s target and matrix, not by the map object:
-    every listing of Hom(N₂, N₃) builds new maps.  Each step of the
-    tower keeps ψ (or None) for every (N₁, π₁'s matrix) it has been
-    asked; a new π₁ builds its lift system and drops it after use.
+    The Γ-submodules U ⊆ ker π₂ through which π₁ lifts to a surjection
+    N₁ → N₂/U are closed under intersection, so the least of them, U*,
+    is the first in `gamma_submodules` order (ascending size), where the
+    scan stops; the common quotient is N₂/U*.  The lifts T (P·T = π₁, P
+    the map N₂/U → N₃ induced by π₂) come from one `_hom_solver` system,
+    and ψ is the first onto one in `enumerate_module_homs` order.  The
+    steps (q₂, P), q₂: N₂ → N₂/U, depend on π₂ alone, so N₂ keeps them,
+    keyed by π₂'s target and matrix, not by the map object (every listing
+    of Hom(N₂, N₃) builds new maps), with the answer (q₂, ψ) for each
+    (N₁, π₁'s matrix) asked; lift systems are dropped after use.
     """
     N1, N2 = pi1.src, pi2.src
     N3 = pi1.dst
@@ -1107,29 +1107,25 @@ def fiber_tools(e: PrimitiveIdempotent, pi1: ModuleHom, pi2: ModuleHom) -> Fiber
 
     # matrices may come as lists of lists; keys need tuples of row tuples
     key = (pi2.dst, tuple(map(tuple, pi2.matrix)))
-    tower = N2._fiber_towers.get(key)
-    if tower is None:
-        tower = []
+    if key not in N2._fiber_towers:
+        steps = []
         for U in gamma_submodules(N2, pi2.kernel()):
             quo, proj, lift = module_quotient(N2, U)
             # P: column t is π₂ of the lift of quotient generator t
             P = ModuleHom(quo, pi2.dst, _mat_mat(pi2.matrix, lift, pi2.dst.orders))
-            tower.append((U, ModuleHom(N2, quo, proj), P, {}))
-        N2._fiber_towers[key] = tower
+            steps.append((ModuleHom(N2, quo, proj), P))
+        N2._fiber_towers[key] = steps, {}
+    steps, answers = N2._fiber_towers[key]
     asked = (N1, tuple(map(tuple, pi1.matrix)))
-    factoring = []
-    for U, q2, P, lifted in tower:
-        if asked not in lifted:
+    if asked not in answers:
+        for q2, P in steps:
             lifts = (ModuleHom(N1, q2.dst, T) for T in _hom_solver(N1, q2.dst, P)(pi1))
-            lifted[asked] = next((h for h in lifts if h.is_surjective()), None)
-        psi = lifted[asked]
-        if psi is not None:
-            factoring.append((U, q2, psi))
-    assert factoring, "the common target itself must factor"
-    Ustar = frozenset.intersection(*(frozenset(U) for U, _, _ in factoring))
-    match = [t for t in factoring if frozenset(t[0]) == Ustar]
-    assert match, "intersection of factoring submodules must factor"
-    _, q2, psi = match[0]
+            psi = next((h for h in lifts if h.is_surjective()), None)
+            if psi is not None:
+                answers[asked] = q2, psi
+                break
+    assert asked in answers, "the common target itself must factor"
+    q2, psi = answers[asked]
     fiber, _ = _fiber_submodule(pi1, pi2)
     box, _ = _fiber_submodule(psi, q2)
     return FiberResult(common_quotient=q2.dst, to_common_1=psi, to_common_2=q2,

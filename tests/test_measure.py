@@ -1,5 +1,6 @@
 import itertools as it
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -599,3 +600,17 @@ def test_sampler_rejects_bad_arguments():
     with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
         make_rng(-1)
     assert sample_many(2, 2, 3, 0, seed=1) == {}
+
+
+def test_sampler_refuses_huge_precision_before_building_p_to_the_prec():
+    # p >= 2, so p^prec >= 2^62 from prec 62 on: a precision of 10^9 is
+    # refused with the same message, without the 10^9-bit power
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"p\^prec = 2\^1000000000 does not fit the sampler's 62-bit draws"):
+            _sampler_ring(2, 2, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert _sampler_ring(2, 2, 61) == (2, 1, (0, 1))  # 2^61 < 2^62 still fits

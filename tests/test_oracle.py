@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -582,7 +583,7 @@ def test_oracle_kernels_leave_smith_normal_form_to_quotient_structure(monkeypatc
     e = next(e for e in _idems((2,), 2) if not e.is_trivial)
     N1 = oracle.realize(e, ModuleType(2, (2, 1)))
     N3 = oracle.realize(e, ModuleType(2, (2,)))
-    # a fresh module, with no norm kernel kept from other requests
+    # a fresh module, with no memo kept from other requests
     H = oracle.ExplicitModule(N1.p, N1.orders, N1.group, N1.actions)
     G = oracle.ExplicitGroup.split(H)
     callers = []
@@ -958,6 +959,17 @@ def test_fiber_tools_memos_compute_once_per_module_and_per_pi2(monkeypatch):
         results = [oracle.fiber_tools(e, pi1, pi2) for pi1, pi2 in pairs]
         return results, [oracle.residue_rank(res.boxtimes, e) for res in results]
 
+    def scanned(pairs):
+        # the lift systems each pair's answer needs: one per step of its
+        # π₂'s tower, up to and including the step of the answer's q₂
+        out = []
+        for pi1, pi2 in pairs:
+            steps, answers = N2._fiber_towers[pi2.dst, pi2.matrix]
+            q2, _ = answers[N1, pi1.matrix]
+            at = next(i for i, (q, _) in enumerate(steps) if q is q2)
+            out += [(N1, q.dst) for q, _ in steps[:at + 1]]
+        return out
+
     monkeypatch.setattr(oracle, "residue_rank", counting_rank)
     monkeypatch.setattr(oracle, "subgroup_size", counting_size)
     monkeypatch.setattr(oracle, "gamma_submodules", counting_submodules)
@@ -972,11 +984,13 @@ def test_fiber_tools_memos_compute_once_per_module_and_per_pi2(monkeypatch):
     # ker π₂'s submodules and their quotients are built once per π₂
     assert len(submodules) == len(surs2)
     assert quotients == [U for subs in submodules for U in subs]
-    # and each N₂/U solves its lift system once for each π₁ from N₁
-    assert len(systems) == len(surs1) * len(quotients) and all(src is N1 for src, _ in systems)
+    # and each π₁ from N₁ solves the lift systems of N₂/U in tower order,
+    # up to its least factoring U and no further
+    assert systems == scanned(pairs) and all(src is N1 for src, _ in systems)
+    assert len(systems) == 12 < len(surs1) * len(quotients) == 20
 
     # a new listing: new map objects with the same matrices find N₂'s
-    # towers and their lifts, and build no quotient and no lift system
+    # towers and their answers, and build no quotient and no lift system
     surs1_again, surs2_again = listing()
     assert all(f is not g and f == g for f, g in zip(surs1 + surs2, surs1_again + surs2_again))
     asks.clear(), sized.clear(), submodules.clear(), quotients.clear(), systems.clear()
@@ -996,7 +1010,8 @@ def test_fiber_tools_memos_compute_once_per_module_and_per_pi2(monkeypatch):
     submodules.clear(), quotients.clear(), systems.clear()
     fresh, ranks_fresh = run(pairs)
     monkeypatch.undo()
-    assert len(submodules) == len(surs2) and len(systems) == len(surs1) * len(quotients)
+    assert len(submodules) == len(surs2) and systems == scanned(pairs)
+    assert len(systems) == 12
     assert ranks_fresh == ranks
     for res, res_fresh in zip(results, fresh):
         assert res_fresh.to_common_2 is not res.to_common_2
@@ -1016,7 +1031,7 @@ def _fiber_answers(e, pi1, pi2):
 
 def test_fiber_tools_takes_maps_whose_matrix_is_a_list():
     # the same answers for list-of-lists copies of π₁ and π₂, whose
-    # matrices key N₂'s towers and their lifts as tuples of row tuples
+    # matrices key N₂'s towers and their answers as tuples of row tuples
     e = _idems((2,), 2)[1]
     N1, N2, N3 = (oracle.realize(e, ModuleType(2, lam)) for lam in [(2, 1), (2, 2), (1, 1)])
     surs1, surs2 = ([f for f in oracle.enumerate_module_homs(N, N3) if f.is_surjective()][:2]
@@ -1046,13 +1061,48 @@ def test_kept_fiber_towers_match_fresh_ones():
         surs1, surs2 = ([f for f in oracle.enumerate_module_homs(N, N3) if f.is_surjective()][:2]
                         for N in (N1, N2))
         for pi1, pi2 in itertools.product(surs1, surs2):
-            _fiber_answers(e, pi1, pi2)  # builds or finds the tower and this π₁'s lifts
+            _fiber_answers(e, pi1, pi2)  # builds or finds the tower and this π₁'s answer
             kept = _fiber_answers(e, pi1, pi2)
             assert N2._fiber_towers
             N2._fiber_towers.clear()
             assert _fiber_answers(e, pi1, pi2) == kept, (ei, l1, l2, l3)
             compared += 1
     assert compared == 168  # the pairs of one pass over the pool's fiber requests
+
+
+def test_least_factoring_submodule_is_the_intersection_of_all():
+    # the slow path of `fiber_tools`' scan: on every fiber pair of the
+    # pool, decide for each Γ-submodule U ⊆ ker π₂ from a fresh lift
+    # system whether π₁ lifts onto N₂/U; the factoring U are closed under
+    # intersection, and the common quotient is N₂/U* for U* their
+    # intersection, with ψ the first surjective lift onto it
+    pool = json.loads((Path(__file__).resolve().parents[1] / "dvrbench" / "catalog.json").read_text())["pool"]
+    idems = _idems((2,), 2)
+    checked = proper = 0
+    for ei, l1, l2, l3 in (e for kind, e in pool if kind == "fiber"):
+        e = idems[ei]
+        N1, N2, N3 = (oracle.realize(e, ModuleType(2, tuple(lam))) for lam in (l1, l2, l3))
+        surs1, surs2 = ([f for f in oracle.enumerate_module_homs(N, N3) if f.is_surjective()][:2]
+                        for N in (N1, N2))
+        for pi1, pi2 in itertools.product(surs1, surs2):
+            factoring = {}
+            for U in oracle.gamma_submodules(N2, pi2.kernel()):
+                quo, proj, lift = oracle.module_quotient(N2, U)
+                P = oracle.ModuleHom(quo, N3, oracle._mat_mat(pi2.matrix, lift, N3.orders))
+                lifts = (oracle.ModuleHom(N1, quo, T) for T in oracle._hom_solver(N1, quo, P)(pi1))
+                psi = next((h for h in lifts if h.is_surjective()), None)
+                if psi is not None:
+                    factoring[frozenset(U)] = quo, proj, psi
+            Ustar = frozenset.intersection(*factoring)
+            assert Ustar in factoring, (ei, l1, l2, l3)
+            quo, proj, psi = factoring[Ustar]
+            res = oracle.fiber_tools(e, pi1, pi2)
+            assert res.to_common_2.kernel() == Ustar
+            assert res.to_common_2.matrix == proj and res.to_common_1.matrix == psi.matrix
+            assert (res.common_quotient.orders, res.common_quotient.actions) == (quo.orders, quo.actions)
+            checked += 1
+            proper += len(factoring) > 1
+    assert checked == 168 and proper > 0
 
 
 def test_module_automorphisms_match_brute_force():
@@ -1303,6 +1353,27 @@ def test_coset_elements_match_sorted_span():
             assert list(elements) == sorted(shift(offset, x) for x in span)
 
 
+def test_coset_listing_leaves_no_reference_cycle():
+    # with automatic collection off, a listing that left a cycle behind
+    # (a walk that refers to itself through a closure) shows up as
+    # unreachable objects when the collector runs
+    mods = [8, 4, 2]
+    echelons = [linalg.p_echelon(gens, mods) for gens in ([[2, 0, 1]], [[1, 1, 0], [0, 2, 1]], [])]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for echelon in echelons:
+            for offset in ([0, 0, 0], [3, 1, 1]):
+                size, elements = oracle._coset_elements(offset, echelon, mods)
+                assert len(list(elements)) == size
+        del elements
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _order_coset_by_scan(G, gamma):
     # the scan of H that `_order_coset` replaced
     H = G.H
@@ -1450,8 +1521,8 @@ def test_explicit_group_law_matches_add_formulas():
 def test_ext_solves_each_order_coset_once(monkeypatch):
     # Γ = (Z/2)^2 on Z/2 has 8 extension classes; `ext` asks each class for
     # c_γ at the 3 nonzero γ (conjugacy_stats) and at the 2 basis elements
-    # (splitting_count); N_γ depends on H alone, so one solve per γ
-    # serves all 8 classes
+    # (splitting_count); each ask solves N_γ once, inside that ask, and no
+    # solve is kept for the next one
     from dvrstat import cli
 
     asks, solves, inside = [], [], []
@@ -1475,8 +1546,8 @@ def test_ext_solves_each_order_coset_once(monkeypatch):
     assert cli.main(["ext", "--gamma", "2,2", "--p", "2", "--index", "0", "--parts", "1"],
                     out=io.StringIO()) == 0
     assert len(asks) == 8 * 5
-    assert len(solves) == len({gamma for _, gamma in solves}) == 3
-    assert {gamma for _, gamma in solves} == {gamma for _, gamma in asks}
+    assert solves == asks and len(solves) == 40
+    assert len({gamma for _, gamma in solves}) == 3
 
 
 def test_repeated_ext_is_answered_from_kept_classes(monkeypatch):

@@ -28,7 +28,7 @@ The sets, in order:
 - `again`: the `oracle` pool and the `exact` grid's `oracle` requests
   once more, keyed `again: <request>`, so their answers come from the
   memos (kept modules, extension classes and their answers, Γ-hom
-  solvers, fiber towers with their lifts, idempotent lists) that the
+  solvers, fiber towers with their answers, idempotent lists) that the
   sets before it left.
 
 `--limit N` keeps the first N requests of each set.  `--diff A B`
@@ -101,6 +101,8 @@ PROBES = (
     "b2 --H 2 --q 3 --n -1",
     # a huge v, where |(∧²2H)[2^{v-1}]| is capped by the pair moduli
     "ratio --H 4,4 --v 1000000000",
+    # a precision refused before p^prec is built
+    "sample --Q 2 --n 2 --prec 100000000 --trials 1 --seed 1",
     "sample --Q 9 --n 2 --prec 3 --trials 20 --seed 7",
     "sample --Q 25 --n 3 --prec 3 --trials 20 --seed 11",
     "verify --suite nosuch",
